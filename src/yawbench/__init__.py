@@ -42,6 +42,7 @@ from .env import (
     EnvConfig,
     SimState,
     YawEnv,
+    cycle_stats,
     cycle_wind,
     eval_env_config,
     indifference_misalignment,

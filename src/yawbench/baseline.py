@@ -7,24 +7,36 @@ threshold it turns toward the mean wind direction of a short trailing window,
 at the fixed yaw rate, until within a deadband of that target. The accumulator
 resets when an actuation is armed and does not accrue while yawing. Results
 are resampled onto the control-cycle grid used by every other controller.
+
+The simulation is event-driven: while the controller is idle the heading is
+fixed, so only the ticks spent yawing step through a scalar loop (see
+``run_cyca_s``). Its outputs are bit-identical to a loop over every tick,
+because ``np.cumsum`` adds strictly in sequence from the carried accumulator,
+as that loop does, the float and array branches of the angle wrapping round
+alike, and the cycle aggregation (``cycle_stats``) takes each cycle's final
+atan2 with ``math.atan2``, as ``circular_mean_deg`` does.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .env import CycleTrace, EnvConfig, cycle_wind, n_cycles
+from .env import CycleTrace, cycle_stats
 from .power import TurbineParams, circular_mean_deg, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
-from .wind import WindDataError, WindSeries
+from .wind import WindDataError, WindSeries, read_log_csv, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
 # with a zero deadband; avoids chasing float residue at the target.
 _STOP_FLOOR_DEG = 1e-9
+
+# Ticks in the first idle scan after an event; each further scan of the same
+# idle spell doubles, so a spell of L ticks costs O(L) work in O(log L) scans.
+_SCAN_TICKS = 64
+
+NACELLE_HEADER = ("t", "theta_deg")
 
 
 @dataclass(frozen=True)
@@ -35,9 +47,11 @@ class CycaConfig:
     stop_deadband: float = 1.0    # deg; stop turning once within this of the target
 
     def __post_init__(self):
-        ip = self.inner_period
-        if ip <= 0 or float(ip) != int(ip):
-            raise ValueError(f"inner_period must be a positive whole number of seconds, got {ip}")
+        for name, x in vars(self).items():
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
+            if name in ("inner_period", "target_window") and (x <= 0 or float(x) != int(x)):
+                raise ValueError(f"{name} must be a positive whole number of seconds, got {x}")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.target_window < self.inner_period:
@@ -58,6 +72,11 @@ def run_cyca_s(
 
     Returns the per-cycle trace; with ``return_inner=True`` also a dict of
     per-second arrays (theta, accumulator, yawing flag) for inspection.
+
+    Event-driven, and bit-identical to a per-tick loop (see the module
+    docstring): an idle spell is scanned in doubling chunks, ``np.cumsum``
+    adding each chunk's ``|yaw error| * dt`` onto the carried accumulator and
+    ``searchsorted`` finding the trigger tick; a turn steps on Python floats.
     """
     n = len(series)
     p = int(cycle_period)
@@ -68,42 +87,49 @@ def run_cyca_s(
 
     dt = int(cfg.inner_period)
     window = int(cfg.target_window)
-    rate = tp.yaw_rate_deg_s
-    theta = wrap_to_360(float(init_theta))
+    step_max = tp.yaw_rate_deg_s * dt
+    stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
+    theta0 = wrap_to_360(float(init_theta))
 
-    theta_sec = np.empty(n)
-    acc_sec = np.empty(n)
-    yawing_sec = np.zeros(n, dtype=bool)
+    phi_tick = series.phi[::dt]
+    n_ticks = len(phi_tick)
+    theta_tick = np.empty(n_ticks)
+    acc_tick = np.zeros(n_ticks)  # zero on every tick from a trigger to the end of its turn
+    yawing_tick = np.zeros(n_ticks, dtype=bool)
 
-    acc = 0.0
-    yawing = False
-    target = 0.0
-    for tick in range(0, n, dt):
+    theta, acc, yawing, target = theta0, 0.0, False, 0.0
+    i, span = 0, _SCAN_TICKS
+    while i < n_ticks:
         if yawing:
             rem = yaw_error(target, theta)
-            stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
             if abs(rem) <= stop_at:
                 yawing = False
             else:
-                step = math.copysign(min(rate * dt, abs(rem)), rem)
-                theta = wrap_to_360(theta + step)
-                if abs(yaw_error(target, theta)) <= stop_at:
-                    yawing = False
+                theta = wrap_to_360(theta + math.copysign(min(step_max, abs(rem)), rem))
+                yawing = abs(yaw_error(target, theta)) > stop_at
+            theta_tick[i] = theta
+            yawing_tick[i] = yawing
+            i, span = i + 1, _SCAN_TICKS
+            continue
+        hi = min(i + span, n_ticks)
+        run = np.cumsum(np.concatenate(([acc], np.abs(yaw_error(phi_tick[i:hi], theta)) * dt)))[1:]
+        hit = i + int(np.searchsorted(run, cfg.threshold))
+        theta_tick[i : min(hit + 1, hi)] = theta
+        if hit < hi:
+            # Arm a turn toward the trailing-window mean; motion starts on the next tick.
+            s = hit * dt
+            target = circular_mean_deg(series.phi[max(0, s - window + 1) : s + 1])
+            acc_tick[i:hit] = run[: hit - i]
+            yawing_tick[hit] = yawing = True
+            acc, i = 0.0, hit + 1
         else:
-            gamma = yaw_error(series.phi[tick], theta)
-            acc += abs(gamma) * dt
-            if acc >= cfg.threshold:
-                lo = max(0, tick - window + 1)
-                target = circular_mean_deg(series.phi[lo : tick + 1])
-                acc = 0.0
-                yawing = True  # motion starts on the next tick
-        hi = min(tick + dt, n)
-        theta_sec[tick:hi] = theta
-        acc_sec[tick:hi] = acc
-        yawing_sec[tick:hi] = yawing
+            acc_tick[i:hi] = run
+            acc, i, span = float(run[-1]), hi, 2 * span
 
-    trace = _resample_to_cycles(series, theta_sec, tp, p, theta_prev=wrap_to_360(float(init_theta)))
+    theta_sec = np.repeat(theta_tick, dt)[:n]
+    trace = _resample_to_cycles(series, theta_sec, tp, p, theta_prev=theta0)
     if return_inner:
+        acc_sec, yawing_sec = np.repeat(acc_tick, dt)[:n], np.repeat(yawing_tick, dt)[:n]
         return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
     return trace
 
@@ -120,38 +146,26 @@ def _resample_to_cycles(
     The nacelle position reported for a cycle is its end-of-cycle value; the
     applied action is derived from the net rotation over the cycle.
     """
-    count = len(series) // p
-    records = []
-    for c in range(count):
-        lo, hi = c * p, (c + 1) * p
-        phi_c = circular_mean_deg(series.phi[lo:hi])
-        v_c = float(np.mean(series.v[lo:hi]))
-        theta_end = float(theta_sec[hi - 1])
-        gamma = yaw_error(phi_c, theta_end)
-        delta = wrap_angle(theta_end - theta_prev)
-        if delta > 1e-12:
-            action = 2
-        elif delta < -1e-12:
-            action = 0
-        else:
-            action = 1
-        records.append(
-            {
-                "cycle": c,
-                "t_s": float(series.t[lo]),
-                "phi": phi_c,
-                "v": v_c,
-                "theta": theta_end,
-                "gamma": gamma,
-                "action_issued": action,
-                "action_applied": action,
-                "power_kw": power_with_misalignment(v_c, gamma, tp),
-                "r1": 0.0,
-                "r2": 0.0,
-            }
-        )
-        theta_prev = theta_end
-    return CycleTrace.from_records(records)
+    phi, v = cycle_stats(series, p)
+    count = len(phi)
+    theta = theta_sec[p - 1 : count * p : p].copy()
+    gamma = yaw_error(phi, theta)
+    delta = wrap_angle(np.diff(theta, prepend=theta_prev))
+    action = np.where(delta > 1e-12, 2, np.where(delta < -1e-12, 0, 1))
+    power = [power_with_misalignment(vc, g, tp) for vc, g in zip(v.tolist(), gamma.tolist())]
+    return CycleTrace(
+        cycle=np.arange(count),
+        t_s=series.t[: count * p : p],
+        phi=phi,
+        v=v,
+        theta=theta,
+        gamma=gamma,
+        action_issued=action,
+        action_applied=action,
+        power_kw=power,
+        r1=np.zeros(count),
+        r2=np.zeros(count),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,43 +200,13 @@ class NacelleLog:
 
 
 def load_nacelle_log(path) -> NacelleLog:
-    """Read a nacelle-position CSV with header ``t,theta_deg``."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"nacelle log not found: {path}")
-    ts: list[int] = []
-    thetas: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(s.strip() for s in header) != ("t", "theta_deg"):
-            raise WindDataError(f"{path}: expected header 't,theta_deg', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise WindDataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                t_raw = float(row[0])
-                theta = float(row[1])
-            except ValueError as exc:
-                raise WindDataError(f"{path}: line {lineno}: could not parse row: {exc}") from exc
-            if not t_raw.is_integer():
-                raise WindDataError(f"{path}: line {lineno}: timestamp must be an integer second")
-            if not math.isfinite(theta):
-                raise WindDataError(f"{path}: line {lineno}: non-finite nacelle position")
-            ts.append(int(t_raw))
-            thetas.append(wrap_to_360(theta))
-    return NacelleLog(np.array(ts), np.array(thetas))
+    """Read a nacelle-position CSV with header ``t,theta_deg``; positions are wrapped into [0, 360)."""
+    t, (theta,) = read_log_csv(path, NACELLE_HEADER)
+    return NacelleLog(t, wrap_to_360(theta))
 
 
 def save_nacelle_log(log: NacelleLog, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write("t,theta_deg\n")
-        for i in range(len(log)):
-            f.write(f"{int(log.t[i])},{float(log.theta[i])!r}\n")
+    write_csv_columns(path, NACELLE_HEADER, log.t, log.theta)
 
 
 def replay_cyca_l(

@@ -15,6 +15,7 @@ standardized wind speed; r2 pays ``w`` whenever the last ``k`` issued actions
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,11 +25,10 @@ from .power import (
     TurbineParams,
     circular_mean_deg,
     power_with_misalignment,
-    wrap_angle,
     wrap_to_360,
     yaw_error,
 )
-from .wind import Standardizer, WindSeries
+from .wind import Standardizer, WindSeries, write_csv_columns
 
 import enum
 
@@ -106,11 +106,22 @@ def cycle_wind(series: WindSeries, cycle: int, cfg: EnvConfig) -> tuple[float, f
     if cycle < 0 or (cycle + 1) * p > len(series):
         raise ValueError(f"cycle {cycle} out of range for a series of {len(series)} samples")
     lo, hi = cycle * p, (cycle + 1) * p
-    return _window_stats(series.phi[lo:hi], series.v[lo:hi])
+    return circular_mean_deg(series.phi[lo:hi]), float(np.mean(series.v[lo:hi]))
 
 
-def _window_stats(phi_window: np.ndarray, v_window: np.ndarray) -> tuple[float, float]:
-    return circular_mean_deg(phi_window), float(np.mean(v_window))
+def cycle_stats(series: WindSeries, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean direction and mean speed of every whole ``p``-second cycle.
+
+    Equal bit for bit to ``cycle_wind`` on each cycle: the sin, cos and speed
+    means reduce each row as the 1-d means do, and the final atan2 runs per
+    row in ``math.atan2``, as in ``circular_mean_deg``; ``np.arctan2`` on an
+    array can differ from it in the last ulp.
+    """
+    count = len(series) // p
+    rad = np.deg2rad(series.phi[: count * p]).reshape(count, p)
+    sin_m, cos_m = np.sin(rad).mean(axis=1).tolist(), np.cos(rad).mean(axis=1).tolist()
+    phi = wrap_to_360(np.degrees([math.atan2(s, c) for s, c in zip(sin_m, cos_m)]))
+    return phi, series.v[: count * p].reshape(count, p).mean(axis=1)
 
 
 def indifference_misalignment(cfg: EnvConfig, v_tilde: float, correction: float) -> float:
@@ -213,16 +224,7 @@ class CycleTrace:
         )
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as f:
-            f.write(",".join(TRACE_COLUMNS) + "\n")
-            for i in range(len(self)):
-                cells = []
-                for name in TRACE_COLUMNS:
-                    x = getattr(self, name)[i]
-                    cells.append(str(int(x)) if name in _TRACE_INT_COLUMNS else repr(float(x)))
-                f.write(",".join(cells) + "\n")
+        write_csv_columns(path, TRACE_COLUMNS, *(getattr(self, name) for name in TRACE_COLUMNS))
 
     @classmethod
     def from_csv(cls, path) -> "CycleTrace":
@@ -258,11 +260,9 @@ class YawEnv:
             raise ValueError(
                 f"series of {len(series)} samples holds {self._n_cycles} cycles; need at least 2"
             )
-        # Per-cycle aggregates, computed once through the same path as cycle_wind.
-        stats = [cycle_wind(series, c, cfg) for c in range(self._n_cycles)]
-        self._phi_c = np.array([s[0] for s in stats])
-        self._v_c = np.array([s[1] for s in stats])
-        self._vt_c = np.array([cfg.standardizer.standardize(v) for v in self._v_c])
+        # Per-cycle aggregates, computed once; equal to cycle_wind on every cycle.
+        self._phi_c, self._v_c = cycle_stats(series, cfg.p_samples)
+        self._vt_c = cfg.standardizer.standardize(self._v_c)
         self._obs = np.zeros((cfg.j, 4))
         self._cycle = 0
         self._theta = 0.0

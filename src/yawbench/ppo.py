@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import Action, CycleTrace, EnvConfig, YawEnv
+from .wind import write_csv_columns
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -523,15 +524,9 @@ CURVE_COLUMNS = ("update_idx", "steps", "mean_return", "policy_loss", "value_los
 
 
 def save_learning_curve(path, curve: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(",".join(CURVE_COLUMNS) + "\n")
-        for rec in curve:
-            cells = [str(rec["update_idx"]), str(rec["steps"])] + [
-                repr(float(rec[c])) for c in CURVE_COLUMNS[2:]
-            ]
-            f.write(",".join(cells) + "\n")
+    counts = [np.array([rec[c] for rec in curve], dtype=int) for c in CURVE_COLUMNS[:2]]
+    floats = [np.array([rec[c] for rec in curve], dtype=float) for c in CURVE_COLUMNS[2:]]
+    write_csv_columns(path, CURVE_COLUMNS, *counts, *floats)
 
 
 def evaluate(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,6 +92,56 @@ class WindSeries:
         )
 
 
+def read_log_csv(path, header: tuple[str, ...], nonnegative: tuple[str, str] | None = None):
+    """Timestamps and float columns (one contiguous row each) of a 1 s log CSV.
+
+    Raises WindDataError with the line number of the first row that does not
+    parse or holds a fractional timestamp, a non-finite value, or a negative
+    value in the ``nonnegative`` (column, description) column.
+    """
+    neg_col = header.index(nonnegative[0]) - 1 if nonnegative else None
+    ts, values = array("q"), array("d")  # 8 bytes a value, no float objects
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        head = next(reader, None)
+        if head is None or tuple(s.strip() for s in head) != header:
+            raise WindDataError(f"{path}: expected header {','.join(header)!r}, got {head!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise WindDataError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                t_raw, *vals = map(float, row)
+            except ValueError as exc:
+                raise WindDataError(f"{path}: line {lineno}: could not parse row: {exc}") from exc
+            if not t_raw.is_integer():
+                raise WindDataError(f"{path}: line {lineno}: timestamp must be an integer second")
+            if not all(map(math.isfinite, vals)):
+                raise WindDataError(f"{path}: line {lineno}: non-finite value")
+            if neg_col is not None and vals[neg_col] < 0:
+                raise WindDataError(f"{path}: line {lineno}: negative {nonnegative[1]}={vals[neg_col]}")
+            ts.append(int(t_raw))
+            values.extend(vals)
+    return np.array(ts, dtype=np.int64), np.frombuffer(values).reshape(len(ts), len(header) - 1).T.copy()
+
+
+def write_csv_columns(path, header: tuple[str, ...], *cols: np.ndarray) -> None:
+    """Write equal-length columns under ``header``, one row per index.
+
+    Integer columns are written as integers and float columns as their repr,
+    which parses back to the same float. Rows are converted to Python numbers
+    a block at a time, so memory stays flat in the column length.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, len(cols[0]), 256):
+            for row in zip(*(c[lo : lo + 256].tolist() for c in cols)):
+                f.write(",".join(map(repr, row)) + "\n")
+
+
 def load_series(path, source: str = "real", label: str = "") -> WindSeries:
     """Read a wind log CSV with header ``t,phi_deg,v_ms`` at uniform 1 s spacing.
 
@@ -99,51 +150,15 @@ def load_series(path, source: str = "real", label: str = "") -> WindSeries:
     non-uniform timestamps.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"wind log not found: {path}")
-    ts: list[int] = []
-    phis: list[float] = []
-    vs: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(s.strip() for s in header) != CSV_HEADER:
-            raise WindDataError(
-                f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise WindDataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                t_raw = float(row[0])
-                phi = float(row[1])
-                v = float(row[2])
-            except ValueError as exc:
-                raise WindDataError(f"{path}: line {lineno}: could not parse row: {exc}") from exc
-            if not t_raw.is_integer():
-                raise WindDataError(f"{path}: line {lineno}: timestamp must be an integer second")
-            if not math.isfinite(phi) or not math.isfinite(v):
-                raise WindDataError(f"{path}: line {lineno}: non-finite value")
-            if v < 0:
-                raise WindDataError(f"{path}: line {lineno}: negative wind speed v={v}")
-            ts.append(int(t_raw))
-            phis.append(wrap_to_360(phi))
-            vs.append(v)
-    if len(ts) < 2:
-        raise WindDataError(f"{path}: series too short: {len(ts)} samples")
-    return WindSeries(np.array(ts), np.array(phis), np.array(vs), source=source, label=label or path.stem)
+    t, (phi, v) = read_log_csv(path, CSV_HEADER, nonnegative=("v_ms", "wind speed v"))
+    if len(t) < 2:
+        raise WindDataError(f"{path}: series too short: {len(t)} samples")
+    return WindSeries(t, wrap_to_360(phi), v, source=source, label=label or path.stem)
 
 
 def save_series(series: WindSeries, path) -> None:
     """Write a wind log CSV in the format read back by load_series."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(",".join(CSV_HEADER) + "\n")
-        for i in range(len(series)):
-            f.write(f"{int(series.t[i])},{float(series.phi[i])!r},{float(series.v[i])!r}\n")
+    write_csv_columns(path, CSV_HEADER, series.t, series.phi, series.v)
 
 
 def split_train_test(series: WindSeries) -> tuple[WindSeries, WindSeries]:

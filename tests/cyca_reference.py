@@ -1,0 +1,105 @@
+"""Reference implementations of the threshold baseline, kept for differential tests.
+
+``run_cyca_s`` visits every controller tick in a Python loop and
+``resample_to_cycles`` builds the cycle trace one record at a time. They are
+the plain statements of the semantics that ``yawbench.baseline`` reproduces
+with an event-driven schedule and one vectorised cycle aggregation; the
+library's outputs must equal theirs bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from yawbench import CycleTrace, circular_mean_deg, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
+
+_STOP_FLOOR_DEG = 1e-9
+
+
+def run_cyca_s(series, cfg, tp, init_theta, cycle_period=10.0, return_inner=False):
+    """Per-tick simulation of the cumulative-error threshold controller."""
+    n = len(series)
+    p = int(cycle_period)
+    dt = int(cfg.inner_period)
+    window = int(cfg.target_window)
+    rate = tp.yaw_rate_deg_s
+    theta = wrap_to_360(float(init_theta))
+
+    theta_sec = np.empty(n)
+    acc_sec = np.empty(n)
+    yawing_sec = np.zeros(n, dtype=bool)
+
+    acc = 0.0
+    yawing = False
+    target = 0.0
+    for tick in range(0, n, dt):
+        if yawing:
+            rem = yaw_error(target, theta)
+            stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
+            if abs(rem) <= stop_at:
+                yawing = False
+            else:
+                step = math.copysign(min(rate * dt, abs(rem)), rem)
+                theta = wrap_to_360(theta + step)
+                if abs(yaw_error(target, theta)) <= stop_at:
+                    yawing = False
+        else:
+            gamma = yaw_error(series.phi[tick], theta)
+            acc += abs(gamma) * dt
+            if acc >= cfg.threshold:
+                lo = max(0, tick - window + 1)
+                target = circular_mean_deg(series.phi[lo : tick + 1])
+                acc = 0.0
+                yawing = True  # motion starts on the next tick
+        hi = min(tick + dt, n)
+        theta_sec[tick:hi] = theta
+        acc_sec[tick:hi] = acc
+        yawing_sec[tick:hi] = yawing
+
+    trace = resample_to_cycles(series, theta_sec, tp, p, theta_prev=wrap_to_360(float(init_theta)))
+    if return_inner:
+        return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
+    return trace
+
+
+def resample_to_cycles(series, theta_sec, tp, p, theta_prev):
+    """Per-cycle collapse of a per-second nacelle trajectory onto the cycle grid."""
+    count = len(series) // p
+    records = []
+    for c in range(count):
+        lo, hi = c * p, (c + 1) * p
+        phi_c = circular_mean_deg(series.phi[lo:hi])
+        v_c = float(np.mean(series.v[lo:hi]))
+        theta_end = float(theta_sec[hi - 1])
+        gamma = yaw_error(phi_c, theta_end)
+        delta = wrap_angle(theta_end - theta_prev)
+        if delta > 1e-12:
+            action = 2
+        elif delta < -1e-12:
+            action = 0
+        else:
+            action = 1
+        records.append(
+            {
+                "cycle": c,
+                "t_s": float(series.t[lo]),
+                "phi": phi_c,
+                "v": v_c,
+                "theta": theta_end,
+                "gamma": gamma,
+                "action_issued": action,
+                "action_applied": action,
+                "power_kw": power_with_misalignment(v_c, gamma, tp),
+                "r1": 0.0,
+                "r2": 0.0,
+            }
+        )
+        theta_prev = theta_end
+    return CycleTrace.from_records(records)
+
+
+def replay_cyca_l(series, log, tp, cycle_period=10.0):
+    """Reference replay: the per-cycle resample of the recorded headings."""
+    return resample_to_cycles(series, log.theta, tp, int(cycle_period), theta_prev=float(log.theta[0]))

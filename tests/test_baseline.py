@@ -44,6 +44,18 @@ class TestCycaConfig:
         with pytest.raises(ValueError):
             CycaConfig(stop_deadband=-1.0)
 
+    def test_fractional_target_window_rejected(self):
+        # would otherwise be truncated to 1 s by int(target_window)
+        with pytest.raises(ValueError, match="target_window"):
+            CycaConfig(target_window=1.5)
+
+    @pytest.mark.parametrize("field", ["threshold", "target_window", "stop_deadband", "inner_period"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected_by_name(self, field, bad):
+        # a nan threshold never triggers and a nan deadband never ends a turn
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CycaConfig(**{field: bad})
+
 
 class TestRunCycaS:
     def test_zero_error_never_moves(self, tp):
@@ -118,6 +130,17 @@ class TestNacelleLog:
     def test_non_uniform_rejected(self):
         with pytest.raises(WindDataError, match="non-uniform"):
             NacelleLog(np.array([0, 1, 3]), np.array([1.0, 2.0, 3.0]))
+
+    def test_positions_wrapped_into_range(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("t,theta_deg\n0,-10.0\n1,360.0\n2,725.5\n3,-1e-300\n")
+        assert load_nacelle_log(p).theta.tolist() == [350.0, 0.0, 5.5, 0.0]
+
+    def test_non_finite_position_reports_line(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("t,theta_deg\n0,1.0\n1,nan\n")
+        with pytest.raises(WindDataError, match="line 3: non-finite"):
+            load_nacelle_log(p)
 
 
 class TestReplay:

@@ -37,6 +37,17 @@ class TestLoadSeries:
         s = load_series(p)
         assert s.phi[1] == pytest.approx(350.0, abs=1e-12)
 
+    def test_directions_wrapped_into_range(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("t,phi_deg,v_ms\n0,360.0,6.0\n1,725.5,6.0\n2,-1e-300,6.0\n3,-0.0,6.0\n")
+        assert load_series(p).phi.tolist() == [0.0, 5.5, 0.0, 0.0]
+
+    def test_non_finite_direction_reports_line(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("t,phi_deg,v_ms\n0,1.0,6.0\n1,inf,6.0\n")
+        with pytest.raises(WindDataError, match="line 3: non-finite"):
+            load_series(p)
+
     def test_non_uniform_spacing(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("t,phi_deg,v_ms\n0,1.0,6.0\n1,1.0,6.0\n3,1.0,6.0\n")
