@@ -70,7 +70,6 @@ from .ppo import (
     evaluate,
     load_checkpoint,
     policy_forward,
-    ppo_loss,
     ppo_loss_and_grads,
     ppo_update,
     sample_action,

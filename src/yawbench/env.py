@@ -228,19 +228,26 @@ class CycleTrace:
 
     @classmethod
     def from_csv(cls, path) -> "CycleTrace":
+        """Read a ``to_csv`` file; a malformed row raises ValueError naming the file and line."""
         path = Path(path)
+        parsers = [int if name in _TRACE_INT_COLUMNS else float for name in TRACE_COLUMNS]
+        rows = []
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_COLUMNS:
                 raise ValueError(f"{path}: unexpected trace header {header!r}")
-            cols: dict[str, list] = {name: [] for name in TRACE_COLUMNS}
             for row in reader:
                 if not row:
                     continue
-                for name, cell in zip(TRACE_COLUMNS, row):
-                    cols[name].append(int(cell) if name in _TRACE_INT_COLUMNS else float(cell))
-        return cls(**{name: np.array(vals) for name, vals in cols.items()})
+                try:
+                    if len(row) != len(parsers):
+                        raise ValueError(f"expected {len(parsers)} fields, got {len(row)}")
+                    rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+        cols = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
+        return cls(**{name: np.array(vals) for name, vals in zip(TRACE_COLUMNS, cols)})
 
 
 class YawEnv:

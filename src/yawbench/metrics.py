@@ -9,9 +9,7 @@ consecutive moving cycles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -232,12 +230,3 @@ def comparison_table_csv(comparisons: dict[str, Comparison]) -> str:
     for title, key, fmt in _COMPARISON_ROWS:
         lines.append(f"{title}," + ",".join(fmt.format(getattr(comparisons[lb], key)) for lb in labels))
     return "\n".join(lines) + "\n"
-
-
-def write_json(path, payload: dict) -> None:
-    """Canonical JSON writer used for every report artifact (stable ordering)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -10,6 +10,13 @@ Observations enter the networks re-encoded per row: the action code centered
 to {-1, 0, 1}, the misalignment scaled by 1/180, the wind direction mapped to
 its (sin, cos) pair (raw degrees are discontinuous at the seam), and the
 standardized speed as is - five features per lagged row.
+
+The networks are small, so a step costs numpy call overhead, not arithmetic.
+Training encodes each observation once, for the networks and the buffer; the
+batch-of-one softmax and the sampler avoid ``keepdims`` reductions and
+``searchsorted``; Adam updates flat moment arrays. Each keeps the operations
+and their order, so results are bit-identical to the per-call forms. The
+softmax keeps ``np.exp``: ``math.exp`` differs from it in the last bit.
 """
 
 from __future__ import annotations
@@ -47,6 +54,12 @@ class PpoConfig:
     init_offset_deg: float = 0.0  # training episodes start misaligned by U(-x, x)
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        for name in ("n_steps", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden layer widths must be positive, got {self.hidden}")
         if not (0.0 < self.discount <= 1.0):
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if not (0.0 <= self.gae_lambda <= 1.0):
@@ -63,7 +76,6 @@ class PpoConfig:
             raise ValueError("total_steps must cover at least one rollout of n_steps")
         if self.init_offset_deg < 0:
             raise ValueError("init_offset_deg must be >= 0")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -104,10 +116,7 @@ class Mlp:
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return h @ self.weights[-1] + self.biases[-1]
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         acts = [x]
@@ -128,9 +137,6 @@ class Mlp:
             if layer > 0:
                 d_h = (d_h @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
         return grads
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def to_dict(self) -> dict:
         return {
@@ -166,9 +172,6 @@ class ActorCritic:
     def parameters(self) -> list[np.ndarray]:
         return self.policy.parameters + self.value.parameters
 
-    def copy(self) -> "ActorCritic":
-        return ActorCritic(self.policy.copy(), self.value.copy(), self.lag_depth)
-
 
 def encode_observation(obs: np.ndarray) -> np.ndarray:
     """Flatten one j x 4 observation into the network input vector."""
@@ -180,26 +183,16 @@ def encode_batch(obs: np.ndarray) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 3 or obs.shape[2] != 4:
         raise ValueError(f"expected observations shaped (N, j, 4), got {obs.shape}")
-    if not np.all(np.isfinite(obs)):
+    if not np.isfinite(obs).all():
         raise ValueError("observations must be finite")
+    out = np.empty(obs.shape[:2] + (OBS_FEATURES_PER_ROW,))
+    np.subtract(obs[:, :, 0], 1.0, out=out[:, :, 0])
+    np.divide(obs[:, :, 1], 180.0, out=out[:, :, 1])
     phi_rad = np.deg2rad(obs[:, :, 2])
-    feats = np.stack(
-        [
-            obs[:, :, 0] - 1.0,
-            obs[:, :, 1] / 180.0,
-            np.sin(phi_rad),
-            np.cos(phi_rad),
-            obs[:, :, 3],
-        ],
-        axis=2,
-    )
-    return feats.reshape(obs.shape[0], -1)
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    np.sin(phi_rad, out=out[:, :, 2])
+    np.cos(phi_rad, out=out[:, :, 3])
+    out[:, :, 4] = obs[:, :, 3]
+    return out.reshape(obs.shape[0], -1)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -207,23 +200,31 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
 
 
+def _forward_encoded(ac: ActorCritic, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Action probabilities and state value for one encoded row ``x``."""
+    x = x[None]  # keep the (1, n) @ W products of the batched forward
+    logits = ac.policy.forward(x)[0]
+    e = np.exp(logits - logits.max())
+    return e / e.sum(), float(ac.value.forward(x)[0, 0])
+
+
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
     """Action probabilities and state value for one raw j x 4 observation."""
-    x = encode_observation(np.asarray(obs, dtype=np.float64))[None]
-    probs = softmax(ac.policy.forward(x))[0]
-    value = float(ac.value.forward(x)[0, 0])
-    return probs, value
+    return _forward_encoded(ac, encode_observation(np.asarray(obs, dtype=np.float64)))
+
+
+_ACTIONS = tuple(Action)
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[Action, float]:
     """Draw one action categorically; returns it with its log-probability."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.shape != (3,) or not np.all(np.isfinite(p)) or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-8:
+    if p.shape != (3,) or not np.isfinite(p).all() or (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-8:
         raise ValueError(f"degenerate action distribution: {probs!r}")
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    idx = min(idx, 2)
-    return Action(idx), float(np.log(p[idx]))
+    p0, p1, _ = p.tolist()  # p0 and p0 + p1 are the values np.cumsum gives
+    u = rng.random()
+    idx = 0 if u < p0 else 1 if u < p0 + p1 else 2
+    return _ACTIONS[idx], float(np.log(p[idx]))
 
 
 def compute_gae(
@@ -302,41 +303,6 @@ class RolloutBuffer:
         self.returns = None
 
 
-def ppo_loss(
-    ac: ActorCritic,
-    obs_enc: np.ndarray,
-    actions: np.ndarray,
-    logp_old: np.ndarray,
-    advantages: np.ndarray,
-    returns: np.ndarray,
-    clip_eps: float,
-    value_coef: float,
-    entropy_coef: float,
-) -> dict:
-    """Forward-only PPO loss; the reference for the gradient computation."""
-    logits = ac.policy.forward(obs_enc)
-    logp_all = log_softmax(logits)
-    n = len(actions)
-    lp = logp_all[np.arange(n), actions]
-    ratio = np.exp(lp - logp_old)
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
-    policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
-    probs = np.exp(logp_all)
-    entropy = float(np.mean(-np.sum(probs * logp_all, axis=1)))
-    v = ac.value.forward(obs_enc)[:, 0]
-    value_loss = float(np.mean((v - returns) ** 2))
-    total = policy_loss + value_coef * value_loss - entropy_coef * entropy
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip_eps))
-    return {
-        "total": total,
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
-        "entropy": entropy,
-        "clip_fraction": clip_fraction,
-    }
-
-
 def ppo_loss_and_grads(
     ac: ActorCritic,
     obs_enc: np.ndarray,
@@ -398,7 +364,13 @@ def ppo_loss_and_grads(
 
 
 class Adam:
-    """Adaptive-moment optimizer over a list of parameter arrays."""
+    """Adaptive-moment optimizer over a list of parameter arrays.
+
+    The moments of all parameters live in two flat arrays, updated with
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)`` in the operand order of the
+    per-array form, so the result is the same to the bit.
+    """
 
     def __init__(self, shapes: list[tuple], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -406,19 +378,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
+        self._g, self._step = np.empty(ends[-1]), np.empty(ends[-1])  # scratch: gradients, step
+        self._step_views = [self._step[lo:hi].reshape(s) for lo, hi, s in zip(ends, ends[1:], shapes)]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v, g, step = self.m, self.v, self._g, self._step
+        np.concatenate(grads, axis=None, out=g)
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=step)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, b1c, out=step)
+        np.multiply(self.lr, step, out=step)
+        denom = np.divide(v, b2c, out=g)  # the gradients are spent
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        for p, d in zip(params, self._step_views):
+            p -= d
 
 
 def ppo_update(
@@ -471,8 +454,6 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     Returns the trained networks and the learning-curve records, one per
     update: update_idx, steps, mean_return, policy_loss, value_loss, entropy.
     """
-    if callable(env):  # accept an environment factory as well
-        env = env()
     rng = np.random.default_rng(cfg.seed)
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
     adam = Adam([p.shape for p in ac.parameters], lr=cfg.learning_rate)
@@ -491,10 +472,11 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
         buffer.reset()
         episode_returns: list[float] = []
         while not buffer.full:
-            probs, value = policy_forward(ac, obs)
+            x = encode_observation(obs)
+            probs, value = _forward_encoded(ac, x)
             action, logp = sample_action(probs, rng)
             next_obs, reward, done, _ = env.step(action)
-            buffer.add(encode_observation(obs), action, logp, reward, value, done)
+            buffer.add(x, action, logp, reward, value, done)
             ep_return += reward
             if done:
                 episode_returns.append(ep_return)
@@ -582,12 +564,38 @@ def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfi
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # dumps runs the C encoder; dump would stream through the pure-Python one.
+    text = json.dumps(payload, sort_keys=True) + "\n"
     with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+        f.write(text)
+
+
+def _load_network(path: Path, payload: dict, name: str, in_dim: int, out_dim: int) -> Mlp:
+    """The ``name`` network, checked to chain in_dim -> out_dim with finite weights."""
+    try:
+        net = Mlp.from_dict(payload[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {name}: unreadable network: {exc}") from exc
+    width = in_dim
+    if not net.weights or len(net.weights) != len(net.biases):
+        raise ValueError(f"{path}: {name}: {len(net.weights)} weight and {len(net.biases)} bias arrays")
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if w.ndim != 2 or w.shape[0] != width:
+            raise ValueError(f"{path}: {name}.weights[{i}] has shape {w.shape}, expected ({width}, n)")
+        if b.shape != (w.shape[1],):
+            raise ValueError(f"{path}: {name}.biases[{i}] has shape {b.shape}, expected ({w.shape[1]},)")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: {name}: layer {i} holds non-finite weights")
+        width = w.shape[1]
+    if width != out_dim:
+        raise ValueError(f"{path}: {name}: {width} outputs, expected {out_dim}")
+    return net
 
 
 def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
+    """Read a ``save_checkpoint`` file; raises ValueError naming the file and
+    the field unless ``lag_depth`` equals the env config's ``j``, both
+    networks take ``lag_depth`` x 5 inputs and every weight is finite."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -597,9 +605,14 @@ def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
         raise ValueError(
             f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file"
         )
+    env_cfg = EnvConfig.from_dict(payload["env"])
+    lag_depth = int(payload["lag_depth"])
+    if lag_depth != env_cfg.j:
+        raise ValueError(f"{path}: lag_depth {lag_depth} differs from the env config's j={env_cfg.j}")
+    in_dim = lag_depth * OBS_FEATURES_PER_ROW
     ac = ActorCritic(
-        Mlp.from_dict(payload["policy"]),
-        Mlp.from_dict(payload["value"]),
-        int(payload["lag_depth"]),
+        _load_network(path, payload, "policy", in_dim, 3),
+        _load_network(path, payload, "value", in_dim, 1),
+        lag_depth,
     )
-    return ac, EnvConfig.from_dict(payload["env"]), PpoConfig.from_dict(payload["ppo"])
+    return ac, env_cfg, PpoConfig.from_dict(payload["ppo"])

@@ -71,10 +71,6 @@ class WindSeries:
     def __getitem__(self, i: int) -> WindSample:
         return WindSample(int(self.t[i]), float(self.phi[i]), float(self.v[i]))
 
-    @property
-    def duration_s(self) -> int:
-        return len(self)
-
     def slice_samples(self, start: int, stop: int) -> "WindSeries":
         return WindSeries(
             self.t[start:stop].copy(),
@@ -372,10 +368,3 @@ def constant_preset(length_s: int = 2000, dir_deg: float = 34.1, v_ms: float = 8
         speed_mean_ms=v_ms,
         speed_std_ms=0.0,
     )
-
-
-PRESETS = {
-    "steady": steady_preset,
-    "variable": variable_preset,
-    "constant": constant_preset,
-}

@@ -272,6 +272,30 @@ class TestTrace:
         header = p.read_text().splitlines()[0]
         assert header == "cycle,t_s,phi,v,theta,gamma,action_issued,action_applied,power_kw,r1,r2"
 
+    def _written_lines(self, tmp_path):
+        series = generate_synthetic(steady_preset(length_s=2000), seed=15)
+        trace = run_constant_action(YawEnv(series, cfg_for(episode_len=6, j=2)), Action.STAY, start_cycle=0)
+        p = tmp_path / "trace.csv"
+        trace.to_csv(p)
+        return p, p.read_text().splitlines()
+
+    def test_short_row_reports_file_and_line(self, tmp_path):
+        p, lines = self._written_lines(tmp_path)
+        lines[3] = lines[3].rsplit(",", 1)[0]  # cut the r2 field from the third data row
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{p.name}: line 4: expected 11 fields, got 10"):
+            CycleTrace.from_csv(p)
+
+    @pytest.mark.parametrize("column, cell", [(0, "2.0"), (3, "1.5x"), (6, "")])
+    def test_bad_cell_reports_file_and_line(self, tmp_path, column, cell):
+        p, lines = self._written_lines(tmp_path)
+        fields = lines[2].split(",")
+        fields[column] = cell  # an integer column holding a float, a float column holding junk, an empty cell
+        lines[2] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{p.name}: line 3: "):
+            CycleTrace.from_csv(p)
+
     def test_concat_and_slice(self):
         series = generate_synthetic(steady_preset(length_s=2000), seed=16)
         env = YawEnv(series, cfg_for(episode_len=10, j=2))

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,6 @@ from yawbench import (
     generate_synthetic,
     load_checkpoint,
     policy_forward,
-    ppo_loss,
     ppo_loss_and_grads,
     ppo_update,
     sample_action,
@@ -25,7 +27,9 @@ from yawbench import (
     steady_preset,
     train,
 )
-from yawbench.ppo import OBS_FEATURES_PER_ROW, encode_batch, log_softmax, softmax
+from yawbench.ppo import OBS_FEATURES_PER_ROW, encode_batch, log_softmax
+
+from ppo_reference import ppo_loss, softmax
 
 
 def tiny_ac(seed=0, j=2, hidden=(8, 8)):
@@ -84,10 +88,11 @@ class TestPolicyForward:
 
     def test_non_finite_obs_rejected(self):
         ac = tiny_ac()
-        obs = np.zeros((2, 4))
-        obs[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            policy_forward(ac, obs)
+        for bad in (np.nan, np.inf):
+            obs = np.zeros((2, 4))
+            obs[0, 1] = bad
+            with pytest.raises(ValueError):
+                policy_forward(ac, obs)
 
     def test_encoding_shape_and_seam_continuity(self):
         obs = np.zeros((3, 4))
@@ -123,6 +128,9 @@ class TestSampling:
             sample_action(np.array([0.5, 0.2, 0.2]), np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_action(np.array([np.nan, 0.5, 0.5]), np.random.default_rng(0))
+        for probs in ([1.2, -0.1, -0.1], [np.inf, 0.0, 0.0], [0.5, 0.5], [[0.5, 0.25, 0.25]]):
+            with pytest.raises(ValueError, match="degenerate"):
+                sample_action(np.array(probs), np.random.default_rng(0))
 
     def test_logp_matches_choice(self):
         rng = np.random.default_rng(7)
@@ -367,6 +375,39 @@ class TestUpdateAndTrain:
         with pytest.raises(ValueError):
             PpoConfig(gae_lambda=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0),  # was a ZeroDivisionError from n_steps % batch_size
+            ("batch_size", -64),
+            ("n_steps", 0),
+            ("epochs", 0),  # was accepted, then train died in ppo_update
+            ("epochs", -1),
+            ("hidden", (0, 8)),  # was accepted and trained a zero-width network
+            ("hidden", (8, -2)),
+            ("hidden", ()),
+        ],
+    )
+    def test_config_rejects_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PpoConfig(**{field: value})
+
+    def test_train_encodes_each_observation_once(self, monkeypatch):
+        import yawbench.ppo as ppo_module
+
+        calls = []
+        real = ppo_module.encode_observation
+
+        def counting(obs):
+            calls.append(1)
+            return real(obs)
+
+        monkeypatch.setattr(ppo_module, "encode_observation", counting)
+        cfg = small_cfg(n_steps=64, batch_size=32, total_steps=128)
+        train(make_env(), cfg)
+        # one encode per rollout step, plus one for each update's bootstrap value
+        assert len(calls) == 128 + 2
+
 
 class TestEvaluate:
     def test_greedy_tie_breaks_to_lowest_code(self):
@@ -424,6 +465,75 @@ class TestCheckpoint:
         p.write_text('{"format": "other", "version": 9}')
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    def test_file_is_json_dump_output(self, tmp_path):
+        env = make_env()
+        cfg = small_cfg(total_steps=128)
+        ac, _ = train(env, cfg)
+        p = tmp_path / "ck.json"
+        save_checkpoint(p, ac, env.cfg, cfg)
+        text = p.read_text()
+        expected = io.StringIO()
+        json.dump(json.loads(text), expected, sort_keys=True)
+        expected.write("\n")
+        assert text == expected.getvalue()
+
+    def _tampered(self, tmp_path, edit, j=2):
+        """Save a checkpoint, apply ``edit`` to its payload and write it back."""
+        env = make_env(j=j)
+        cfg = small_cfg(total_steps=128, hidden=(4, 3))
+        ac = ActorCritic.create(env.cfg.j, cfg.hidden, np.random.default_rng(0))
+        p = tmp_path / "ck.json"
+        save_checkpoint(p, ac, env.cfg, cfg)
+        payload = json.loads(p.read_text())
+        edit(payload)
+        p.write_text(json.dumps(payload))
+        return p
+
+    @staticmethod
+    def _set(payload, keys, value):
+        *outer, last = keys
+        for k in outer:
+            payload = payload[k]
+        payload[last] = value
+
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            ([(("lag_depth",), 5)], "lag_depth"),  # was accepted beside a 10-wide input layer
+            ([(("env", "j"), 3)], "lag_depth"),
+            ([(("policy", "weights", 1), [[0.0] * 3] * 5)], r"policy\.weights\[1\]"),
+            ([(("value", "biases", 0), [0.0] * 5)], r"value\.biases\[0\]"),
+            ([(("value", "weights", 0), [[0.0] * 4] * 12)], r"value\.weights\[0\]"),
+            (
+                [(("policy", "weights", 2), [[0.0] * 2] * 3), (("policy", "biases", 2), [0.0] * 2)],
+                "policy: 2 outputs, expected 3",
+            ),
+            (
+                [(("value", "weights", 2), [[0.0] * 3] * 3), (("value", "biases", 2), [0.0] * 3)],
+                "value: 3 outputs, expected 1",
+            ),
+            ([(("policy", "weights", 0, 3, 1), float("nan"))], "policy: layer 0 holds non-finite"),  # was accepted
+            ([(("value", "biases", 2, 0), float("inf"))], "value: layer 2 holds non-finite"),
+            ([(("policy", "weights"), [])], "policy: 0 weight"),
+            ([(("policy", "weights", 1), [[0.0, 1.0], [0.0]])], "policy: unreadable"),
+        ],
+    )
+    def test_bad_checkpoint_rejected_naming_file_and_field(self, tmp_path, edits, field):
+        def edit(payload):
+            for keys, value in edits:
+                self._set(payload, keys, value)
+
+        p = self._tampered(tmp_path, edit)
+        with pytest.raises(ValueError, match=field) as err:
+            load_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    def test_input_width_must_be_lag_depth_times_five(self, tmp_path):
+        def widen(payload):
+            payload["lag_depth"] = payload["env"]["j"] = 3  # inputs stay 10 wide
+        with pytest.raises(ValueError, match=r"policy\.weights\[0\] has shape \(10, 4\), expected \(15, n\)"):
+            load_checkpoint(self._tampered(tmp_path, widen))
 
     def test_training_checkpoints_reproducible(self, tmp_path):
         paths = []
