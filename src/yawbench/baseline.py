@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env import CycleTrace, cycle_stats
-from .power import TurbineParams, circular_mean_deg, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
+from .power import TurbineParams, circular_mean_deg, power_with_misalignment_array, wrap_angle, wrap_to_360, yaw_error
 from .wind import WindDataError, WindSeries, read_log_csv, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
@@ -152,7 +152,6 @@ def _resample_to_cycles(
     gamma = yaw_error(phi, theta)
     delta = wrap_angle(np.diff(theta, prepend=theta_prev))
     action = np.where(delta > 1e-12, 2, np.where(delta < -1e-12, 0, 1))
-    power = [power_with_misalignment(vc, g, tp) for vc, g in zip(v.tolist(), gamma.tolist())]
     return CycleTrace(
         cycle=np.arange(count),
         t_s=series.t[: count * p : p],
@@ -162,7 +161,7 @@ def _resample_to_cycles(
         gamma=gamma,
         action_issued=action,
         action_applied=action,
-        power_kw=power,
+        power_kw=power_with_misalignment_array(v, gamma, tp),
         r1=np.zeros(count),
         r2=np.zeros(count),
     )

@@ -14,10 +14,8 @@ standardized wind speed; r2 pays ``w`` whenever the last ``k`` issued actions
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .power import (
     wrap_to_360,
     yaw_error,
 )
-from .wind import Standardizer, WindSeries, write_csv_columns
+from .wind import Standardizer, WindSeries, read_log_csv, write_csv_columns
 
 import enum
 
@@ -228,26 +226,10 @@ class CycleTrace:
 
     @classmethod
     def from_csv(cls, path) -> "CycleTrace":
-        """Read a ``to_csv`` file; a malformed row raises ValueError naming the file and line."""
-        path = Path(path)
-        parsers = [int if name in _TRACE_INT_COLUMNS else float for name in TRACE_COLUMNS]
-        rows = []
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or tuple(header) != TRACE_COLUMNS:
-                raise ValueError(f"{path}: unexpected trace header {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if len(row) != len(parsers):
-                        raise ValueError(f"expected {len(parsers)} fields, got {len(row)}")
-                    rows.append([parse(cell) for parse, cell in zip(parsers, row)])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-        cols = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
-        return cls(**{name: np.array(vals) for name, vals in zip(TRACE_COLUMNS, cols)})
+        """Read a ``to_csv`` file; a malformed row, including a non-finite value,
+        raises WindDataError (a ValueError) naming the file and line."""
+        cycle, rest = read_log_csv(path, TRACE_COLUMNS, ints=_TRACE_INT_COLUMNS)
+        return cls(cycle, *rest)
 
 
 class YawEnv:

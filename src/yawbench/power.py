@@ -196,3 +196,28 @@ def power_with_misalignment(v: float, gamma_deg: float, tp: TurbineParams) -> fl
     if region_of(v, tp) is PowerRegion.PARTIAL:
         return p * yaw_loss_factor(gamma_deg, tp.alpha)
     return p
+
+
+def power_with_misalignment_array(v, gamma_deg, tp: TurbineParams) -> np.ndarray:
+    """``power_with_misalignment`` over equal-length arrays, bit for bit.
+
+    The regions take the boundary ownership of ``region_of``. ``np.cos`` of
+    ``np.radians`` equals ``math.cos`` of ``math.radians`` (one multiply by
+    the same constant, then the same cosine; a test pins this), while
+    ``v**3`` and ``c**alpha`` stay Python float powers, because ``np.power``
+    can differ from them in the last bit. The products run in the operand
+    order of ``power_ideal``.
+    """
+    v = np.asarray(v, dtype=float)
+    gamma = np.asarray(gamma_deg, dtype=float)
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise ValueError("wind speed must be finite and >= 0")
+    partial = (v >= tp.v_cut_in) & (v < tp.v_rated)
+    out = np.where((v >= tp.v_rated) & (v < tp.v_cut_out), tp.p_rated_kw, 0.0)
+    g = gamma[partial]
+    if not np.all(np.isfinite(g)):
+        raise ValueError("misalignment must be finite")
+    cube = np.array([x**3 for x in v[partial].tolist()])
+    loss = np.array([c**tp.alpha if c > 0.0 else 0.0 for c in np.cos(np.radians(g)).tolist()])
+    out[partial] = 0.5 * tp.rho * tp.area_m2 * cube * tp.power_coefficient * 1e-3 * loss
+    return out

@@ -64,18 +64,16 @@ class PpoConfig:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if not (0.0 <= self.gae_lambda <= 1.0):
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        if self.clip_eps <= 0:
-            raise ValueError(f"clip_eps must be positive, got {self.clip_eps}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "clip_eps", "value_coef", "entropy_coef", "init_offset_deg"):
+            x, positive = getattr(self, name), name in ("learning_rate", "clip_eps")
+            if not math.isfinite(x) or x < 0 or (positive and x == 0):
+                raise ValueError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {x}")
         if self.n_steps % self.batch_size != 0:
             raise ValueError(
                 f"n_steps ({self.n_steps}) must be divisible by batch_size ({self.batch_size})"
             )
         if self.total_steps < self.n_steps:
             raise ValueError("total_steps must cover at least one rollout of n_steps")
-        if self.init_offset_deg < 0:
-            raise ValueError("init_offset_deg must be >= 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -592,10 +590,21 @@ def _load_network(path: Path, payload: dict, name: str, in_dim: int, out_dim: in
     return net
 
 
+def _load_config(path: Path, payload: dict, name: str, cls):
+    """The ``name`` config section; a missing, unknown or bad key raises ValueError naming the file."""
+    try:
+        return cls.from_dict(payload[name])
+    except KeyError as exc:
+        raise ValueError(f"{path}: {name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {name}: {exc}") from exc
+
+
 def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     """Read a ``save_checkpoint`` file; raises ValueError naming the file and
-    the field unless ``lag_depth`` equals the env config's ``j``, both
-    networks take ``lag_depth`` x 5 inputs and every weight is finite."""
+    the field unless every key is present and known, ``lag_depth`` equals the
+    env config's ``j``, both networks take ``lag_depth`` x 5 inputs and every
+    weight is finite."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -605,8 +614,15 @@ def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
         raise ValueError(
             f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file"
         )
-    env_cfg = EnvConfig.from_dict(payload["env"])
-    lag_depth = int(payload["lag_depth"])
+    for key in ("env", "lag_depth", "ppo", "policy", "value"):
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+    env_cfg = _load_config(path, payload, "env", EnvConfig)
+    ppo_cfg = _load_config(path, payload, "ppo", PpoConfig)
+    try:
+        lag_depth = int(payload["lag_depth"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: lag_depth: {exc}") from exc
     if lag_depth != env_cfg.j:
         raise ValueError(f"{path}: lag_depth {lag_depth} differs from the env config's j={env_cfg.j}")
     in_dim = lag_depth * OBS_FEATURES_PER_ROW
@@ -615,4 +631,4 @@ def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
         _load_network(path, payload, "value", in_dim, 1),
         lag_depth,
     )
-    return ac, env_cfg, PpoConfig.from_dict(payload["ppo"])
+    return ac, env_cfg, ppo_cfg

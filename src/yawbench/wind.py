@@ -5,16 +5,22 @@ Series are 1-second samples of wind direction (degrees, [0, 360)) and wind
 speed (m/s, >= 0). The synthetic generator superimposes a mean-reverting
 direction process on deterministic ramp events and matches the requested mean
 and standard deviation of the realized series exactly.
+
+Logs are CSV files with one header line. ``read_log_csv`` parses a whole
+file in one ``np.loadtxt`` pass and checks the arrays; only a file that pass
+rejects is re-read row by row, which names the first bad line in a
+WindDataError. Either way the arrays are those ``float()``/``int()`` give.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 import numpy as np
 
@@ -88,54 +94,102 @@ class WindSeries:
         )
 
 
-def read_log_csv(path, header: tuple[str, ...], nonnegative: tuple[str, str] | None = None):
-    """Timestamps and float columns (one contiguous row each) of a 1 s log CSV.
+def read_log_csv(
+    path, header: tuple[str, ...], nonnegative: tuple[str, str] | None = None, ints: Collection[str] = ()
+):
+    """Columns of a log CSV under ``header``: the first column and a tuple of the rest.
 
-    Raises WindDataError with the line number of the first row that does not
-    parse or holds a fractional timestamp, a non-finite value, or a negative
-    value in the ``nonnegative`` (column, description) column.
+    The first column holds whole-number timestamps and comes back as int64.
+    Columns named in ``ints`` parse as ``int()`` does (``2.0`` is rejected)
+    and the others as ``float()`` does; the float columns after the first
+    must be finite and come back as float64.
+
+    One ``np.loadtxt`` call parses the whole file, streamed in chunks, and
+    its checks run on the arrays. When that parse raises or a check fails,
+    a per-row loop with the same parsers re-reads the file and raises
+    WindDataError with the line number of the first row that does not parse
+    or holds a fractional timestamp, a non-finite value, or a negative value
+    in the ``nonnegative`` (column, description) column. The loop also
+    accepts what ``float()``/``int()`` accept but ``loadtxt`` does not
+    (quoted cells, ``1_0``), so both paths return the same arrays.
     """
-    neg_col = header.index(nonnegative[0]) - 1 if nonnegative else None
-    ts, values = array("q"), array("d")  # 8 bytes a value, no float objects
     with open(path, newline="") as f:
         reader = csv.reader(f)
         head = next(reader, None)
         if head is None or tuple(s.strip() for s in head) != header:
             raise WindDataError(f"{path}: expected header {','.join(header)!r}, got {head!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise WindDataError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+        cols = None
+        if reader.line_num == 1:  # the bulk parse skips exactly one line of header
             try:
-                t_raw, *vals = map(float, row)
-            except ValueError as exc:
-                raise WindDataError(f"{path}: line {lineno}: could not parse row: {exc}") from exc
-            if not t_raw.is_integer():
-                raise WindDataError(f"{path}: line {lineno}: timestamp must be an integer second")
-            if not all(map(math.isfinite, vals)):
-                raise WindDataError(f"{path}: line {lineno}: non-finite value")
-            if neg_col is not None and vals[neg_col] < 0:
-                raise WindDataError(f"{path}: line {lineno}: negative {nonnegative[1]}={vals[neg_col]}")
-            ts.append(int(t_raw))
-            values.extend(vals)
-    return np.array(ts, dtype=np.int64), np.frombuffer(values).reshape(len(ts), len(header) - 1).T.copy()
+                cols = _bulk_columns(path, header, nonnegative, ints)
+            except Exception:  # the row loop decides what is an error
+                pass
+        if cols is None:
+            cols = _row_columns(path, reader, header, nonnegative, ints)
+    return cols[0], tuple(cols[1:])
+
+
+def _bulk_columns(path, header, nonnegative, ints) -> list[np.ndarray] | None:
+    """The columns from one ``np.loadtxt`` pass, or None when a check fails."""
+    dtype = [(f"c{i}", np.int64 if name in ints else np.float64) for i, name in enumerate(header)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    cols = [np.ascontiguousarray(table[f"c{i}"]) for i in range(len(header))]
+    if cols[0].dtype == np.float64:
+        t = cols[0]
+        if not (np.all(np.abs(t) < 2.0**63) and np.array_equal(np.trunc(t), t)):
+            return None
+        cols[0] = t.astype(np.int64)
+    if not all(np.isfinite(c).all() for c in cols[1:] if c.dtype == np.float64):
+        return None
+    if nonnegative and np.any(cols[header.index(nonnegative[0])] < 0):
+        return None
+    return cols
+
+
+def _row_columns(path, reader, header, nonnegative, ints) -> list[np.ndarray]:
+    """The columns parsed row by row; raises WindDataError naming the first bad line."""
+    parsers = [int if name in ints else float for name in header]
+    neg_col = header.index(nonnegative[0]) - 1 if nonnegative else None
+    # 8 bytes a value, no number objects; the first column holds int64 timestamps
+    cols = [array("q" if i == 0 or parse is int else "d") for i, parse in enumerate(parsers)]
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise WindDataError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            t_raw, *vals = [parse(cell) for parse, cell in zip(parsers, row)]
+        except ValueError as exc:
+            raise WindDataError(f"{path}: line {lineno}: could not parse row: {exc}") from exc
+        if isinstance(t_raw, float) and not t_raw.is_integer():
+            raise WindDataError(f"{path}: line {lineno}: timestamp must be an integer second")
+        if not all(math.isfinite(x) for x in vals if isinstance(x, float)):
+            raise WindDataError(f"{path}: line {lineno}: non-finite value")
+        if neg_col is not None and vals[neg_col] < 0:
+            raise WindDataError(f"{path}: line {lineno}: negative {nonnegative[1]}={vals[neg_col]}")
+        cols[0].append(int(t_raw))
+        for col, x in zip(cols[1:], vals):
+            col.append(x)
+    return [np.array(c) for c in cols]
 
 
 def write_csv_columns(path, header: tuple[str, ...], *cols: np.ndarray) -> None:
     """Write equal-length columns under ``header``, one row per index.
 
     Integer columns are written as integers and float columns as their repr,
-    which parses back to the same float. Rows are converted to Python numbers
-    a block at a time, so memory stays flat in the column length.
+    which parses back to the same float. Each block of rows is formatted a
+    column at a time and written in one call, so memory stays flat in the
+    column length.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, len(cols[0]), 256):
-            for row in zip(*(c[lo : lo + 256].tolist() for c in cols)):
-                f.write(",".join(map(repr, row)) + "\n")
+        for lo in range(0, len(cols[0]), 1024):
+            cells = [map(repr, c[lo : lo + 1024].tolist()) for c in cols]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def load_series(path, source: str = "real", label: str = "") -> WindSeries:

@@ -1,34 +1,48 @@
 """Differential property tests: each fast path against the reference it replaced.
 
-The event-driven ``run_cyca_s``, the vectorised cycle aggregation and the
-float branch of the angle wrapping must reproduce their references bit for
-bit, not merely to a tolerance.
+The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the float
+branch of the angle wrapping, the array power curve, the bulk CSV reader and
+the block CSV writer must reproduce their references bit for bit, not merely
+to a tolerance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import csv_reference
 import cyca_reference as ref
 from yawbench import (
     CycaConfig,
+    CycleTrace,
     EnvConfig,
     NacelleLog,
     Standardizer,
     TurbineParams,
     WindSeries,
+    WindDataError,
     YawEnv,
     cycle_stats,
     cycle_wind,
+    load_nacelle_log,
+    load_series,
     replay_cyca_l,
+    run_actions,
     run_cyca_s,
+    power_with_misalignment,
+    save_nacelle_log,
+    save_series,
     wrap_angle,
     wrap_to_360,
     yaw_error,
 )
+from yawbench.env import TRACE_COLUMNS
+from yawbench.power import power_with_misalignment_array
+from yawbench.wind import CSV_HEADER, read_log_csv, write_csv_columns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -202,3 +216,342 @@ class TestWrapFloatBranch:
     def test_numpy_scalars_take_the_float_branch(self, x):
         assert _same_float(wrap_to_360(np.float64(x)), wrap_to_360(x))
         assert _same_float(wrap_angle(np.float64(x)), wrap_angle(x))
+
+
+def _next(x, toward):
+    return float(np.nextafter(x, toward))
+
+
+class TestPowerArray:
+    """``power_with_misalignment_array`` against the scalar curve, element by element."""
+
+    tp = TurbineParams()
+    edge_speeds = [
+        s
+        for b in (0.0, tp.v_cut_in, tp.v_rated, tp.v_cut_out)
+        for s in (b, _next(b, math.inf), _next(b, -math.inf))
+        if s >= 0.0
+    ] + [5e-324, 1e300]
+    edge_gammas = [-0.0, 0.0, 180.0, -180.0, 90.0, -90.0, _next(90.0, 0.0), _next(90.0, 180.0),
+                   _next(-90.0, 0.0), _next(-90.0, -180.0), 135.0, -179.99999999999997, 5e-324]
+
+    @given(
+        v=st.lists(st.one_of(st.floats(0.0, 30.0), st.sampled_from(edge_speeds)), min_size=1, max_size=60),
+        gammas=st.lists(st.one_of(st.floats(-180.0, 180.0), st.sampled_from(edge_gammas)), min_size=60, max_size=60),
+        alpha=st.one_of(st.floats(1.7, 5.1), st.sampled_from([1.7, 2.0, 3.0, 5.1])),
+    )
+    def test_equals_scalar_curve(self, v, gammas, alpha):
+        tp = TurbineParams(alpha=alpha)
+        gammas = gammas[: len(v)]
+        out = power_with_misalignment_array(np.array(v), np.array(gammas), tp)
+        expected = np.array([power_with_misalignment(x, g, tp) for x, g in zip(v, gammas)])
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
+
+    def test_every_boundary_and_gamma_edge(self):
+        v, g = (np.array(a) for a in zip(*[(x, y) for x in self.edge_speeds for y in self.edge_gammas]))
+        expected = [power_with_misalignment(x, y, self.tp) for x, y in zip(v.tolist(), g.tolist())]
+        assert power_with_misalignment_array(v, g, self.tp).tobytes() == np.array(expected).tobytes()
+
+    def test_numpy_cosine_equals_math_cosine(self):
+        # The array curve relies on np.cos(np.radians(.)) == math.cos(math.radians(.)) bit for bit.
+        rng = np.random.default_rng(0)
+        g = np.concatenate([np.linspace(-180.0, 180.0, 100_001), rng.uniform(-180.0, 180.0, 100_000),
+                            rng.uniform(-1e-6, 1e-6, 1000), np.array(self.edge_gammas)])
+        fast = np.cos(np.radians(g))
+        slow = np.array([math.cos(math.radians(x)) for x in g.tolist()])
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_invalid_input_rejected_like_the_scalar_curve(self):
+        with pytest.raises(ValueError, match="wind speed"):
+            power_with_misalignment_array(np.array([5.0, -1.0]), np.zeros(2), self.tp)
+        with pytest.raises(ValueError, match="wind speed"):
+            power_with_misalignment_array(np.array([math.nan]), np.zeros(1), self.tp)
+        with pytest.raises(ValueError, match="misalignment"):
+            power_with_misalignment_array(np.array([5.0]), np.array([math.inf]), self.tp)
+        # outside the partial-load region the misalignment is never looked at, as in the scalar curve
+        assert power_with_misalignment_array(np.array([20.0]), np.array([math.nan]), self.tp).tolist() == [
+            power_with_misalignment(20.0, math.nan, self.tp)
+        ]
+
+
+NACELLE_HEADER = ("t", "theta_deg")
+TRACE_INT_COLUMNS = ("cycle", "action_issued", "action_applied")
+WIND_NONNEG = ("v_ms", "wind speed v")
+edge_values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               359.99999999999994, 360.0, _next(360.0, math.inf), _next(0.0, -1.0), 0.1, 1 / 3,
+               1.7976931348623157e308, 123456789.12345679]
+cell_formats = [repr, "{:.17g}".format, " {!r} ".format, "{:.16e}".format, "\t{!r}".format]
+
+
+def _outcome(fn, path):
+    """The arrays ``fn`` reads, as bytes, or the type and message of what it raises."""
+    try:
+        t, cols = fn(path)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    return t.dtype, t.tobytes(), [(c.dtype, c.tobytes()) for c in cols]
+
+
+log_values = st.one_of(finite, st.sampled_from(edge_values))
+
+
+def float_cells(n, values=log_values):
+    """``n`` float cells, each written in one of ``cell_formats``."""
+    cell = st.tuples(values, st.sampled_from(cell_formats)).map(lambda xf: xf[1](xf[0]))
+    return st.lists(cell, min_size=n, max_size=n)
+
+
+@st.composite
+def log_rows(draw, width, nonneg_col=None):
+    """Rows of cells of a 1 s log: a timestamp, then ``width`` - 1 values."""
+    n = draw(st.integers(1, 25))
+    t0 = draw(st.one_of(st.integers(-(10**12), 10**12), st.sampled_from([0, 2**53, -(2**62)])))
+    t_fmt = draw(st.sampled_from(["{}", "{}.0", "{}e0", " {} "]))
+    nonneg = log_values.map(lambda x: x if x == 0.0 else abs(x))
+    cols = [draw(float_cells(n, nonneg if i == nonneg_col else log_values)) for i in range(width - 1)]
+    return [[t_fmt.format(t0 + i)] + [c[i] for c in cols] for i in range(n)]
+
+
+@st.composite
+def log_text(draw, rows, header):
+    """CSV text with LF or CRLF endings per line, blank lines and an optional final newline."""
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line)
+        if i > 0 and draw(st.integers(0, 9)) == 0:
+            out.append("")  # a blank line
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in out]
+    text = "".join(line + end for line, end in zip(out, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+MUTATIONS = ["cut", "extra", "junk", "empty", "nonfinite", "frac_t", "negative", "quoted", "quoted_comma",
+             "ws_line", "underscore", "huge_t"]
+
+
+def _mutate(rows, kind, k, col):
+    """Break row ``k`` (cell ``col`` >= 1) of ``rows`` in the way ``kind`` names."""
+    rows = [list(r) for r in rows]
+    row = rows[k]
+    if kind == "cut":
+        row.pop()
+    elif kind == "extra":
+        row.append("1.0")
+    elif kind == "junk":
+        row[col] = "1.5x"
+    elif kind == "empty":
+        row[col] = ""
+    elif kind == "nonfinite":
+        row[col] = "nan"
+    elif kind == "frac_t":
+        row[0] = "3.5"
+    elif kind == "negative":
+        row[col] = "-2.5"
+    elif kind == "quoted":
+        row[col] = '"7.25"'
+    elif kind == "quoted_comma":
+        row[col] = '"7,25"'
+    elif kind == "ws_line":
+        rows.insert(k, ["  "])
+    elif kind == "underscore":
+        row[col] = "1_0"
+    elif kind == "huge_t":
+        row[0] = "1e300"
+    return rows
+
+
+class TestReadLogCsv:
+    """The bulk reader against the per-row reference: same arrays or the same error."""
+
+    @given(data=st.data(), nacelle=st.booleans())
+    def test_well_formed_arrays_equal_byte_for_byte(self, tmp_path_factory, data, nacelle):
+        header, nonneg = (NACELLE_HEADER, None) if nacelle else (CSV_HEADER, WIND_NONNEG)
+        rows = data.draw(log_rows(len(header), None if nacelle else 1))
+        p = tmp_path_factory.mktemp("log") / "log.csv"
+        p.write_bytes(data.draw(log_text(rows, header)).encode())
+        new = _outcome(lambda q: read_log_csv(q, header, nonneg), p)
+        assert new == _outcome(lambda q: csv_reference.read_log_csv(q, header, nonneg), p)
+        assert new[0] == np.int64 and len(new[2]) == len(header) - 1
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @given(data=st.data(), nacelle=st.booleans())
+    def test_malformed_same_exception_and_message(self, tmp_path_factory, data, kind, nacelle):
+        header, nonneg = (NACELLE_HEADER, None) if nacelle else (CSV_HEADER, WIND_NONNEG)
+        rows = data.draw(log_rows(len(header), None if nacelle else 1))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        col = len(header) - 1 if kind == "negative" else data.draw(st.integers(1, len(header) - 1))
+        p = tmp_path_factory.mktemp("log") / "log.csv"
+        p.write_bytes(data.draw(log_text(_mutate(rows, kind, k, col), header)).encode())
+        new = _outcome(lambda q: read_log_csv(q, header, nonneg), p)
+        assert new == _outcome(lambda q: csv_reference.read_log_csv(q, header, nonneg), p)
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("0,1.0,2.0\n1,1.0\n", "line 3: expected 3 fields, got 2"),
+            ("0,1.0,2.0\n1,1.0,2.0,3.0\n", "line 3: expected 3 fields, got 4"),
+            ("0,1.0,2.0\n1,abc,2.0\n", "line 3: could not parse row: could not convert string to float: 'abc'"),
+            ("0,1.0,2.0\n1,,2.0\n", "line 3: could not parse row"),
+            ("0,1.0,2.0\n1,inf,2.0\n", "line 3: non-finite value"),
+            ("0,1.0,2.0\n1.5,1.0,2.0\n", "line 3: timestamp must be an integer second"),
+            ("0,1.0,2.0\n1,1.0,-0.5\n", "line 3: negative wind speed v=-0.5"),
+            ("0,1.0,2.0\n   \n1,1.0,2.0\n", "line 3: expected 3 fields, got 1"),
+        ],
+    )
+    def test_first_bad_line_named(self, tmp_path, body, match):
+        p = tmp_path / "w.csv"
+        p.write_text("t,phi_deg,v_ms\n" + body)
+        with pytest.raises(WindDataError, match=match):
+            read_log_csv(p, CSV_HEADER, WIND_NONNEG)
+
+    @pytest.mark.parametrize("body", ['0,"1.5",2.0\n1,1_0,2.0\n', "0,1.0,2.0\r1,2.0,3.0\r", ""])
+    def test_rows_the_bulk_parse_rejects_read_like_the_reference(self, tmp_path, body):
+        p = tmp_path / "w.csv"
+        p.write_text("t,phi_deg,v_ms\n" + body, newline="")
+        new = _outcome(lambda q: read_log_csv(q, CSV_HEADER, WIND_NONNEG), p)
+        assert new == _outcome(lambda q: csv_reference.read_log_csv(q, CSV_HEADER, WIND_NONNEG), p)
+        assert new[0] == np.int64
+
+    @pytest.mark.parametrize("cell", ["2.0", "1e0", "0x1", "1.5", ""])
+    def test_integer_column_parses_as_int_does(self, tmp_path, cell):
+        p = tmp_path / "i.csv"
+        p.write_text(f"n,x\n1,0.5\n{cell},0.5\n")
+        with pytest.raises(WindDataError, match="line 3: could not parse row: invalid literal for int"):
+            read_log_csv(p, ("n", "x"), ints=("n",))
+
+    def test_integer_column_accepts_what_int_accepts(self, tmp_path):
+        p = tmp_path / "i.csv"
+        p.write_text("n,x\n 7 ,0.5\n+8,0.5\n1_0,0.5\n")  # the last row is read by the row loop
+        t, (x,) = read_log_csv(p, ("n", "x"), ints=("n",))
+        assert t.dtype == np.int64 and t.tolist() == [7, 8, 10] and x.tolist() == [0.5] * 3
+
+
+def _trace_rows(draw, n):
+    cols = []
+    for name in TRACE_COLUMNS:
+        if name == "cycle":
+            cols.append([str(c) for c in draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))])
+        elif name in TRACE_INT_COLUMNS:
+            cols.append([str(i % 3) for i in range(n)])
+        else:
+            cols.append(draw(float_cells(n)))
+    return [list(row) for row in zip(*cols)]
+
+
+def _trace_equal(a, b):
+    return all(
+        getattr(a, n).dtype == getattr(b, n).dtype and getattr(a, n).tobytes() == getattr(b, n).tobytes()
+        for n in TRACE_COLUMNS
+    )
+
+
+class TestTraceFromCsv:
+    """``CycleTrace.from_csv`` (now ``read_log_csv``) against the former row reader."""
+
+    @given(data=st.data())
+    def test_well_formed_equals_reference(self, tmp_path_factory, data):
+        rows = _trace_rows(data.draw, data.draw(st.integers(0, 12)))
+        p = tmp_path_factory.mktemp("trace") / "trace.csv"
+        p.write_bytes(data.draw(log_text(rows, TRACE_COLUMNS)).encode())
+        assert _trace_equal(CycleTrace.from_csv(p), csv_reference.trace_from_csv(p))
+
+    @pytest.mark.parametrize("kind", ["cut", "extra", "junk", "empty", "int_as_float", "int_junk"])
+    @given(data=st.data())
+    def test_malformed_names_the_same_line_and_cause(self, tmp_path_factory, data, kind):
+        rows = _trace_rows(data.draw, data.draw(st.integers(1, 8)))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 10]))
+        if kind == "int_as_float":
+            rows[k][data.draw(st.sampled_from([0, 6, 7]))] = "2.0"
+        elif kind == "int_junk":
+            rows[k][data.draw(st.sampled_from([0, 6, 7]))] = data.draw(st.sampled_from(["1e0", "0x1", "", "x"]))
+        else:
+            rows = _mutate(rows, kind, k, col)
+        p = tmp_path_factory.mktemp("trace") / "trace.csv"
+        p.write_text(data.draw(log_text(rows, TRACE_COLUMNS)), newline="")
+        with pytest.raises(ValueError) as old:
+            csv_reference.trace_from_csv(p)
+        with pytest.raises(WindDataError) as new:
+            CycleTrace.from_csv(p)
+        # Same "<file>: line <n>: " prefix and the same cause; the new reader
+        # inserts "could not parse row: " before a parse error.
+        where, line, cause = str(old.value).split(": ", 2)
+        assert str(new.value).startswith(f"{where}: {line}: ") and str(new.value).endswith(cause)
+
+    def test_non_finite_value_now_rejected(self, tmp_path):
+        # A tightening: the former reader accepted nan/inf in the float columns.
+        series = WindSeries(np.arange(40), np.full(40, 20.0), np.full(40, 8.0))
+        env = YawEnv(series, EnvConfig(Standardizer(8.0), episode_len=2, j=1))
+        trace = run_actions(env, [1, 1], start_cycle=0)
+        p = tmp_path / "trace.csv"
+        trace.to_csv(p)
+        lines = p.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[TRACE_COLUMNS.index("r1")] = "nan"
+        lines[2] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        assert math.isnan(csv_reference.trace_from_csv(p).r1[1])
+        with pytest.raises(WindDataError, match=rf"{p.name}: line 3: non-finite value"):
+            CycleTrace.from_csv(p)
+
+
+class TestCsvRoundTrips:
+    """Write then read gives back the same columns; the writer matches the row-joining reference byte for byte."""
+
+    angles = st.one_of(st.floats(0.0, 360.0, exclude_max=True), st.sampled_from([0.0, 5e-324, 359.99999999999994]))
+    speeds = st.one_of(st.floats(0.0, 1e300), st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308]))
+
+    @given(data=st.data(), t0=st.integers(-(10**15), 10**15))
+    def test_wind_series(self, tmp_path_factory, data, t0):
+        n = data.draw(st.integers(2, 40))
+        series = WindSeries(np.arange(t0, t0 + n), data.draw(st.lists(self.angles, min_size=n, max_size=n)),
+                            data.draw(st.lists(self.speeds, min_size=n, max_size=n)))
+        p = tmp_path_factory.mktemp("rt") / "w.csv"
+        save_series(series, p)
+        back = load_series(p)
+        assert back.equals(series)
+        assert back.v.tobytes() == series.v.tobytes()  # -0.0 and subnormals survive
+
+    @given(data=st.data(), t0=st.integers(-(10**15), 10**15))
+    def test_nacelle_log(self, tmp_path_factory, data, t0):
+        n = data.draw(st.integers(2, 40))
+        log = NacelleLog(np.arange(t0, t0 + n), data.draw(st.lists(self.angles, min_size=n, max_size=n)))
+        p = tmp_path_factory.mktemp("rt") / "n.csv"
+        save_nacelle_log(log, p)
+        back = load_nacelle_log(p)
+        assert back.t.tobytes() == log.t.tobytes() and back.theta.tobytes() == log.theta.tobytes()
+
+    @given(data=st.data())
+    def test_trace(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 30))
+        ints = st.integers(-(2**63), 2**63 - 1)
+        trace = CycleTrace(**{
+            name: np.array(data.draw(st.lists(ints if name in TRACE_INT_COLUMNS else log_values, min_size=n, max_size=n)),
+                           dtype=np.int64 if name in TRACE_INT_COLUMNS else np.float64)
+            for name in TRACE_COLUMNS
+        })
+        p = tmp_path_factory.mktemp("rt") / "trace.csv"
+        trace.to_csv(p)
+        assert _trace_equal(CycleTrace.from_csv(p), trace)
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+    def test_writer_bytes_equal_reference(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        ints = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        special = rng.choice(np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]), n)
+        header = ("a", "b", "c")
+        write_csv_columns(tmp_path / "new.csv", header, ints, floats, special)
+        csv_reference.write_csv_columns(tmp_path / "ref.csv", header, ints, floats, special)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_writer_memory_flat_in_column_length(self, tmp_path):
+        cols = np.arange(100_000), np.linspace(0.0, math.pi, 100_000)
+        tracemalloc.start()
+        try:
+            write_csv_columns(tmp_path / "big.csv", ("a", "b"), *cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * (tmp_path / "big.csv").stat().st_size  # the text is never held whole

@@ -392,6 +392,28 @@ class TestUpdateAndTrain:
         with pytest.raises(ValueError, match=field):
             PpoConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),  # was accepted, then train died mid-update
+            ("clip_eps", float("nan")),
+            ("init_offset_deg", float("nan")),
+            ("value_coef", float("nan")),  # was not checked at all
+            ("entropy_coef", float("nan")),
+            ("learning_rate", float("inf")),
+            ("value_coef", -0.5),
+            ("entropy_coef", -0.01),
+            ("entropy_coef", float("inf")),
+        ],
+    )
+    def test_config_rejects_non_finite_or_negative_coefficient(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be finite"):
+            PpoConfig(**{field: value})
+
+    def test_zero_coefficients_allowed(self):
+        cfg = PpoConfig(value_coef=0.0, entropy_coef=0.0, init_offset_deg=0.0)
+        assert (cfg.value_coef, cfg.entropy_coef) == (0.0, 0.0)
+
     def test_train_encodes_each_observation_once(self, monkeypatch):
         import yawbench.ppo as ppo_module
 
@@ -526,6 +548,32 @@ class TestCheckpoint:
 
         p = self._tampered(tmp_path, edit)
         with pytest.raises(ValueError, match=field) as err:
+            load_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["env", "lag_depth", "ppo", "policy", "value"])
+    def test_missing_top_level_key_named(self, tmp_path, key):
+        p = self._tampered(tmp_path, lambda payload: payload.pop(key))  # was a bare KeyError
+        with pytest.raises(ValueError, match=rf"missing key '{key}'") as err:
+            load_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda payload: payload["ppo"].update(bogus=1), r"ppo: .*'bogus'"),  # was a bare TypeError
+            (lambda payload: payload["env"].update(bogus=1), r"env: .*'bogus'"),
+            (lambda payload: payload["env"]["turbine"].update(bogus=1), r"env: .*'bogus'"),
+            (lambda payload: payload["env"].pop("standardizer_scale"), r"env: missing key 'standardizer_scale'"),
+            (lambda payload: payload["env"].pop("turbine"), r"env: missing key 'turbine'"),
+            (lambda payload: payload.update(lag_depth=None), r"lag_depth: int\(\) argument"),  # was a bare TypeError
+            (lambda payload: payload.update(lag_depth="x"), r"lag_depth: invalid literal"),
+            (lambda payload: payload["ppo"].update(learning_rate=float("nan")), r"ppo: learning_rate must be finite"),
+        ],
+    )
+    def test_bad_config_key_named(self, tmp_path, edit, match):
+        p = self._tampered(tmp_path, edit)
+        with pytest.raises(ValueError, match=match) as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
 
