@@ -40,7 +40,6 @@ from .env import (
     Action,
     CycleTrace,
     EnvConfig,
-    SimState,
     YawEnv,
     cycle_stats,
     cycle_wind,

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import CycleTrace, cycle_stats
+from .env import CycleTrace, cycle_stats, whole_seconds
+from .metrics import cycle_deltas
 from .power import TurbineParams, circular_mean_deg, power_with_misalignment_array, wrap_angle, wrap_to_360, yaw_error
 from .wind import WindDataError, WindSeries, read_log_csv, write_csv_columns
 
@@ -50,8 +51,8 @@ class CycaConfig:
         for name, x in vars(self).items():
             if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
-            if name in ("inner_period", "target_window") and (x <= 0 or float(x) != int(x)):
-                raise ValueError(f"{name} must be a positive whole number of seconds, got {x}")
+        whole_seconds("inner_period", self.inner_period)
+        whole_seconds("target_window", self.target_window)
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.target_window < self.inner_period:
@@ -79,9 +80,7 @@ def run_cyca_s(
     ``searchsorted`` finding the trigger tick; a turn steps on Python floats.
     """
     n = len(series)
-    p = int(cycle_period)
-    if p <= 0 or float(cycle_period) != p:
-        raise ValueError(f"cycle_period must be a positive whole number of seconds, got {cycle_period}")
+    p = whole_seconds("cycle_period", cycle_period)
     if n < p:
         raise ValueError(f"series of {n} samples holds no full {p} s cycle")
 
@@ -226,7 +225,8 @@ def replay_cyca_l(
             f"time-range mismatch between wind series ({len(series)} samples from t={series.t[0]}) "
             f"and nacelle log ({len(log)} samples from t={log.t[0]})"
         )
-    return _resample_to_cycles(series, log.theta, tp, int(cycle_period), theta_prev=float(log.theta[0]))
+    p = whole_seconds("cycle_period", cycle_period)
+    return _resample_to_cycles(series, log.theta, tp, p, theta_prev=float(log.theta[0]))
 
 
 def calibrate_threshold(
@@ -249,8 +249,6 @@ def calibrate_threshold(
     usages = []
     for thr in grid:
         trace = run_cyca_s(series, replace(cfg, threshold=thr), tp, init_theta, cycle_period)
-        deltas = np.abs(wrap_angle(np.diff(trace.theta)))
-        moving = np.concatenate([[False], deltas > 0])
-        usages.append(float(100.0 * np.mean(moving)))
+        usages.append(float(100.0 * np.mean(cycle_deltas(trace.theta) > 0.0)))
     best = min(range(len(grid)), key=lambda i: (abs(usages[i] - target_pct), grid[i]))
     return grid[best], usages

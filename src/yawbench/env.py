@@ -15,13 +15,14 @@ standardized wind speed; r2 pays ``w`` whenever the last ``k`` issued actions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .power import (
     TurbineParams,
     circular_mean_deg,
+    from_fields,
     power_with_misalignment,
     wrap_to_360,
     yaw_error,
@@ -29,6 +30,13 @@ from .power import (
 from .wind import Standardizer, WindSeries, read_log_csv, write_csv_columns
 
 import enum
+
+
+def whole_seconds(name: str, x) -> int:
+    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number of seconds."""
+    if not (math.isfinite(x) and x > 0 and x == int(x)):
+        raise ValueError(f"{name} must be a positive whole number of seconds, got {x}")
+    return int(x)
 
 
 class Action(enum.IntEnum):
@@ -51,42 +59,28 @@ class EnvConfig:
     episode_len: int = 256      # cycles per episode
 
     def __post_init__(self):
-        p = self.cycle_period
-        if p <= 0 or float(p) != int(p):
-            raise ValueError(f"cycle_period must be a positive whole number of seconds, got {p}")
+        p = whole_seconds("cycle_period", self.cycle_period)
         if self.comm_delay not in (0.0, float(p)):
             raise ValueError(f"comm_delay must be 0 or one cycle_period ({p}), got {self.comm_delay}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.j < 1:
-            raise ValueError(f"j must be >= 1, got {self.j}")
-        if self.w < 0:
-            raise ValueError(f"w must be >= 0, got {self.w}")
-        if self.episode_len < 1:
-            raise ValueError(f"episode_len must be >= 1, got {self.episode_len}")
+        for name in ("k", "j", "episode_len"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.w < math.inf:
+            raise ValueError(f"w must be finite and >= 0, got {self.w}")
 
     @property
     def p_samples(self) -> int:
         return int(self.cycle_period)
 
     def to_dict(self) -> dict:
-        return {
-            "standardizer_scale": self.standardizer.scale,
-            "turbine": self.turbine.to_dict(),
-            "cycle_period": self.cycle_period,
-            "comm_delay": self.comm_delay,
-            "k": self.k,
-            "j": self.j,
-            "w": self.w,
-            "episode_len": self.episode_len,
-        }
+        d = asdict(self)  # the turbine becomes a nested dict
+        return {"standardizer_scale": d.pop("standardizer")["scale"], **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvConfig":
         d = dict(d)
-        scale = d.pop("standardizer_scale")
-        turbine = TurbineParams.from_dict(d.pop("turbine"))
-        return cls(standardizer=Standardizer(scale), turbine=turbine, **d)
+        scale, turbine = d.pop("standardizer_scale"), TurbineParams.from_dict(d.pop("turbine"))
+        return from_fields(cls, d, standardizer=Standardizer(scale), turbine=turbine)
 
 
 def n_cycles(series: WindSeries, cfg: EnvConfig) -> int:
@@ -136,17 +130,6 @@ def indifference_misalignment(cfg: EnvConfig, v_tilde: float, correction: float)
     if not v_tilde > 0:
         raise ValueError(f"v_tilde must be positive, got {v_tilde}")
     return (cfg.w / v_tilde**3 + correction**2) / (2.0 * correction)
-
-
-@dataclass
-class SimState:
-    """Snapshot of the mutable simulation state."""
-
-    cycle: int
-    theta: float
-    pending_action: Action
-    steps: int
-    done: bool
 
 
 TRACE_COLUMNS = (
@@ -267,10 +250,6 @@ class YawEnv:
     @property
     def max_start_cycle(self) -> int:
         return self._n_cycles - self.cfg.episode_len - 1
-
-    @property
-    def state(self) -> SimState:
-        return SimState(self._cycle, self._theta, self._pending, self._steps, self._done)
 
     def cycle_direction(self, cycle: int) -> float:
         return float(self._phi_c[cycle])

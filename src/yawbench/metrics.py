@@ -9,12 +9,12 @@ consecutive moving cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .env import CycleTrace, EnvConfig
-from .power import TurbineParams, wrap_angle
+from .power import TurbineParams, from_fields, wrap_angle
 
 
 def cycle_deltas(theta: np.ndarray) -> np.ndarray:
@@ -36,25 +36,19 @@ class MetricsReport:
     n_cycles: int
     horizon_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "avg_yaw_error_deg": self.avg_yaw_error_deg,
-            "energy_kwh": self.energy_kwh,
-            "angle_covered_deg": self.angle_covered_deg,
-            "yaw_count": self.yaw_count,
-            "time_yawing_pct": self.time_yawing_pct,
-            "yaw_consumption_kwh": self.yaw_consumption_kwh,
-            "n_cycles": self.n_cycles,
-            "horizon_s": self.horizon_s,
-        }
+    to_dict = asdict
+    from_dict = classmethod(from_fields)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**d)
+
+def _drive_kwh(rotation_deg, tp: TurbineParams):
+    """Yaw-drive energy (kWh) of a rotation: its run time at the yaw rate times the drive power."""
+    return rotation_deg / tp.yaw_rate_deg_s * tp.p_yaw_drive_kw / 3600.0
 
 
 def compute_metrics(trace: CycleTrace, tp: TurbineParams, cfg: EnvConfig) -> MetricsReport:
-    """Aggregate one trace into the benchmark metrics."""
+    """Aggregate one trace into the benchmark metrics; ``tp`` must equal ``cfg.turbine``."""
+    if tp != cfg.turbine:
+        raise ValueError(f"turbine parameters {tp} differ from the env config's {cfg.turbine}")
     if len(trace) == 0:
         raise ValueError("cannot compute metrics over an empty trace")
     p = cfg.cycle_period
@@ -67,7 +61,7 @@ def compute_metrics(trace: CycleTrace, tp: TurbineParams, cfg: EnvConfig) -> Met
         angle_covered_deg=float(np.sum(deltas)),
         yaw_count=starts,
         time_yawing_pct=float(100.0 * np.mean(moving)),
-        yaw_consumption_kwh=float(np.sum(deltas) / tp.yaw_rate_deg_s * tp.p_yaw_drive_kw / 3600.0),
+        yaw_consumption_kwh=float(_drive_kwh(np.sum(deltas), tp)),
         n_cycles=len(trace),
         horizon_s=float(len(trace) * p),
     )
@@ -90,28 +84,25 @@ def yaw_consumption_delta(
         raise ValueError("traces are not on the same cycle grid")
     d_c = cycle_deltas(trace_candidate.theta)
     d_b = cycle_deltas(trace_baseline.theta)
-    delta = (d_c - d_b) / tp.yaw_rate_deg_s * tp.p_yaw_drive_kw / 3600.0
+    delta = _drive_kwh(d_c - d_b, tp)
     return delta, float(np.sum(delta))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Comparison:
     yaw_error_decrease_pct: float
     energy_gain_pct: float
     net_energy_gain_pct: float
     yaw_consumption_delta_kwh: float
-    delta_series_kwh: np.ndarray | None = None
+    delta_series_kwh: np.ndarray | None = field(default=None, compare=False)
 
-    def to_dict(self, include_series: bool = False) -> dict:
-        d = {
-            "yaw_error_decrease_pct": self.yaw_error_decrease_pct,
-            "energy_gain_pct": self.energy_gain_pct,
-            "net_energy_gain_pct": self.net_energy_gain_pct,
-            "yaw_consumption_delta_kwh": self.yaw_consumption_delta_kwh,
-        }
-        if include_series and self.delta_series_kwh is not None:
-            d["delta_series_kwh"] = [float(x) for x in self.delta_series_kwh]
-        return d
+    def to_dict(self) -> dict:
+        """The four headline figures; the per-cycle series is left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Comparison":
+        return from_fields(cls, d, delta_series_kwh=None)
 
 
 def compare(
@@ -168,40 +159,6 @@ _TABLE_ROWS = (
     ("yaw consumption (kWh)", "yaw_consumption_kwh", "{:.2f}"),
 )
 
-
-def _metric_cell(report: MetricsReport, key: str, fmt: str, blank_energy: bool) -> str:
-    if blank_energy and key == "energy_kwh":
-        return "-"
-    value = getattr(report, key)
-    return fmt.format(value)
-
-
-def render_metrics_table(reports: dict[str, MetricsReport], omit_energy: set[str] | frozenset = frozenset()) -> str:
-    """Aligned text table, one column per controller. Entries in ``omit_energy``
-    leave the energy cell blank (replayed logs carry external interference)."""
-    labels = list(reports)
-    header = ["metric"] + labels
-    rows = [header]
-    for title, key, fmt in _TABLE_ROWS:
-        rows.append(
-            [title] + [_metric_cell(reports[lb], key, fmt, lb in omit_energy) for lb in labels]
-        )
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for r in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def metrics_table_csv(reports: dict[str, MetricsReport], omit_energy: set[str] | frozenset = frozenset()) -> str:
-    labels = list(reports)
-    lines = ["metric," + ",".join(labels)]
-    for title, key, fmt in _TABLE_ROWS:
-        cells = [_metric_cell(reports[lb], key, fmt, lb in omit_energy) for lb in labels]
-        lines.append(f"{title}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 _COMPARISON_ROWS = (
     ("average yaw error decrease (%)", "yaw_error_decrease_pct", "{:.1f}"),
     ("energy gain (%)", "energy_gain_pct", "{:.2f}"),
@@ -210,23 +167,35 @@ _COMPARISON_ROWS = (
 )
 
 
+def _render(rows, columns: dict, sep: str, blank=frozenset()) -> str:
+    """One line per ``(title, key, fmt)`` row under a ``metric`` header, one cell
+    per column; a ``(label, key)`` cell in ``blank`` reads "-". With the
+    two-space separator the cells are padded into aligned columns."""
+    labels = list(columns)
+    table = [["metric", *labels]] + [
+        [title] + ["-" if (lb, key) in blank else fmt.format(getattr(columns[lb], key)) for lb in labels]
+        for title, key, fmt in rows
+    ]
+    if sep == ",":
+        return "".join(",".join(r) + "\n" for r in table)
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+    return "".join(sep.join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in table)
+
+
+def render_metrics_table(reports: dict[str, MetricsReport], omit_energy: set[str] | frozenset = frozenset()) -> str:
+    """Aligned text table, one column per controller. Entries in ``omit_energy``
+    leave the energy cell blank (replayed logs carry external interference)."""
+    return _render(_TABLE_ROWS, reports, "  ", {(lb, "energy_kwh") for lb in omit_energy})
+
+
+def metrics_table_csv(reports: dict[str, MetricsReport], omit_energy: set[str] | frozenset = frozenset()) -> str:
+    return _render(_TABLE_ROWS, reports, ",", {(lb, "energy_kwh") for lb in omit_energy})
+
+
 def render_comparison_table(comparisons: dict[str, Comparison]) -> str:
     """Aligned text table of candidate-vs-baseline percentages, one column per run."""
-    labels = list(comparisons)
-    header = ["metric"] + labels
-    rows = [header]
-    for title, key, fmt in _COMPARISON_ROWS:
-        rows.append([title] + [fmt.format(getattr(comparisons[lb], key)) for lb in labels])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for r in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _render(_COMPARISON_ROWS, comparisons, "  ")
 
 
 def comparison_table_csv(comparisons: dict[str, Comparison]) -> str:
-    labels = list(comparisons)
-    lines = ["metric," + ",".join(labels)]
-    for title, key, fmt in _COMPARISON_ROWS:
-        lines.append(f"{title}," + ",".join(fmt.format(getattr(comparisons[lb], key)) for lb in labels))
-    return "\n".join(lines) + "\n"
+    return _render(_COMPARISON_ROWS, comparisons, ",")

@@ -3,19 +3,35 @@
 All angles are degrees. The sign convention used throughout the package:
 positive yaw error means the wind direction sits counterclockwise of the
 nacelle heading, and a counterclockwise rotation reduces it.
+
+``from_fields`` lives here, in the module every other one imports: it is the
+strict ``from_dict`` of every config and report record in the package.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 # Observed range for the cosine exponent of the yaw-loss law.
 ALPHA_MIN = 1.7
 ALPHA_MAX = 5.1
+
+
+def from_fields(cls, d: dict, **given):
+    """``cls`` built from ``given`` and a dict ``d`` holding exactly its other fields.
+
+    The strict half of every ``to_dict``/``from_dict`` pair: a missing field
+    raises KeyError and an unknown key TypeError, each naming the key.
+    """
+    names = [f.name for f in fields(cls) if f.name not in given]
+    unknown = set(d).difference(names)
+    if unknown:
+        raise TypeError(f"unknown key(s) {sorted(unknown)}")
+    return cls(**{name: d[name] for name in names}, **given)
 
 
 def wrap_angle(x):
@@ -110,14 +126,11 @@ class TurbineParams:
             )
         if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
             raise ValueError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {self.alpha}")
-        if self.rho <= 0 or self.rotor_diameter <= 0:
-            raise ValueError("rho and rotor_diameter must be positive")
-        if self.p_rated_kw <= 0:
-            raise ValueError("p_rated_kw must be positive")
-        if self.yaw_rate_deg_s <= 0:
-            raise ValueError("yaw_rate_deg_s must be positive")
-        if self.p_yaw_drive_kw < 0:
-            raise ValueError("p_yaw_drive_kw must be non-negative")
+        for name in ("rho", "rotor_diameter", "p_rated_kw", "yaw_rate_deg_s"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 <= self.p_yaw_drive_kw < math.inf:
+            raise ValueError(f"p_yaw_drive_kw must be finite and >= 0, got {self.p_yaw_drive_kw}")
 
     @property
     def area_m2(self) -> float:
@@ -129,22 +142,8 @@ class TurbineParams:
         """Calibrated so 0.5 * rho * A * v_rated^3 * c equals rated power."""
         return (self.p_rated_kw * 1e3) / (0.5 * self.rho * self.area_m2 * self.v_rated**3)
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "rotor_diameter": self.rotor_diameter,
-            "alpha": self.alpha,
-            "v_cut_in": self.v_cut_in,
-            "v_rated": self.v_rated,
-            "v_cut_out": self.v_cut_out,
-            "p_rated_kw": self.p_rated_kw,
-            "yaw_rate_deg_s": self.yaw_rate_deg_s,
-            "p_yaw_drive_kw": self.p_yaw_drive_kw,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TurbineParams":
-        return cls(**d)
+    to_dict = asdict
+    from_dict = classmethod(from_fields)
 
 
 def region_of(v: float, tp: TurbineParams) -> PowerRegion:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import Action, CycleTrace, EnvConfig, YawEnv
-from .wind import write_csv_columns
+from .power import from_fields
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -76,15 +76,9 @@ class PpoConfig:
             raise ValueError("total_steps must cover at least one rollout of n_steps")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
+        return {**asdict(self), "hidden": list(self.hidden)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PpoConfig":
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", (64, 64)))
-        return cls(**d)
+    from_dict = classmethod(from_fields)
 
 
 class Mlp:
@@ -498,15 +492,6 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
             }
         )
     return ac, curve
-
-
-CURVE_COLUMNS = ("update_idx", "steps", "mean_return", "policy_loss", "value_loss", "entropy")
-
-
-def save_learning_curve(path, curve: list[dict]) -> None:
-    counts = [np.array([rec[c] for rec in curve], dtype=int) for c in CURVE_COLUMNS[:2]]
-    floats = [np.array([rec[c] for rec in curve], dtype=float) for c in CURVE_COLUMNS[2:]]
-    write_csv_columns(path, CURVE_COLUMNS, *counts, *floats)
 
 
 def evaluate(

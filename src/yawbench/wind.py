@@ -18,13 +18,13 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .power import wrap_to_360
+from .power import from_fields, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
 
@@ -286,21 +286,9 @@ class GeneratorSpec:
         object.__setattr__(self, "ramps", ramps)
 
     def to_dict(self) -> dict:
-        return {
-            "length_s": self.length_s,
-            "dir_mean_deg": self.dir_mean_deg,
-            "dir_std_deg": self.dir_std_deg,
-            "reversion_rate": self.reversion_rate,
-            "ramps": [list(r) for r in self.ramps],
-            "speed_mean_ms": self.speed_mean_ms,
-            "speed_std_ms": self.speed_std_ms,
-        }
+        return {**asdict(self), "ramps": [list(r) for r in self.ramps]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        d = dict(d)
-        d["ramps"] = tuple(Ramp(*r) for r in d.get("ramps", ()))
-        return cls(**d)
+    from_dict = classmethod(from_fields)
 
 
 def _matched_ar1(rng: np.random.Generator, n: int, a: float) -> np.ndarray:

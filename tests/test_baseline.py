@@ -17,6 +17,7 @@ from yawbench import (
     run_cyca_s,
     save_nacelle_log,
     steady_preset,
+    wrap_angle,
 )
 
 
@@ -56,8 +57,20 @@ class TestCycaConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CycaConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["inner_period", "target_window"])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0])
+    def test_whole_seconds_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive whole number of seconds"):
+            CycaConfig(**{field: bad})
+
 
 class TestRunCycaS:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_cycle_period_named(self, tp, bad):
+        # inf raised OverflowError, nan a nameless "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds"):
+            run_cyca_s(flat_series(300), CycaConfig(), tp, init_theta=40.0, cycle_period=bad)
+
     def test_zero_error_never_moves(self, tp):
         series = flat_series(300, phi=40.0)
         trace = run_cyca_s(series, CycaConfig(), tp, init_theta=40.0)
@@ -174,6 +187,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="time-range mismatch"):
             replay_cyca_l(series, shifted, tp)
 
+    def test_fractional_cycle_period_rejected(self, tp):
+        # was truncated to 10 s: 300 cycles on a 3000 s series
+        series = flat_series(3000)
+        log = NacelleLog(np.arange(3000), np.full(3000, 50.0))
+        with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds, got 10.5"):
+            replay_cyca_l(series, log, tp, cycle_period=10.5)
+
     def test_replay_pure(self, tp):
         series = generate_synthetic(steady_preset(length_s=2000), seed=22)
         rng = np.random.default_rng(0)
@@ -191,6 +211,16 @@ class TestCalibration:
         )
         assert best in grid
         assert any(0.5 <= u <= 5.0 for u in usages)
+
+    def test_usage_is_the_moving_cycle_share(self, tp):
+        # the former inline "moving cycle" rule, bit for bit
+        series = generate_synthetic(steady_preset(length_s=3000), seed=24)
+        grid = (100.0, 300.0, 900.0)
+        _, usages = calibrate_threshold(series, CycaConfig(), tp, 34.1, grid)
+        for thr, usage in zip(grid, usages):
+            trace = run_cyca_s(series, CycaConfig(threshold=thr), tp, 34.1)
+            moving = np.concatenate([[False], np.abs(wrap_angle(np.diff(trace.theta))) > 0])
+            assert usage == float(100.0 * np.mean(moving))
 
     def test_empty_grid_rejected(self, tp):
         series = flat_series(100)

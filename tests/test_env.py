@@ -54,6 +54,21 @@ class TestConfig:
         cfg = cfg_for()
         assert EnvConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("w", float("nan")), ("w", float("inf")), ("k", float("nan")), ("j", float("nan")), ("episode_len", float("nan"))],
+    )
+    def test_non_finite_rejected_by_name(self, field, bad):
+        # each was accepted: every check was a comparison, and nan < 1 is false
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_cycle_period_named(self, bad):
+        # inf raised OverflowError, nan a nameless "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds"):
+            EnvConfig(standardizer=Standardizer(8.0), cycle_period=bad, comm_delay=0.0)
+
 
 class TestCycleWind:
     def test_constant_direction(self):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from yawbench import (
     Action,
@@ -18,6 +22,7 @@ from yawbench import (
     yaw_consumption_delta,
 )
 from yawbench.metrics import (
+    cycle_deltas,
     comparison_table_csv,
     metrics_table_csv,
     render_comparison_table,
@@ -108,9 +113,33 @@ class TestComputeMetrics:
         )
         assert whole.yaw_count == ma.yaw_count + mb.yaw_count
 
+    def test_turbine_must_match_env_config(self, cfg):
+        # a different turbine gave 0.775 instead of 1.55 kWh for the same rotation
+        tr = trace_from_theta(np.concatenate([np.full(50, 10.0), np.full(50, 40.0)]) + np.arange(100) * 3.0)
+        other = TurbineParams(yaw_rate_deg_s=0.6)
+        with pytest.raises(ValueError, match="differ from the env config"):
+            compute_metrics(tr, other, cfg)
+        assert compute_metrics(tr, other, replace(cfg, turbine=other)).yaw_consumption_kwh > 0
+
     def test_report_dict_roundtrip(self, tp, cfg):
         m = compute_metrics(trace_from_theta(np.full(10, 1.0)), tp, cfg)
         assert MetricsReport.from_dict(m.to_dict()) == m
+
+
+@given(
+    theta=st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=2, max_size=40),
+    rate=st.floats(0.01, 10.0),
+    drive=st.floats(0.0, 100.0),
+)
+def test_drive_energy_keeps_its_operand_order(theta, rate, drive):
+    # rotation / yaw rate * drive power / 3600, bit for bit as before it was shared
+    tp = TurbineParams(yaw_rate_deg_s=rate, p_yaw_drive_kw=drive)
+    cfg = EnvConfig(standardizer=Standardizer(8.0), turbine=tp)
+    cand, base = trace_from_theta(theta), trace_from_theta(theta[::-1])
+    d_c, d_b = cycle_deltas(cand.theta), cycle_deltas(base.theta)
+    assert compute_metrics(cand, tp, cfg).yaw_consumption_kwh == float(np.sum(d_c) / rate * drive / 3600.0)
+    delta, _ = yaw_consumption_delta(cand, base, tp)
+    assert np.array_equal(delta, (d_c - d_b) / rate * drive / 3600.0)
 
 
 class TestConsumptionDelta:

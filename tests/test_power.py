@@ -178,3 +178,10 @@ class TestTurbineParams:
 
     def test_roundtrip_dict(self, tp):
         assert TurbineParams.from_dict(tp.to_dict()) == tp
+
+    @pytest.mark.parametrize("field", ["rho", "rotor_diameter", "p_rated_kw", "yaw_rate_deg_s", "p_yaw_drive_kw"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected_by_name(self, field, bad):
+        # nan was accepted: every check was a comparison, and nan <= 0 is false
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            TurbineParams(**{field: bad})
