@@ -42,7 +42,6 @@ from .env import (
     EnvConfig,
     YawEnv,
     cycle_stats,
-    cycle_wind,
     eval_env_config,
     indifference_misalignment,
     n_cycles,

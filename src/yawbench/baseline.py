@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import CycleTrace, cycle_stats, whole_seconds
+from .env import CycleTrace, cycle_stats
 from .metrics import cycle_deltas
-from .power import TurbineParams, circular_mean_deg, power_with_misalignment_array, wrap_angle, wrap_to_360, yaw_error
+from .power import (TurbineParams, circular_mean_deg, power_with_misalignment_array, whole_number,
+                    wrap_angle, wrap_to_360, yaw_error)
 from .wind import WindDataError, WindSeries, read_log_csv, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
@@ -51,8 +52,8 @@ class CycaConfig:
         for name, x in vars(self).items():
             if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
-        whole_seconds("inner_period", self.inner_period)
-        whole_seconds("target_window", self.target_window)
+        whole_number("inner_period", self.inner_period, "seconds")
+        whole_number("target_window", self.target_window, "seconds")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.target_window < self.inner_period:
@@ -80,7 +81,7 @@ def run_cyca_s(
     ``searchsorted`` finding the trigger tick; a turn steps on Python floats.
     """
     n = len(series)
-    p = whole_seconds("cycle_period", cycle_period)
+    p = whole_number("cycle_period", cycle_period, "seconds")
     if n < p:
         raise ValueError(f"series of {n} samples holds no full {p} s cycle")
 
@@ -225,7 +226,7 @@ def replay_cyca_l(
             f"time-range mismatch between wind series ({len(series)} samples from t={series.t[0]}) "
             f"and nacelle log ({len(log)} samples from t={log.t[0]})"
         )
-    p = whole_seconds("cycle_period", cycle_period)
+    p = whole_number("cycle_period", cycle_period, "seconds")
     return _resample_to_cycles(series, log.theta, tp, p, theta_prev=float(log.theta[0]))
 
 

@@ -10,33 +10,34 @@ new misalignment, reward, and power.
 Reward: r1 = -gamma^2 * v_tilde^3 penalizes misalignment weighted by the cubed
 standardized wind speed; r2 pays ``w`` whenever the last ``k`` issued actions
 (including the current one) were all Stay.
+
+Observations enter the networks encoded per row (``encode_batch``): the action
+code centered to {-1, 0, 1}, the misalignment scaled by 1/180, the wind
+direction as its (sin, cos) pair (raw degrees are discontinuous at the seam),
+and the standardized speed as is - five features per lagged row.
+
+``YawEnv`` keeps what a step needs as columns. The wind features of every
+cycle are encoded once, when the env is built. The raw and the encoded
+observation rows live in two tables of ``episode_len + j`` rows, newest row
+first, filled from the end toward the start, so the observation is a
+contiguous slice and a step writes one row to each table. ``step`` returns
+``(obs, reward, done)`` and records the cycle in preallocated trace columns;
+``trace()`` builds the episode's ``CycleTrace`` from them once.
 """
 
 from __future__ import annotations
 
+import enum
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .power import (
-    TurbineParams,
-    circular_mean_deg,
-    from_fields,
-    power_with_misalignment,
-    wrap_to_360,
-    yaw_error,
-)
+from .power import TurbineParams, from_fields, power_with_misalignment_array, whole_number, wrap_to_360, yaw_error
 from .wind import Standardizer, WindSeries, read_log_csv, write_csv_columns
 
-import enum
-
-
-def whole_seconds(name: str, x) -> int:
-    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number of seconds."""
-    if not (math.isfinite(x) and x > 0 and x == int(x)):
-        raise ValueError(f"{name} must be a positive whole number of seconds, got {x}")
-    return int(x)
+OBS_FEATURES_PER_ROW = 5
 
 
 class Action(enum.IntEnum):
@@ -59,12 +60,11 @@ class EnvConfig:
     episode_len: int = 256      # cycles per episode
 
     def __post_init__(self):
-        p = whole_seconds("cycle_period", self.cycle_period)
+        p = whole_number("cycle_period", self.cycle_period, "seconds")
         if self.comm_delay not in (0.0, float(p)):
             raise ValueError(f"comm_delay must be 0 or one cycle_period ({p}), got {self.comm_delay}")
         for name in ("k", "j", "episode_len"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if not 0.0 <= self.w < math.inf:
             raise ValueError(f"w must be finite and >= 0, got {self.w}")
 
@@ -88,32 +88,38 @@ def n_cycles(series: WindSeries, cfg: EnvConfig) -> int:
     return len(series) // cfg.p_samples
 
 
-def cycle_wind(series: WindSeries, cycle: int, cfg: EnvConfig) -> tuple[float, float]:
-    """Aggregate the 1 s samples of one control cycle.
-
-    Directions are averaged on the unit circle (an arithmetic mean is wrong
-    across the 0/360 seam); speeds arithmetically.
-    """
-    p = cfg.p_samples
-    if cycle < 0 or (cycle + 1) * p > len(series):
-        raise ValueError(f"cycle {cycle} out of range for a series of {len(series)} samples")
-    lo, hi = cycle * p, (cycle + 1) * p
-    return circular_mean_deg(series.phi[lo:hi]), float(np.mean(series.v[lo:hi]))
-
-
 def cycle_stats(series: WindSeries, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean direction and mean speed of every whole ``p``-second cycle.
 
-    Equal bit for bit to ``cycle_wind`` on each cycle: the sin, cos and speed
-    means reduce each row as the 1-d means do, and the final atan2 runs per
-    row in ``math.atan2``, as in ``circular_mean_deg``; ``np.arctan2`` on an
-    array can differ from it in the last ulp.
+    Directions are averaged on the unit circle (an arithmetic mean is wrong
+    across the 0/360 seam), speeds arithmetically. Equal bit for bit to
+    ``circular_mean_deg`` and ``np.mean`` over each cycle's samples: the sin,
+    cos and speed means reduce each row as the 1-d means do, and the final
+    atan2 runs per row in ``math.atan2``; ``np.arctan2`` on an array can
+    differ from it in the last ulp.
     """
     count = len(series) // p
     rad = np.deg2rad(series.phi[: count * p]).reshape(count, p)
     sin_m, cos_m = np.sin(rad).mean(axis=1).tolist(), np.cos(rad).mean(axis=1).tolist()
     phi = wrap_to_360(np.degrees([math.atan2(s, c) for s, c in zip(sin_m, cos_m)]))
     return phi, series.v[: count * p].reshape(count, p).mean(axis=1)
+
+
+def encode_batch(obs: np.ndarray) -> np.ndarray:
+    """(N, j, 4) observations -> (N, j*5) network inputs."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.ndim != 3 or obs.shape[2] != 4:
+        raise ValueError(f"expected observations shaped (N, j, 4), got {obs.shape}")
+    if not np.isfinite(obs).all():
+        raise ValueError("observations must be finite")
+    out = np.empty(obs.shape[:2] + (OBS_FEATURES_PER_ROW,))
+    np.subtract(obs[:, :, 0], 1.0, out=out[:, :, 0])
+    np.divide(obs[:, :, 1], 180.0, out=out[:, :, 1])
+    phi_rad = np.deg2rad(obs[:, :, 2])
+    np.sin(phi_rad, out=out[:, :, 2])
+    np.cos(phi_rad, out=out[:, :, 3])
+    out[:, :, 4] = obs[:, :, 3]
+    return out.reshape(obs.shape[0], -1)
 
 
 def indifference_misalignment(cfg: EnvConfig, v_tilde: float, correction: float) -> float:
@@ -178,12 +184,6 @@ class CycleTrace:
     def __len__(self) -> int:
         return len(self.cycle)
 
-    @classmethod
-    def from_records(cls, records: list[dict]) -> "CycleTrace":
-        if not records:
-            raise ValueError("cannot build a trace from zero records")
-        return cls(**{name: np.array([rec[name] for rec in records]) for name in TRACE_COLUMNS})
-
     def slice(self, start: int, stop: int | None = None) -> "CycleTrace":
         stop = len(self) if stop is None else stop
         return CycleTrace(**{name: getattr(self, name)[start:stop].copy() for name in TRACE_COLUMNS})
@@ -218,10 +218,12 @@ class CycleTrace:
 class YawEnv:
     """Gym-style environment over a wind series.
 
-    ``step`` returns ``(observation, reward, done, info)`` where the
-    observation is the j x 4 matrix of (action, gamma, phi, v_tilde) rows,
-    newest first, and ``info`` carries the per-cycle trace record including the
-    reward parts ``r1``/``r2`` and the exact rotation ``delta_theta``.
+    ``step(action)`` takes 0, 1 or 2 (an ``Action``) and returns
+    ``(obs, reward, done)``, where ``obs`` is the j x 4 matrix of
+    (action, gamma, phi, v_tilde) rows, newest first.
+    ``encoded_observation`` is the same observation as the read-only network
+    input of ``encode_batch``, bit for bit, and ``trace()`` returns the
+    ``CycleTrace`` of the steps since the last ``reset``.
     """
 
     def __init__(self, series: WindSeries, cfg: EnvConfig):
@@ -232,14 +234,25 @@ class YawEnv:
             raise ValueError(
                 f"series of {len(series)} samples holds {self._n_cycles} cycles; need at least 2"
             )
-        # Per-cycle aggregates, computed once; equal to cycle_wind on every cycle.
         self._phi_c, self._v_c = cycle_stats(series, cfg.p_samples)
         self._vt_c = cfg.standardizer.standardize(self._v_c)
-        self._obs = np.zeros((cfg.j, 4))
-        self._cycle = 0
-        self._theta = 0.0
-        self._pending = Action.STAY
-        self._stay_streak = 0
+        # Python floats index faster than numpy scalars. One encode_batch call
+        # gives sin phi, cos phi and v~ of every cycle and checks them for finiteness.
+        self._phi, self._vt = self._phi_c.tolist(), self._vt_c.tolist()
+        cycles = np.zeros((1, self._n_cycles, 4))
+        cycles[0, :, 2], cycles[0, :, 3] = self._phi_c, self._vt_c
+        self._wind_features = encode_batch(cycles).reshape(-1, OBS_FEATURES_PER_ROW)[:, 2:].tolist()
+        self._delta = [cfg.cycle_period * (a - 1) * cfg.turbine.yaw_rate_deg_s for a in range(3)]
+        n, j = cfg.episode_len, cfg.j
+        self._raw = np.zeros((n + j, 4))
+        self._enc = np.zeros((n + j) * OBS_FEATURES_PER_ROW)
+        self._enc_read_only = self._enc.view()
+        self._enc_read_only.flags.writeable = False
+        self._floats, self._actions = np.zeros((4, n)), np.zeros((2, n), dtype=np.int64)  # trace columns
+        self._theta_col, self._gamma_col, self._r1_col, self._r2_col = self._floats
+        self._issued_col, self._applied_col = self._actions
+        self._start = 0
+        self._row = n  # the newest observation row
         self._steps = 0
         self._done = True  # force a reset before stepping
 
@@ -252,7 +265,13 @@ class YawEnv:
         return self._n_cycles - self.cfg.episode_len - 1
 
     def cycle_direction(self, cycle: int) -> float:
-        return float(self._phi_c[cycle])
+        return self._phi[cycle]
+
+    @property
+    def encoded_observation(self) -> np.ndarray:
+        """The current observation as the flat j*5 network input (a read-only view)."""
+        lo = self._row * OBS_FEATURES_PER_ROW
+        return self._enc_read_only[lo : lo + self.cfg.j * OBS_FEATURES_PER_ROW]
 
     def reset(
         self,
@@ -282,81 +301,79 @@ class YawEnv:
                 f"start_cycle {start_cycle} leaves fewer than episode_len={self.cfg.episode_len} "
                 f"cycles (valid range 0..{self.max_start_cycle})"
             )
-        if init_theta == "align":
-            theta = self._phi_c[start_cycle]
-        else:
-            theta = float(init_theta)
+        theta = self._phi[start_cycle] if init_theta == "align" else float(init_theta)
         self._theta = wrap_to_360(theta + align_offset_deg)
-        self._cycle = start_cycle
-        self._pending = Action.STAY
+        self._start = self._cycle = start_cycle
+        self._pending = int(Action.STAY)
         self._stay_streak = self.cfg.j  # warm-up rows count as issued Stays
         self._steps = 0
         self._done = False
+        self._row = self.cfg.episode_len
         for i in range(self.cfg.j):
             c = max(start_cycle - i, 0)
-            self._obs[i, 0] = float(Action.STAY)
-            self._obs[i, 1] = yaw_error(self._phi_c[c], self._theta)
-            self._obs[i, 2] = self._phi_c[c]
-            self._obs[i, 3] = self._vt_c[c]
-        return self._obs.copy()
+            self._write_row(self._row + i, int(Action.STAY), yaw_error(self._phi[c], self._theta), c)
+        return self._raw[self._row :].copy()
 
-    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
+    def _write_row(self, row: int, action: int, gamma: float, c: int) -> None:
+        """Row ``row`` of both tables; Python floats round as ``encode_batch``'s arrays do."""
+        self._raw[row] = (action, gamma, self._phi[c], self._vt[c])
+        lo = row * OBS_FEATURES_PER_ROW
+        self._enc[lo : lo + OBS_FEATURES_PER_ROW] = (action - 1.0, gamma / 180.0, *self._wind_features[c])
+
+    def step(self, action) -> tuple[np.ndarray, float, bool]:
         if self._done:
             raise RuntimeError("episode is done; call reset() before stepping")
-        act = Action(int(action))
+        try:
+            a = operator.index(action)
+        except TypeError:
+            a = None
+        if a not in (0, 1, 2):
+            raise ValueError(f"action must be 0, 1 or 2, got {action!r}")
         cfg = self.cfg
-        tp = cfg.turbine
 
-        applied = act if cfg.comm_delay == 0.0 else self._pending
-        delta_theta = cfg.cycle_period * (int(applied) - 1) * tp.yaw_rate_deg_s
+        applied = a if cfg.comm_delay == 0.0 else self._pending
+        delta_theta = self._delta[applied]
         if delta_theta != 0.0:
             self._theta = wrap_to_360(self._theta + delta_theta)
 
-        self._cycle += 1
-        phi = float(self._phi_c[self._cycle])
-        v = float(self._v_c[self._cycle])
-        vt = float(self._vt_c[self._cycle])
-        gamma = yaw_error(phi, self._theta)
-
+        self._cycle = c = self._cycle + 1
+        vt = self._vt[c]
+        gamma = yaw_error(self._phi[c], self._theta)
         r1 = -(gamma**2) * vt**3
-        self._stay_streak = self._stay_streak + 1 if act is Action.STAY else 0
+        self._stay_streak = self._stay_streak + 1 if a == 1 else 0
         r2 = cfg.w if self._stay_streak >= cfg.k else 0.0
-        reward = r1 + r2
 
-        self._obs[1:] = self._obs[:-1]
-        self._obs[0] = (float(act), gamma, phi, vt)
-        self._pending = act
-        self._steps += 1
+        t = self._steps
+        self._theta_col[t], self._gamma_col[t], self._r1_col[t], self._r2_col[t] = self._theta, gamma, r1, r2
+        self._issued_col[t], self._applied_col[t] = a, applied
+        self._row = row = self._row - 1
+        self._write_row(row, a, gamma, c)
+        self._pending = a
+        self._steps = t + 1
         self._done = self._steps >= cfg.episode_len
+        return self._raw[row : row + cfg.j].copy(), r1 + r2, self._done
 
-        info = {
-            "cycle": self._cycle,
-            "t_s": float(self.series.t[self._cycle * cfg.p_samples]),
-            "phi": phi,
-            "v": v,
-            "v_tilde": vt,
-            "theta": self._theta,
-            "gamma": gamma,
-            "action_issued": int(act),
-            "action_applied": int(applied),
-            "power_kw": power_with_misalignment(v, gamma, tp),
-            "r1": r1,
-            "r2": r2,
-            "delta_theta": delta_theta,
-        }
-        return self._obs.copy(), reward, self._done, info
+    def trace(self) -> CycleTrace:
+        """The per-cycle trace of the steps since the last ``reset``; it owns
+        copies of its columns, so later steps do not change it."""
+        n = self._steps
+        if n == 0:
+            raise ValueError("no step since the last reset: the trace would be empty")
+        cycle = np.arange(self._start + 1, self._start + 1 + n)
+        theta, gamma, r1, r2 = self._floats[:, :n].copy()
+        issued, applied = self._actions[:, :n].copy()
+        t_s, phi, v = self.series.t[cycle * self.cfg.p_samples], self._phi_c[cycle], self._v_c[cycle]
+        power_kw = power_with_misalignment_array(v, gamma, self.cfg.turbine)
+        return CycleTrace(cycle, t_s, phi, v, theta, gamma, issued, applied, power_kw, r1, r2)
 
 
 def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
     """Reset ``env`` and play a fixed action sequence, returning the trace."""
     env.reset(**reset_kwargs)
-    records = []
     for a in actions:
-        _, _, done, info = env.step(a)
-        records.append(info)
-        if done:
+        if env.step(a)[2]:
             break
-    return CycleTrace.from_records(records)
+    return env.trace()
 
 
 def run_constant_action(env: YawEnv, action: Action, n_steps: int | None = None, **reset_kwargs) -> CycleTrace:

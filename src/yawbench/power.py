@@ -34,6 +34,13 @@ def from_fields(cls, d: dict, **given):
     return cls(**{name: d[name] for name in names}, **given)
 
 
+def whole_number(name: str, x, unit: str = "") -> int:
+    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number (of ``unit``)."""
+    if not (math.isfinite(x) and x > 0 and x == int(x)):
+        raise ValueError(f"{name} must be a positive whole number{unit and ' of ' + unit}, got {x}")
+    return int(x)
+
+
 def wrap_angle(x):
     """Wrap an angle (degrees) into (-180, 180].
 

@@ -6,17 +6,15 @@ surrogate objective over shuffled minibatches with advantages from generalized
 advantage estimation, driven by an adaptive-moment first-order optimizer.
 Everything is float64 numpy; a fixed seed reproduces training bit for bit.
 
-Observations enter the networks re-encoded per row: the action code centered
-to {-1, 0, 1}, the misalignment scaled by 1/180, the wind direction mapped to
-its (sin, cos) pair (raw degrees are discontinuous at the seam), and the
-standardized speed as is - five features per lagged row.
-
-The networks are small, so a step costs numpy call overhead, not arithmetic.
-Training encodes each observation once, for the networks and the buffer; the
-batch-of-one softmax and the sampler avoid ``keepdims`` reductions and
-``searchsorted``; Adam updates flat moment arrays. Each keeps the operations
-and their order, so results are bit-identical to the per-call forms. The
-softmax keeps ``np.exp``: ``math.exp`` differs from it in the last bit.
+The networks take the observation as ``env.encode_batch`` encodes it, five
+features per lagged row. They are small, so a step costs numpy call
+overhead, not arithmetic. Training and evaluation read the env's encoded
+observation, which the env updates one row per step, and greedy evaluation
+runs only the policy network; the batch-of-one softmax and the sampler avoid
+``keepdims`` reductions and ``searchsorted``; Adam updates flat moment
+arrays. Each keeps the operations and their order, so results are
+bit-identical to the per-call forms. The softmax keeps ``np.exp``:
+``math.exp`` differs from it in the last bit.
 """
 
 from __future__ import annotations
@@ -28,13 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Action, CycleTrace, EnvConfig, YawEnv
-from .power import from_fields
+from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, encode_batch
+from .power import from_fields, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
 CHECKPOINT_VERSION = 1
-
-OBS_FEATURES_PER_ROW = 5
 
 
 @dataclass(frozen=True)
@@ -54,12 +50,12 @@ class PpoConfig:
     init_offset_deg: float = 0.0  # training episodes start misaligned by U(-x, x)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         for name in ("n_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if not self.hidden or min(self.hidden) < 1:
-            raise ValueError(f"hidden layer widths must be positive, got {self.hidden}")
+        if not self.hidden:
+            raise ValueError("hidden layer widths must be positive, got ()")
+        object.__setattr__(self, "hidden", tuple(whole_number("hidden layer width", h) for h in self.hidden))
         if not (0.0 < self.discount <= 1.0):
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if not (0.0 <= self.gae_lambda <= 1.0):
@@ -170,34 +166,21 @@ def encode_observation(obs: np.ndarray) -> np.ndarray:
     return encode_batch(obs[None])[0]
 
 
-def encode_batch(obs: np.ndarray) -> np.ndarray:
-    """(N, j, 4) observations -> (N, j*5) network inputs."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 3 or obs.shape[2] != 4:
-        raise ValueError(f"expected observations shaped (N, j, 4), got {obs.shape}")
-    if not np.isfinite(obs).all():
-        raise ValueError("observations must be finite")
-    out = np.empty(obs.shape[:2] + (OBS_FEATURES_PER_ROW,))
-    np.subtract(obs[:, :, 0], 1.0, out=out[:, :, 0])
-    np.divide(obs[:, :, 1], 180.0, out=out[:, :, 1])
-    phi_rad = np.deg2rad(obs[:, :, 2])
-    np.sin(phi_rad, out=out[:, :, 2])
-    np.cos(phi_rad, out=out[:, :, 3])
-    out[:, :, 4] = obs[:, :, 3]
-    return out.reshape(obs.shape[0], -1)
-
-
 def log_softmax(z: np.ndarray) -> np.ndarray:
     m = np.max(z, axis=-1, keepdims=True)
     return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
 
 
+def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
+    """Action probabilities for one encoded row ``x``."""
+    logits = ac.policy.forward(x[None])[0]  # keep the (1, n) @ W products of the batched forward
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 def _forward_encoded(ac: ActorCritic, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Action probabilities and state value for one encoded row ``x``."""
-    x = x[None]  # keep the (1, n) @ W products of the batched forward
-    logits = ac.policy.forward(x)[0]
-    e = np.exp(logits - logits.max())
-    return e / e.sum(), float(ac.value.forward(x)[0, 0])
+    return _policy_probs(ac, x), float(ac.value.forward(x[None])[0, 0])
 
 
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -211,9 +194,11 @@ _ACTIONS = tuple(Action)
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[Action, float]:
     """Draw one action categorically; returns it with its log-probability."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.shape != (3,) or not np.isfinite(p).all() or (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-8:
+    p0, p1, p2 = p.tolist() if p.shape == (3,) else (math.nan,) * 3
+    # Finite, non-negative and summing to 1: a NaN fails every comparison and
+    # an inf the sum. p0 + p1 (+ p2) are the values np.cumsum and np.sum give.
+    if not (p0 >= 0.0 and p1 >= 0.0 and p2 >= 0.0 and abs(p0 + p1 + p2 - 1.0) <= 1e-8):
         raise ValueError(f"degenerate action distribution: {probs!r}")
-    p0, p1, _ = p.tolist()  # p0 and p0 + p1 are the values np.cumsum gives
     u = rng.random()
     idx = 0 if u < p0 else 1 if u < p0 + p1 else 2
     return _ACTIONS[idx], float(np.log(p[idx]))
@@ -451,11 +436,11 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     adam = Adam([p.shape for p in ac.parameters], lr=cfg.learning_rate)
     buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
 
-    def fresh_episode() -> np.ndarray:
+    def fresh_episode() -> None:
         offset = rng.uniform(-cfg.init_offset_deg, cfg.init_offset_deg) if cfg.init_offset_deg > 0 else 0.0
-        return env.reset(rng=rng, init_theta="align", align_offset_deg=offset)
+        env.reset(rng=rng, init_theta="align", align_offset_deg=offset)
 
-    obs = fresh_episode()
+    fresh_episode()
     curve: list[dict] = []
     steps_done = 0
     update_idx = 0
@@ -464,19 +449,18 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
         buffer.reset()
         episode_returns: list[float] = []
         while not buffer.full:
-            x = encode_observation(obs)
+            # a step writes the row above this view, so it still holds the observation acted on
+            x = env.encoded_observation
             probs, value = _forward_encoded(ac, x)
             action, logp = sample_action(probs, rng)
-            next_obs, reward, done, _ = env.step(action)
+            _, reward, done = env.step(action)
             buffer.add(x, action, logp, reward, value, done)
             ep_return += reward
             if done:
                 episode_returns.append(ep_return)
                 ep_return = 0.0
-                obs = fresh_episode()
-            else:
-                obs = next_obs
-        _, bootstrap = policy_forward(ac, obs)
+                fresh_episode()
+        _, bootstrap = _forward_encoded(ac, env.encoded_observation)
         buffer.finalize(bootstrap, cfg.discount, cfg.gae_lambda)
         stats = ppo_update(ac, buffer, cfg, adam, rng)
         steps_done += cfg.n_steps
@@ -507,29 +491,22 @@ def evaluate(
     """Roll the policy over ``env`` and return the per-cycle trace.
 
     Greedy mode takes the argmax action (ties resolve to the lowest action
-    code); stochastic mode samples and needs ``rng``. Never mutates the
-    networks.
+    code); stochastic mode samples and needs ``rng``. Only the policy network
+    runs. Never mutates the networks.
     """
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"mode must be 'greedy' or 'stochastic', got {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic evaluation needs an rng")
-    obs = env.reset(
-        start_cycle=start_cycle, init_theta=init_theta, align_offset_deg=align_offset_deg, rng=rng
-    )
+    env.reset(start_cycle=start_cycle, init_theta=init_theta, align_offset_deg=align_offset_deg, rng=rng)
     limit = env.cfg.episode_len if n_steps is None else n_steps
-    records = []
+    greedy = mode == "greedy"
     for _ in range(limit):
-        probs, _ = policy_forward(ac, obs)
-        if mode == "greedy":
-            action = Action(int(np.argmax(probs)))
-        else:
-            action, _ = sample_action(probs, rng)
-        obs, _, done, info = env.step(action)
-        records.append(info)
-        if done:
+        probs = _policy_probs(ac, env.encoded_observation)
+        action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)[0]
+        if env.step(action)[2]:
             break
-    return CycleTrace.from_records(records)
+    return env.trace()
 
 
 def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfig) -> None:

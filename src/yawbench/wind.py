@@ -269,14 +269,12 @@ class GeneratorSpec:
     speed_std_ms: float = 1.0
 
     def __post_init__(self):
-        if self.length_s < 2:
-            raise WindDataError(f"length_s must be at least 2, got {self.length_s}")
-        if self.dir_std_deg < 0:
-            raise WindDataError(f"dir_std_deg must be >= 0, got {self.dir_std_deg}")
-        if self.speed_std_ms < 0:
-            raise WindDataError(f"speed_std_ms must be >= 0, got {self.speed_std_ms}")
-        if self.speed_mean_ms < 0:
-            raise WindDataError(f"speed_mean_ms must be >= 0, got {self.speed_mean_ms}")
+        if not (math.isfinite(self.length_s) and self.length_s >= 2 and self.length_s == int(self.length_s)):
+            raise WindDataError(f"length_s must be a whole number of at least 2, got {self.length_s}")
+        object.__setattr__(self, "length_s", int(self.length_s))
+        for name in ("dir_std_deg", "speed_std_ms", "speed_mean_ms"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise WindDataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not (0.0 < self.reversion_rate <= 1.0):
             raise WindDataError(f"reversion_rate must be in (0, 1], got {self.reversion_rate}")
         ramps = tuple(Ramp(*r) for r in self.ramps)

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from yawbench import CycleTrace, circular_mean_deg, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
+from env_reference import trace_from_records
+from yawbench import circular_mean_deg, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
 
 _STOP_FLOOR_DEG = 1e-9
 
@@ -97,7 +98,7 @@ def resample_to_cycles(series, theta_sec, tp, p, theta_prev):
             }
         )
         theta_prev = theta_end
-    return CycleTrace.from_records(records)
+    return trace_from_records(records)
 
 
 def replay_cyca_l(series, log, tp, cycle_period=10.0):

@@ -5,15 +5,18 @@ with one encode per step, a preallocated encoder, a lean batch-of-one
 softmax and sampler, and flat-moment Adam: a per-array ``Adam``, an
 ``np.stack`` encoder, a ``policy_forward`` and ``sample_action`` built from
 ``keepdims`` reductions, ``cumsum`` and ``searchsorted``, and a ``train``
-loop that encodes every observation twice. ``ppo_loss`` is the forward-only
-loss the analytic gradients are checked against. The library's outputs must
-equal theirs bit for bit.
+loop that encodes every observation twice. ``train`` and ``evaluate`` run on
+the reference environment of ``env_reference``, built from the series and
+config of the env they are given. ``ppo_loss`` is the forward-only loss the
+analytic gradients are checked against. The library's outputs must equal
+theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import env_reference
 from yawbench import Action, ActorCritic, CycleTrace, PpoConfig, RolloutBuffer, YawEnv, ppo_update
 from yawbench.ppo import OBS_FEATURES_PER_ROW, log_softmax
 
@@ -92,6 +95,7 @@ class Adam:
 
 def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     """The rollout loop that encodes each observation for the forward and again for the buffer."""
+    env = env_reference.YawEnv(env.series, env.cfg)
     rng = np.random.default_rng(cfg.seed)
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
     adam = Adam([p.shape for p in ac.parameters], lr=cfg.learning_rate)
@@ -141,6 +145,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
 
 def evaluate(ac, env, mode="greedy", rng=None, start_cycle=0) -> CycleTrace:
     """Greedy or stochastic roll-out through the reference forward and sampler."""
+    env = env_reference.YawEnv(env.series, env.cfg)
     obs = env.reset(start_cycle=start_cycle, init_theta="align", rng=rng)
     records = []
     for _ in range(env.cfg.episode_len):
@@ -150,7 +155,7 @@ def evaluate(ac, env, mode="greedy", rng=None, start_cycle=0) -> CycleTrace:
         records.append(info)
         if done:
             break
-    return CycleTrace.from_records(records)
+    return env_reference.trace_from_records(records)
 
 
 def ppo_loss(ac, obs_enc, actions, logp_old, advantages, returns, clip_eps, value_coef, entropy_coef) -> dict:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,15 @@ from yawbench import (
     Standardizer,
     WindSeries,
     YawEnv,
-    cycle_wind,
     eval_env_config,
     generate_synthetic,
     indifference_misalignment,
     run_actions,
     run_constant_action,
     steady_preset,
+    wrap_to_360,
 )
+from env_reference import cycle_wind
 
 
 def flat_series(n_s, phi=34.1, v=8.0):
@@ -62,6 +65,18 @@ class TestConfig:
         # each was accepted: every check was a comparison, and nan < 1 is false
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
+
+    @pytest.mark.parametrize("field", ["j", "k", "episode_len"])
+    @pytest.mark.parametrize("bad", [2.5, float("inf"), -3.0])
+    def test_fractional_count_rejected_by_name(self, field, bad):
+        # 2.5 was accepted, and YawEnv then died with a bare TypeError
+        with pytest.raises(ValueError, match=rf"^{field} must be a positive whole number, got {bad}"):
+            EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
+
+    def test_whole_float_count_stored_as_int(self):
+        cfg = EnvConfig(standardizer=Standardizer(8.0), j=3.0, k=2.0, episode_len=8.0)
+        assert (cfg.j, cfg.k, cfg.episode_len) == (3, 2, 8) and type(cfg.j) is int
+        assert cfg == EnvConfig(standardizer=Standardizer(8.0), j=3, k=2, episode_len=8)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_cycle_period_named(self, bad):
@@ -135,25 +150,29 @@ class TestStep:
         s = WindSeries(np.arange(40), phi, np.full(40, 8.0))
         env = YawEnv(s, cfg_for(episode_len=2, j=2, k=2, w=40.0))
         env.reset(start_cycle=0, init_theta="align")
-        _, reward, _, info = env.step(Action.STAY)
-        assert info["gamma"] == pytest.approx(3.0, abs=1e-9)
-        assert info["r1"] == pytest.approx(-9.0, abs=1e-6)
-        assert info["r2"] == 40.0
+        _, reward, _ = env.step(Action.STAY)
+        trace = env.trace()
+        assert trace.gamma[0] == pytest.approx(3.0, abs=1e-9)
+        assert trace.r1[0] == pytest.approx(-9.0, abs=1e-6)
+        assert trace.r2[0] == 40.0
         assert reward == pytest.approx(31.0, abs=1e-6)
-        assert reward == info["r1"] + info["r2"]
+        assert reward == trace.r1[0] + trace.r2[0]
 
     def test_pending_action_applies_one_cycle_late(self):
         env = YawEnv(flat_series(200, phi=0.0), cfg_for(episode_len=4))
         env.reset(start_cycle=0, init_theta=10.0)
-        _, _, _, i1 = env.step(Action.COUNTER_CLOCKWISE)
-        assert i1["theta"] == 10.0 and i1["action_applied"] == int(Action.STAY)
-        _, _, _, i2 = env.step(Action.STAY)
-        assert i2["theta"] == 13.0 and i2["action_applied"] == int(Action.COUNTER_CLOCKWISE)
+        env.step(Action.COUNTER_CLOCKWISE)
+        env.step(Action.STAY)
+        trace = env.trace()
+        assert trace.theta[0] == 10.0 and trace.action_applied[0] == int(Action.STAY)
+        assert trace.theta[1] == 13.0 and trace.action_applied[1] == int(Action.COUNTER_CLOCKWISE)
 
     def test_stay_leaves_theta_bit_identical(self):
         env = YawEnv(flat_series(200), cfg_for(episode_len=8))
         env.reset(start_cycle=0, init_theta=123.456)
-        thetas = [env.step(Action.STAY)[3]["theta"] for _ in range(8)]
+        for _ in range(8):
+            env.step(Action.STAY)
+        thetas = env.trace().theta
         assert all(th == thetas[0] for th in thetas)
 
     def test_exact_step_sizes(self):
@@ -161,9 +180,12 @@ class TestStep:
         env.reset(start_cycle=0, init_theta=355.0)
         rng = np.random.default_rng(0)
         for _ in range(30):
-            _, _, _, info = env.step(int(rng.integers(0, 3)))
-            assert info["delta_theta"] in (-3.0, 0.0, 3.0)
-            assert 0.0 <= info["theta"] < 360.0
+            env.step(int(rng.integers(0, 3)))
+        # the trace has no delta_theta: each heading is the last one moved by exactly -3, 0 or 3 deg
+        before = [355.0, *env.trace().theta[:-1]]
+        for prev, theta in zip(before, env.trace().theta):
+            assert theta in [wrap_to_360(prev + d) for d in (-3.0, 0.0, 3.0)]
+            assert 0.0 <= theta < 360.0
 
     def test_step_after_done_raises(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=1))
@@ -178,22 +200,36 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step(5)
 
+    @pytest.mark.parametrize("bad", [1.5, np.float64(0.7), 2.0, "2", -1, 3, None])
+    def test_non_integer_action_rejected_by_value(self, bad):
+        # 1.5 used to issue Stay, 0.7 Clockwise, and "2" was accepted: Action(int(action)) truncated
+        env = YawEnv(flat_series(100), cfg_for())
+        env.reset(start_cycle=0, init_theta="align")
+        with pytest.raises(ValueError, match=rf"^action must be 0, 1 or 2, got {re.escape(repr(bad))}$"):
+            env.step(bad)
+
+    @pytest.mark.parametrize("good", [0, 1, 2, Action.STAY, np.int64(2), np.uint8(0)])
+    def test_integer_actions_accepted(self, good):
+        env = YawEnv(flat_series(100), cfg_for())
+        env.reset(start_cycle=0, init_theta="align")
+        env.step(good)
+        assert env.trace().action_issued[0] == int(good)
+
     def test_streak_rule_counts_issued_actions(self):
         env = YawEnv(flat_series(400), cfg_for(episode_len=6, k=2, w=40.0))
         env.reset(start_cycle=0, init_theta="align")
-        r2 = []
         for a in [Action.STAY, Action.CLOCKWISE, Action.STAY, Action.STAY, Action.STAY, Action.CLOCKWISE]:
-            _, _, _, info = env.step(a)
-            r2.append(info["r2"])
+            env.step(a)
+        r2 = list(env.trace().r2)
         # warm-up counts as Stays: first Stay completes a streak of 2
         assert r2 == [40.0, 0.0, 0.0, 40.0, 40.0, 0.0]
 
     def test_observation_shifts_newest_first(self):
         env = YawEnv(flat_series(400), cfg_for(episode_len=4, j=3))
         obs0 = env.reset(start_cycle=0, init_theta="align")
-        obs1, _, _, info = env.step(Action.CLOCKWISE)
+        obs1, _, _ = env.step(Action.CLOCKWISE)
         assert obs1[0, 0] == float(Action.CLOCKWISE)
-        assert obs1[0, 1] == info["gamma"]
+        assert obs1[0, 1] == env.trace().gamma[0]
         assert np.array_equal(obs1[1], obs0[0])
         assert np.array_equal(obs1[2], obs0[1])
 
@@ -228,11 +264,12 @@ class TestProperties:
         env = YawEnv(series, cfg_for(episode_len=50, j=3))
         env.reset(start_cycle=2, init_theta="align", rng=None)
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            _, reward, done, info = env.step(int(rng.integers(0, 3)))
-            assert reward == info["r1"] + info["r2"]
-            assert info["r1"] <= 0.0
-            assert info["r2"] in (0.0, 40.0)
+        rewards = [env.step(int(rng.integers(0, 3)))[1] for _ in range(50)]
+        trace = env.trace()
+        for reward, r1, r2 in zip(rewards, trace.r1, trace.r2):
+            assert reward == r1 + r2
+            assert r1 <= 0.0
+            assert r2 in (0.0, 40.0)
 
     def test_causality_future_wind_cannot_leak(self):
         n = 1000
@@ -247,10 +284,9 @@ class TestProperties:
         o1 = e1.reset(start_cycle=20, init_theta="align")
         o2 = e2.reset(start_cycle=20, init_theta="align")
         assert np.array_equal(o1, o2)
-        for _ in range(10):
-            o1, r1, _, i1 = e1.step(Action.STAY)
-            o2, r2, _, i2 = e2.step(Action.STAY)
-            if i1["cycle"] < 50:
+        steps = [(e1.step(Action.STAY), e2.step(Action.STAY)) for _ in range(10)]
+        for ((o1, r1, _), (o2, r2, _)), cycle in zip(steps, e1.trace().cycle):
+            if cycle < 50:
                 assert np.array_equal(o1, o2) and r1 == r2
 
     def test_indifference_examples(self):

@@ -1,9 +1,9 @@
 """Differential property tests: each fast path against the reference it replaced.
 
-The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the float
-branch of the angle wrapping, the array power curve, the bulk CSV reader and
-the block CSV writer must reproduce their references bit for bit, not merely
-to a tolerance.
+The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the column
+``YawEnv``, the float branch of the angle wrapping, the array power curve,
+the bulk CSV reader and the block CSV writer must reproduce their references
+bit for bit, not merely to a tolerance.
 """
 
 import math
@@ -11,12 +11,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_reference
 import cyca_reference as ref
+import env_reference
+from env_reference import cycle_wind
 from yawbench import (
+    Action,
     CycaConfig,
     CycleTrace,
     EnvConfig,
@@ -27,7 +30,8 @@ from yawbench import (
     WindDataError,
     YawEnv,
     cycle_stats,
-    cycle_wind,
+    encode_observation,
+    eval_env_config,
     load_nacelle_log,
     load_series,
     replay_cyca_l,
@@ -160,6 +164,119 @@ class TestCycleStats:
             assert env._phi_c[c] == phi
             assert env._v_c[c] == v
             assert env._vt_c[c] == cfg.standardizer.standardize(v)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def wind_series_of(phi):
+    return WindSeries(np.arange(len(phi)), np.asarray(phi, dtype=float), np.full(len(phi), 8.0))
+
+
+@st.composite
+def env_runs(draw):
+    """An env config, a series holding at least one episode, reset arguments and an action sequence."""
+    p = draw(st.sampled_from([1, 3, 10]))
+    episode_len = draw(st.integers(1, 25))
+    series = draw(wind_series(min_len=(episode_len + 2) * p, max_len=max(400, (episode_len + 8) * p)))
+    cfg = EnvConfig(
+        standardizer=Standardizer(draw(st.sampled_from([1.0, 7.5, 8.2]))),
+        turbine=TurbineParams(yaw_rate_deg_s=draw(st.sampled_from([0.3, 1.7, 36.0]))),
+        cycle_period=float(p),
+        comm_delay=draw(st.sampled_from([0.0, float(p)])),
+        k=draw(st.integers(1, 4)),
+        j=draw(st.integers(1, 6)),
+        w=draw(st.sampled_from([0.0, 40.0, 1e3])),
+        episode_len=episode_len,
+    )
+    max_start = len(series) // p - episode_len - 1
+    reset = {
+        "start_cycle": draw(st.integers(0, max_start)),
+        "init_theta": draw(st.one_of(st.just("align"), st.floats(-720.0, 720.0), st.sampled_from([0.0, 359.9]))),
+        "align_offset_deg": draw(st.one_of(st.just(0.0), st.floats(-200.0, 200.0))),
+    }
+    codes = st.one_of(st.integers(0, 2), st.sampled_from(list(Action)), st.integers(0, 2).map(np.int64))
+    return series, cfg, reset, draw(st.lists(codes, min_size=episode_len, max_size=episode_len))
+
+
+class TestYawEnv:
+    """The column env against the shifting, info-dict env of ``env_reference``."""
+
+    @settings(max_examples=200)
+    @given(run=env_runs())
+    def test_every_step_matches_reference(self, run):
+        series, cfg, reset, actions = run
+        env, ref_env = YawEnv(series, cfg), env_reference.YawEnv(series, cfg)
+        obs, ref_obs = env.reset(**reset), ref_env.reset(**reset)
+        assert same_bits(obs, ref_obs)
+        assert same_bits(env.encoded_observation, encode_observation(obs))
+        records = []
+        for a in actions:
+            obs, reward, done = env.step(a)
+            ref_obs, ref_reward, ref_done, info = ref_env.step(a)
+            records.append(info)
+            assert same_bits(obs, ref_obs) and _same_float(reward, ref_reward) and done is ref_done
+            assert same_bits(env.encoded_observation, encode_observation(obs))
+            assert _trace_equal(env.trace(), env_reference.trace_from_records(records))
+        assert done
+
+    def test_full_span_episode_on_a_long_series(self):
+        # The wind features of 2000 cycles come from one encoder call; every
+        # step's encoded rows must still equal an encoder call on the observation.
+        rng = np.random.default_rng(21)
+        series = wind_series_of(wrap_to_360(355.0 + np.cumsum(rng.uniform(-1.0, 1.0, 20000))))
+        cfg = eval_env_config(series, EnvConfig(standardizer=Standardizer(8.0)))
+        env, ref_env = YawEnv(series, cfg), env_reference.YawEnv(series, cfg)
+        actions = rng.integers(0, 3, cfg.episode_len).tolist()
+        env.reset(start_cycle=0, init_theta=350.0)
+        for a in actions:
+            obs, _, _ = env.step(a)
+            assert same_bits(env.encoded_observation, encode_observation(obs))
+        ref_trace = env_reference.run_actions(ref_env, actions, start_cycle=0, init_theta=350.0)
+        assert _trace_equal(env.trace(), ref_trace)
+
+    @given(run=env_runs())
+    def test_one_cycle_delay_law(self, run):
+        series, cfg, reset, actions = run
+        trace = run_actions(YawEnv(series, cfg), actions, **reset)
+        assert list(trace.action_issued) == [int(a) for a in actions]
+        if cfg.comm_delay == 0.0:
+            assert np.array_equal(trace.action_applied, trace.action_issued)
+        else:
+            assert trace.action_applied[0] == int(Action.STAY)
+            assert np.array_equal(trace.action_applied[1:], trace.action_issued[:-1])
+
+    def test_returned_trace_survives_later_steps_and_reset(self):
+        series = wind_series_of(np.linspace(350.0, 370.0, 400) % 360.0)
+        env = YawEnv(series, EnvConfig(standardizer=Standardizer(8.0), j=3, episode_len=12))
+        env.reset(start_cycle=2, init_theta=100.0)
+        for a in (0, 2, 2, 1):
+            env.step(a)
+        trace = env.trace()
+        kept = {name: getattr(trace, name).copy() for name in TRACE_COLUMNS}
+        for a in (0, 0, 0):
+            env.step(a)
+        env.reset(start_cycle=9, init_theta=300.0)
+        for a in (2, 2, 2, 2, 0):
+            env.step(a)
+        assert all(same_bits(getattr(trace, name), col) for name, col in kept.items())
+        assert len(env.trace()) == 5
+
+    def test_encoded_observation_is_read_only(self):
+        env = YawEnv(wind_series_of(np.full(200, 10.0)), EnvConfig(standardizer=Standardizer(8.0), episode_len=4))
+        obs = env.reset(start_cycle=0)
+        x = env.encoded_observation
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        assert same_bits(x, encode_observation(obs))
+
+    def test_trace_needs_a_step(self):
+        env = YawEnv(wind_series_of(np.full(200, 10.0)), EnvConfig(standardizer=Standardizer(8.0), episode_len=4))
+        env.reset(start_cycle=0)
+        with pytest.raises(ValueError, match="no step"):
+            env.trace()
 
 
 class TestReplay:

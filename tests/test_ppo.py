@@ -341,7 +341,7 @@ class TestUpdateAndTrain:
         while not buffer.full:
             probs, value = policy_forward(ac, obs)
             a, logp = sample_action(probs, rng)
-            obs2, r, done, _ = env.step(a)
+            obs2, r, done = env.step(a)
             buffer.add(encode_observation(obs), a, logp, r, value, done)
             obs = env.reset(rng=rng) if done else obs2
         buffer.finalize(0.0, cfg.discount, cfg.gae_lambda)
@@ -410,6 +410,15 @@ class TestUpdateAndTrain:
         with pytest.raises(ValueError, match=rf"{field} must be finite"):
             PpoConfig(**{field: value})
 
+    @pytest.mark.parametrize("hidden", [(8.7,), (16, 4.5), (float("nan"),), (float("inf"), 8)])
+    def test_fractional_hidden_width_rejected(self, hidden):
+        # (8.7,) was truncated to (8,) without a word
+        with pytest.raises(ValueError, match="^hidden layer width must be a positive whole number"):
+            PpoConfig(hidden=hidden)
+
+    def test_whole_float_hidden_width_stored_as_int(self):
+        assert PpoConfig(hidden=(8.0, 4)).hidden == (8, 4)
+
     def test_zero_coefficients_allowed(self):
         cfg = PpoConfig(value_coef=0.0, entropy_coef=0.0, init_offset_deg=0.0)
         assert (cfg.value_coef, cfg.entropy_coef) == (0.0, 0.0)
@@ -427,8 +436,8 @@ class TestUpdateAndTrain:
         monkeypatch.setattr(ppo_module, "encode_observation", counting)
         cfg = small_cfg(n_steps=64, batch_size=32, total_steps=128)
         train(make_env(), cfg)
-        # one encode per rollout step, plus one for each update's bootstrap value
-        assert len(calls) == 128 + 2
+        # the rollout and each update's bootstrap value read the env's encoded observation
+        assert len(calls) == 0
 
 
 class TestEvaluate:

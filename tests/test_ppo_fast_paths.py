@@ -6,6 +6,7 @@ softmax and sampler), evaluation, the encoder and the sampler must reproduce
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -232,3 +233,33 @@ class TestSampleAction:
             action, logp = sample_action(p, FixedDraw(u))
             action_ref, logp_ref = ref.sample_action(p, FixedDraw(u))
         assert action is action_ref and same_bits(logp, logp_ref)
+
+    @pytest.mark.parametrize(
+        "probs, valid",
+        [
+            ([-0.2, 0.6, 0.6], False),
+            ([0.6, -0.2, 0.6], False),
+            ([0.6, 0.6, -0.2], False),
+            ([np.nan, 0.5, 0.5], False),
+            ([0.5, np.nan, 0.5], False),
+            ([0.5, 0.5, np.nan], False),
+            ([np.inf, 0.0, 0.0], False),
+            ([0.0, np.inf, 0.0], False),
+            ([0.0, 0.0, np.inf], False),
+            ([0.5, 0.25, 0.25 + 2e-8], False),
+            ([0.5, 0.25, 0.25 - 2e-8], False),
+            ([0.5, 0.25, 0.25 + 5e-9], True),
+            ([-0.0, 0.0, 1.0], True),
+        ],
+    )
+    def test_each_validity_check_matches_reference(self, probs, valid):
+        def outcome(fn):
+            try:
+                with np.errstate(divide="ignore"):
+                    return fn(np.array(probs), FixedDraw(0.3))
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome(sample_action)
+        assert got == outcome(ref.sample_action)
+        assert isinstance(got, tuple) is valid

@@ -199,6 +199,24 @@ class TestGenerator:
                 length_s=100, dir_mean_deg=0.0, dir_std_deg=1.0, ramps=(Ramp(50.0, 40.0, 5.0),)
             )
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("dir_std_deg", float("nan")), ("speed_mean_ms", float("nan")), ("speed_std_ms", float("nan")),
+         ("speed_mean_ms", float("inf")), ("length_s", 2500.5), ("length_s", float("nan")), ("length_s", float("inf"))],
+    )
+    def test_non_finite_or_fractional_spec_named(self, field, bad):
+        # each was accepted: the checks were comparisons, and nan < 0 is false;
+        # a nan only surfaced in generate_synthetic, naming no field
+        spec = {"length_s": 3000, "dir_mean_deg": 10.0, "dir_std_deg": 2.0, field: bad}
+        with pytest.raises(WindDataError, match=rf"^{field} must be"):
+            GeneratorSpec(**spec)
+
+    def test_whole_float_length_stored_as_int(self):
+        # 3000.0 was accepted, and generate_synthetic then died with a bare TypeError
+        spec = GeneratorSpec(length_s=3000.0, dir_mean_deg=10.0, dir_std_deg=2.0)
+        assert spec.length_s == 3000 and type(spec.length_s) is int
+        assert len(generate_synthetic(spec, seed=0)) == 3000
+
     def test_ramps_exceeding_std_rejected(self):
         spec = GeneratorSpec(
             length_s=1000, dir_mean_deg=180.0, dir_std_deg=0.5, ramps=(Ramp(100.0, 500.0, 40.0),)
