@@ -9,23 +9,19 @@ consumption).
 __version__ = "0.1.0"
 
 from .power import (
-    PowerRegion,
     TurbineParams,
     circular_mean_deg,
     power_ideal,
     power_with_misalignment,
-    region_of,
     wrap_angle,
     wrap_to_360,
     yaw_error,
-    yaw_loss_factor,
 )
 from .wind import (
     GeneratorSpec,
     Ramp,
     Standardizer,
     WindDataError,
-    WindSample,
     WindSeries,
     constant_preset,
     fit_standardizer,

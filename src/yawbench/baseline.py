@@ -26,9 +26,9 @@ import numpy as np
 
 from .env import CycleTrace, cycle_stats
 from .metrics import cycle_deltas
-from .power import (TurbineParams, circular_mean_deg, power_with_misalignment_array, whole_number,
+from .power import (TurbineParams, circular_mean_deg, power_with_misalignment, whole_number,
                     wrap_angle, wrap_to_360, yaw_error)
-from .wind import WindDataError, WindSeries, read_log_csv, write_csv_columns
+from .wind import WindSeries, check_log, read_log_csv, set_columns, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
 # with a zero deadband; avoids chasing float residue at the target.
@@ -161,7 +161,7 @@ def _resample_to_cycles(
         gamma=gamma,
         action_issued=action,
         action_applied=action,
-        power_kw=power_with_misalignment_array(v, gamma, tp),
+        power_kw=power_with_misalignment(v, gamma, tp),
         r1=np.zeros(count),
         r2=np.zeros(count),
     )
@@ -175,27 +175,11 @@ class NacelleLog:
     theta: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.int64)
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if t.ndim != 1 or theta.ndim != 1 or len(t) != len(theta):
-            raise WindDataError("nacelle log columns must be 1-d of equal length")
-        if len(t) < 2:
-            raise WindDataError(f"nacelle log too short: {len(t)} samples")
-        gaps = np.diff(t)
-        if np.any(gaps != 1):
-            bad = int(t[1:][gaps != 1][0])
-            raise WindDataError(f"non-uniform spacing at t={bad}")
-        if not np.all(np.isfinite(theta)) or np.any(theta < 0) or np.any(theta >= 360.0):
-            raise WindDataError("nacelle position must be finite and in [0, 360)")
-        for name, arr in (("t", t), ("theta", theta)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        set_columns(self, {"t": np.int64, "theta": np.float64})
+        check_log(self, 2, self.theta, "nacelle position")
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def slice_samples(self, start: int, stop: int) -> "NacelleLog":
-        return NacelleLog(self.t[start:stop].copy(), self.theta[start:stop].copy())
 
 
 def load_nacelle_log(path) -> NacelleLog:

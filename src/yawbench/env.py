@@ -34,8 +34,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .power import TurbineParams, from_fields, power_with_misalignment_array, whole_number, wrap_to_360, yaw_error
-from .wind import Standardizer, WindSeries, read_log_csv, write_csv_columns
+from .power import TurbineParams, from_fields, power_with_misalignment, whole_number, wrap_to_360, yaw_error
+from .wind import Standardizer, WindSeries, read_log_csv, set_columns, write_csv_columns
 
 OBS_FEATURES_PER_ROW = 5
 
@@ -153,6 +153,7 @@ TRACE_COLUMNS = (
 )
 
 _TRACE_INT_COLUMNS = {"cycle", "action_issued", "action_applied"}
+_TRACE_DTYPES = {name: np.int64 if name in _TRACE_INT_COLUMNS else np.float64 for name in TRACE_COLUMNS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,14 +173,7 @@ class CycleTrace:
     r2: np.ndarray
 
     def __post_init__(self):
-        n = len(self.cycle)
-        for name in TRACE_COLUMNS:
-            dtype = np.int64 if name in _TRACE_INT_COLUMNS else np.float64
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.ndim != 1 or len(arr) != n:
-                raise ValueError(f"trace column {name!r} must be 1-d of length {n}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        set_columns(self, _TRACE_DTYPES)
 
     def __len__(self) -> int:
         return len(self.cycle)
@@ -363,7 +357,7 @@ class YawEnv:
         theta, gamma, r1, r2 = self._floats[:, :n].copy()
         issued, applied = self._actions[:, :n].copy()
         t_s, phi, v = self.series.t[cycle * self.cfg.p_samples], self._phi_c[cycle], self._v_c[cycle]
-        power_kw = power_with_misalignment_array(v, gamma, self.cfg.turbine)
+        power_kw = power_with_misalignment(v, gamma, self.cfg.turbine)
         return CycleTrace(cycle, t_s, phi, v, theta, gamma, issued, applied, power_kw, r1, r2)
 
 

@@ -4,13 +4,17 @@ All angles are degrees. The sign convention used throughout the package:
 positive yaw error means the wind direction sits counterclockwise of the
 nacelle heading, and a counterclockwise rotation reduces it.
 
+The power curve is one function over scalars or arrays,
+``power_with_misalignment``: zero, the cubic law with the cos^alpha
+misalignment loss, rated power, zero. Each boundary speed (cut-in, rated,
+cut-out) belongs to the region above it.
+
 ``from_fields`` lives here, in the module every other one imports: it is the
 strict ``from_dict`` of every config and report record in the package.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -93,19 +97,6 @@ def circular_mean_deg(angles_deg) -> float:
     return wrap_to_360(math.degrees(mean))
 
 
-class PowerRegion(enum.IntEnum):
-    """Operating region of the power curve.
-
-    Boundary ownership: v == v_cut_in belongs to PARTIAL, v == v_rated to RATED,
-    v == v_cut_out to ABOVE_CUT_OUT.
-    """
-
-    BELOW_CUT_IN = 1
-    PARTIAL = 2
-    RATED = 3
-    ABOVE_CUT_OUT = 4
-
-
 @dataclass(frozen=True)
 class TurbineParams:
     """Physical constants of the simulated turbine.
@@ -153,69 +144,29 @@ class TurbineParams:
     from_dict = classmethod(from_fields)
 
 
-def region_of(v: float, tp: TurbineParams) -> PowerRegion:
-    """Power-curve region for wind speed ``v`` (m/s, >= 0)."""
-    if not math.isfinite(v) or v < 0:
-        raise ValueError(f"wind speed must be finite and >= 0, got {v}")
-    if v < tp.v_cut_in:
-        return PowerRegion.BELOW_CUT_IN
-    if v < tp.v_rated:
-        return PowerRegion.PARTIAL
-    if v < tp.v_cut_out:
-        return PowerRegion.RATED
-    return PowerRegion.ABOVE_CUT_OUT
+def power_ideal(v, tp: TurbineParams):
+    """Power in kW at perfect alignment: ``power_with_misalignment`` at zero misalignment."""
+    return power_with_misalignment(v, 0.0, tp)
 
 
-def power_ideal(v: float, tp: TurbineParams) -> float:
-    """Power in kW at perfect alignment: cubic law below rated, capped at rated,
-    zero outside the operating envelope."""
-    region = region_of(v, tp)
-    if region is PowerRegion.PARTIAL:
-        return 0.5 * tp.rho * tp.area_m2 * v**3 * tp.power_coefficient * 1e-3
-    if region is PowerRegion.RATED:
-        return tp.p_rated_kw
-    return 0.0
+def power_with_misalignment(v, gamma_deg, tp: TurbineParams):
+    """Power in kW at wind speed ``v`` (m/s) and yaw misalignment ``gamma_deg``.
 
+    Scalars give a float, equal-length arrays an array. Each boundary speed
+    belongs to the region above it: zero below ``v_cut_in``; from it the cubic
+    law times the loss cos^alpha(gamma), with the cosine clamped at zero for
+    |gamma| >= 90 deg; from ``v_rated`` rated power, with no loss modelled;
+    zero from ``v_cut_out``. A negative or non-finite speed raises ValueError,
+    as does a non-finite misalignment where the loss applies.
 
-def yaw_loss_factor(gamma_deg: float, alpha: float) -> float:
-    """Fraction of aligned power retained at misalignment ``gamma_deg``.
-
-    cos^alpha of the misalignment, with the cosine clamped at zero for
-    |gamma| >= 90 deg (a negative base is unphysical for power).
-    """
-    if not math.isfinite(gamma_deg):
-        raise ValueError(f"misalignment must be finite, got {gamma_deg}")
-    c = math.cos(math.radians(gamma_deg))
-    if c <= 0.0:
-        return 0.0
-    return c**alpha
-
-
-def power_with_misalignment(v: float, gamma_deg: float, tp: TurbineParams) -> float:
-    """Power in kW at wind speed ``v`` and yaw misalignment ``gamma_deg``.
-
-    The cosine-exponent loss applies only in the partial-load region; at rated
-    the turbine already produces its cap and no loss is modelled, and outside
-    the envelope the output is zero anyway.
-    """
-    p = power_ideal(v, tp)
-    if region_of(v, tp) is PowerRegion.PARTIAL:
-        return p * yaw_loss_factor(gamma_deg, tp.alpha)
-    return p
-
-
-def power_with_misalignment_array(v, gamma_deg, tp: TurbineParams) -> np.ndarray:
-    """``power_with_misalignment`` over equal-length arrays, bit for bit.
-
-    The regions take the boundary ownership of ``region_of``. ``np.cos`` of
-    ``np.radians`` equals ``math.cos`` of ``math.radians`` (one multiply by
-    the same constant, then the same cosine; a test pins this), while
+    Equal bit for bit to the scalar chain with ``math``: ``np.cos`` of
+    ``np.radians`` equals ``math.cos`` of ``math.radians`` (a test pins this),
     ``v**3`` and ``c**alpha`` stay Python float powers, because ``np.power``
-    can differ from them in the last bit. The products run in the operand
-    order of ``power_ideal``.
+    can differ from them in the last bit, and the products run in the order
+    0.5 * rho * A * v^3 * c_p * 1e-3 * loss.
     """
     v = np.asarray(v, dtype=float)
-    gamma = np.asarray(gamma_deg, dtype=float)
+    gamma = np.broadcast_to(np.asarray(gamma_deg, dtype=float), v.shape)
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValueError("wind speed must be finite and >= 0")
     partial = (v >= tp.v_cut_in) & (v < tp.v_rated)
@@ -226,4 +177,4 @@ def power_with_misalignment_array(v, gamma_deg, tp: TurbineParams) -> np.ndarray
     cube = np.array([x**3 for x in v[partial].tolist()])
     loss = np.array([c**tp.alpha if c > 0.0 else 0.0 for c in np.cos(np.radians(g)).tolist()])
     out[partial] = 0.5 * tp.rho * tp.area_m2 * cube * tp.power_coefficient * 1e-3 * loss
-    return out
+    return float(out) if out.ndim == 0 else out

@@ -50,9 +50,11 @@ class PpoConfig:
     init_offset_deg: float = 0.0  # training episodes start misaligned by U(-x, x)
 
     def __post_init__(self):
-        for name in ("n_steps", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        for name in ("n_steps", "batch_size", "epochs", "total_steps"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
+        if not (math.isfinite(self.seed) and self.seed >= 0 and self.seed == int(self.seed)):
+            raise ValueError(f"seed must be a non-negative whole number, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not self.hidden:
             raise ValueError("hidden layer widths must be positive, got ()")
         object.__setattr__(self, "hidden", tuple(whole_number("hidden layer width", h) for h in self.hidden))

@@ -18,7 +18,7 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Collection, NamedTuple
 
@@ -27,16 +27,43 @@ import numpy as np
 from .power import from_fields, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
+_SERIES_DTYPES = {"t": np.int64, "phi": np.float64, "v": np.float64}
 
 
 class WindDataError(ValueError):
     """Malformed, inconsistent, or degenerate wind data."""
 
 
-class WindSample(NamedTuple):
-    t: int      # seconds since the start of the series
-    phi: float  # wind direction, degrees in [0, 360)
-    v: float    # wind speed, m/s
+def set_columns(record, dtypes: dict) -> None:
+    """Store each field of the frozen dataclass ``record`` named in ``dtypes`` as
+    a read-only 1-d array of that dtype.
+
+    A column that is not 1-d, or not as long as the first, raises
+    WindDataError naming the record's class and the column.
+    """
+    kind, first = type(record).__name__, None
+    for name, dtype in dtypes.items():
+        arr = np.asarray(getattr(record, name), dtype=dtype)
+        if arr.ndim != 1:
+            raise WindDataError(f"{kind} column {name!r} must be 1-d, got shape {arr.shape}")
+        if first is None:
+            first, n = name, len(arr)
+        elif len(arr) != n:
+            raise WindDataError(f"{kind} column {name!r} holds {len(arr)} values but column {first!r} holds {n}")
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+def check_log(log, min_len: int, angle: np.ndarray, what: str) -> None:
+    """The checks shared by the 1 s logs: at least ``min_len`` samples,
+    timestamps one second apart, and ``angle`` (``what``) finite and in [0, 360)."""
+    if len(log.t) < min_len:
+        raise WindDataError(f"{type(log).__name__} too short: {len(log.t)} samples")
+    gaps = np.diff(log.t)
+    if np.any(gaps != 1):
+        raise WindDataError(f"non-uniform spacing at t={int(log.t[1:][gaps != 1][0])}")
+    if not np.all(np.isfinite(angle)) or np.any(angle < 0.0) or np.any(angle >= 360.0):
+        raise WindDataError(f"{what} must be finite and in [0, 360)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,48 +77,19 @@ class WindSeries:
     label: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.int64)
-        phi = np.asarray(self.phi, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if not (t.ndim == phi.ndim == v.ndim == 1):
-            raise WindDataError("series columns must be one-dimensional")
-        if not (len(t) == len(phi) == len(v)):
-            raise WindDataError("series columns must have equal length")
-        if len(t) < 1:
-            raise WindDataError("series must hold at least one sample")
-        gaps = np.diff(t)
-        if np.any(gaps != 1):
-            bad = int(t[1:][gaps != 1][0])
-            raise WindDataError(f"non-uniform spacing at t={bad}")
-        if not np.all(np.isfinite(phi)) or np.any(phi < 0.0) or np.any(phi >= 360.0):
-            raise WindDataError("wind direction must be finite and in [0, 360)")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        set_columns(self, _SERIES_DTYPES)
+        check_log(self, 1, self.phi, "wind direction")
+        if not np.all(np.isfinite(self.v)) or np.any(self.v < 0.0):
             raise WindDataError("wind speed must be finite and >= 0")
-        for name, arr in (("t", t), ("phi", phi), ("v", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> WindSample:
-        return WindSample(int(self.t[i]), float(self.phi[i]), float(self.v[i]))
-
     def slice_samples(self, start: int, stop: int) -> "WindSeries":
-        return WindSeries(
-            self.t[start:stop].copy(),
-            self.phi[start:stop].copy(),
-            self.v[start:stop].copy(),
-            source=self.source,
-            label=self.label,
-        )
+        return replace(self, **{name: getattr(self, name)[start:stop].copy() for name in _SERIES_DTYPES})
 
     def equals(self, other: "WindSeries") -> bool:
-        return (
-            np.array_equal(self.t, other.t)
-            and np.array_equal(self.phi, other.phi)
-            and np.array_equal(self.v, other.v)
-        )
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _SERIES_DTYPES)
 
 
 def read_log_csv(
@@ -232,7 +230,7 @@ class Standardizer:
             raise WindDataError(f"standardizer scale must be positive, got {self.scale}")
 
     def standardize(self, v):
-        return np.asarray(v, dtype=float) / self.scale if np.ndim(v) else float(v) / self.scale
+        return np.asarray(v, dtype=float) / self.scale
 
 
 def fit_standardizer(train: WindSeries) -> Standardizer:
@@ -272,15 +270,19 @@ class GeneratorSpec:
         if not (math.isfinite(self.length_s) and self.length_s >= 2 and self.length_s == int(self.length_s)):
             raise WindDataError(f"length_s must be a whole number of at least 2, got {self.length_s}")
         object.__setattr__(self, "length_s", int(self.length_s))
+        if not math.isfinite(self.dir_mean_deg):
+            raise WindDataError(f"dir_mean_deg must be finite, got {self.dir_mean_deg}")
         for name in ("dir_std_deg", "speed_std_ms", "speed_mean_ms"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise WindDataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not (0.0 < self.reversion_rate <= 1.0):
             raise WindDataError(f"reversion_rate must be in (0, 1], got {self.reversion_rate}")
         ramps = tuple(Ramp(*r) for r in self.ramps)
-        for r in ramps:
+        for i, r in enumerate(ramps):
             if not (0 <= r.start_s < r.end_s <= self.length_s):
-                raise WindDataError(f"ramp outside the series or empty: {r}")
+                raise WindDataError(f"ramp {i} outside the series or empty: {r}")
+            if not math.isfinite(r.magnitude_deg):
+                raise WindDataError(f"ramp {i} magnitude_deg must be finite, got {r.magnitude_deg}")
         object.__setattr__(self, "ramps", ramps)
 
     def to_dict(self) -> dict:

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from env_reference import trace_from_records
-from yawbench import circular_mean_deg, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
+from power_reference import power_with_misalignment
+from yawbench import circular_mean_deg, wrap_angle, wrap_to_360, yaw_error
 
 _STOP_FLOOR_DEG = 1e-9
 

@@ -4,17 +4,18 @@
 with per-cycle features encoded once, observation tables filled backwards
 and a trace kept as columns: it shifts its j x 4 observation every step,
 works through the ``Action`` enum, returns ``(obs, reward, done, info)``,
-and prices each cycle with the scalar ``power_with_misalignment``.
-``cycle_wind`` aggregates one cycle at a time, and ``trace_from_records``
-builds a ``CycleTrace`` from per-cycle dicts. The library's outputs must
-equal theirs bit for bit.
+and prices each cycle with the scalar ``power_with_misalignment`` of
+``power_reference``. ``cycle_wind`` aggregates one cycle at a time, and
+``trace_from_records`` builds a ``CycleTrace`` from per-cycle dicts. The
+library's outputs must equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from yawbench import Action, CycleTrace, circular_mean_deg, power_with_misalignment, wrap_to_360, yaw_error
+from power_reference import power_with_misalignment
+from yawbench import Action, CycleTrace, circular_mean_deg, wrap_to_360, yaw_error
 from yawbench.env import TRACE_COLUMNS, n_cycles
 
 

@@ -1,9 +1,9 @@
 """Differential property tests: each fast path against the reference it replaced.
 
 The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the column
-``YawEnv``, the float branch of the angle wrapping, the array power curve,
-the bulk CSV reader and the block CSV writer must reproduce their references
-bit for bit, not merely to a tolerance.
+``YawEnv``, the float branch of the angle wrapping, the power curve (on
+scalars and arrays), the bulk CSV reader and the block CSV writer must
+reproduce their references bit for bit, not merely to a tolerance.
 """
 
 import math
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import csv_reference
 import cyca_reference as ref
 import env_reference
+import power_reference
 from env_reference import cycle_wind
 from yawbench import (
     Action,
@@ -37,6 +38,7 @@ from yawbench import (
     replay_cyca_l,
     run_actions,
     run_cyca_s,
+    power_ideal,
     power_with_misalignment,
     save_nacelle_log,
     save_series,
@@ -45,7 +47,6 @@ from yawbench import (
     yaw_error,
 )
 from yawbench.env import TRACE_COLUMNS
-from yawbench.power import power_with_misalignment_array
 from yawbench.wind import CSV_HEADER, read_log_csv, write_csv_columns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -340,7 +341,7 @@ def _next(x, toward):
 
 
 class TestPowerArray:
-    """``power_with_misalignment_array`` against the scalar curve, element by element."""
+    """``power_with_misalignment`` against the scalar reference curve, element by element."""
 
     tp = TurbineParams()
     edge_speeds = [
@@ -360,17 +361,25 @@ class TestPowerArray:
     def test_equals_scalar_curve(self, v, gammas, alpha):
         tp = TurbineParams(alpha=alpha)
         gammas = gammas[: len(v)]
-        out = power_with_misalignment_array(np.array(v), np.array(gammas), tp)
-        expected = np.array([power_with_misalignment(x, g, tp) for x, g in zip(v, gammas)])
+        out = power_with_misalignment(np.array(v), np.array(gammas), tp)
+        expected = np.array([power_reference.power_with_misalignment(x, g, tp) for x, g in zip(v, gammas)])
         assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
+        for x, g, y in zip(v, gammas, expected.tolist()):
+            scalar = power_with_misalignment(x, g, tp)
+            assert type(scalar) is float and scalar.hex() == y.hex()
+        ideal = [power_reference.power_ideal(x, tp) for x in v]
+        assert power_ideal(np.array(v), tp).tobytes() == np.array(ideal).tobytes()
+        assert [power_ideal(x, tp).hex() for x in v] == [y.hex() for y in ideal]
 
     def test_every_boundary_and_gamma_edge(self):
         v, g = (np.array(a) for a in zip(*[(x, y) for x in self.edge_speeds for y in self.edge_gammas]))
-        expected = [power_with_misalignment(x, y, self.tp) for x, y in zip(v.tolist(), g.tolist())]
-        assert power_with_misalignment_array(v, g, self.tp).tobytes() == np.array(expected).tobytes()
+        expected = [power_reference.power_with_misalignment(x, y, self.tp) for x, y in zip(v.tolist(), g.tolist())]
+        assert power_with_misalignment(v, g, self.tp).tobytes() == np.array(expected).tobytes()
+        scalars = [power_with_misalignment(x, y, self.tp) for x, y in zip(v.tolist(), g.tolist())]
+        assert [x.hex() for x in scalars] == [x.hex() for x in expected]
 
     def test_numpy_cosine_equals_math_cosine(self):
-        # The array curve relies on np.cos(np.radians(.)) == math.cos(math.radians(.)) bit for bit.
+        # The curve relies on np.cos(np.radians(.)) == math.cos(math.radians(.)) bit for bit.
         rng = np.random.default_rng(0)
         g = np.concatenate([np.linspace(-180.0, 180.0, 100_001), rng.uniform(-180.0, 180.0, 100_000),
                             rng.uniform(-1e-6, 1e-6, 1000), np.array(self.edge_gammas)])
@@ -379,16 +388,22 @@ class TestPowerArray:
         assert fast.tobytes() == slow.tobytes()
 
     def test_invalid_input_rejected_like_the_scalar_curve(self):
-        with pytest.raises(ValueError, match="wind speed"):
-            power_with_misalignment_array(np.array([5.0, -1.0]), np.zeros(2), self.tp)
-        with pytest.raises(ValueError, match="wind speed"):
-            power_with_misalignment_array(np.array([math.nan]), np.zeros(1), self.tp)
-        with pytest.raises(ValueError, match="misalignment"):
-            power_with_misalignment_array(np.array([5.0]), np.array([math.inf]), self.tp)
+        for bad_v in ([5.0, -1.0], [math.nan], -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="wind speed"):
+                power_with_misalignment(bad_v, 0.0, self.tp)
+            with pytest.raises(ValueError, match="wind speed"):
+                power_reference.power_with_misalignment(float(np.min(bad_v)), 0.0, self.tp)
+        for v, g in (([5.0], [math.inf]), (5.0, math.nan)):
+            with pytest.raises(ValueError, match="misalignment"):
+                power_with_misalignment(v, g, self.tp)
         # outside the partial-load region the misalignment is never looked at, as in the scalar curve
-        assert power_with_misalignment_array(np.array([20.0]), np.array([math.nan]), self.tp).tolist() == [
-            power_with_misalignment(20.0, math.nan, self.tp)
-        ]
+        for v in (0.0, 20.0, 30.0):
+            assert power_with_misalignment(np.array([v]), np.array([math.nan]), self.tp).tolist() == [
+                power_reference.power_with_misalignment(v, math.nan, self.tp)
+            ]
+            assert power_with_misalignment(v, math.inf, self.tp) == power_reference.power_with_misalignment(
+                v, math.inf, self.tp
+            )
 
 
 NACELLE_HEADER = ("t", "theta_deg")

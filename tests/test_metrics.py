@@ -19,6 +19,7 @@ from yawbench import (
     generate_synthetic,
     run_constant_action,
     steady_preset,
+    wrap_angle,
     yaw_consumption_delta,
 )
 from yawbench.metrics import (
@@ -140,6 +141,27 @@ def test_drive_energy_keeps_its_operand_order(theta, rate, drive):
     assert compute_metrics(cand, tp, cfg).yaw_consumption_kwh == float(np.sum(d_c) / rate * drive / 3600.0)
     delta, _ = yaw_consumption_delta(cand, base, tp)
     assert np.array_equal(delta, (d_c - d_b) / rate * drive / 3600.0)
+
+
+@given(
+    theta_a=st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=30),
+    theta_b=st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=30),
+    power=st.lists(st.floats(0.0, 2000.0), min_size=60, max_size=60),
+)
+def test_metrics_additive_over_concat(theta_a, theta_b, power):
+    # the seam between the two traces is one more rotation, which neither part counts
+    tp = TurbineParams()
+    cfg = EnvConfig(standardizer=Standardizer(8.0))
+    na, nb = len(theta_a), len(theta_b)
+    a = trace_from_theta(theta_a, power=np.array(power[:na]))
+    b = trace_from_theta(theta_b, power=np.array(power[na : na + nb]))
+    whole = compute_metrics(CycleTrace.concat([a, b]), tp, cfg)
+    ma, mb = compute_metrics(a, tp, cfg), compute_metrics(b, tp, cfg)
+    assert whole.n_cycles == ma.n_cycles + mb.n_cycles == na + nb
+    assert whole.horizon_s == ma.horizon_s + mb.horizon_s
+    assert whole.energy_kwh == pytest.approx(ma.energy_kwh + mb.energy_kwh, rel=1e-12, abs=1e-12)
+    seam = abs(wrap_angle(theta_b[0] - theta_a[-1]))
+    assert whole.angle_covered_deg == pytest.approx(ma.angle_covered_deg + mb.angle_covered_deg + seam, abs=1e-9)
 
 
 class TestConsumptionDelta:

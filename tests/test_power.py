@@ -2,18 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from yawbench import (
-    PowerRegion,
     TurbineParams,
     circular_mean_deg,
     power_ideal,
     power_with_misalignment,
-    region_of,
     wrap_angle,
     wrap_to_360,
     yaw_error,
-    yaw_loss_factor,
 )
 
 
@@ -87,24 +86,50 @@ class TestCircularMean:
         with pytest.raises(ValueError):
             circular_mean_deg([])
 
+    @given(
+        center=st.floats(0.0, 360.0, exclude_max=True),
+        spread=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50),
+        rotation=st.floats(-720.0, 720.0),
+    )
+    @example(center=0.0, spread=[-10.0, 10.0, 25.0], rotation=355.0)
+    @example(center=350.0, spread=[-5.0, 15.0], rotation=-350.0)
+    def test_rotation_equivariant_across_the_seam(self, center, spread, rotation):
+        # within +-60 deg of a centre the mean resultant length is at least 0.5, so the mean is well defined
+        angles = wrap_to_360(center + np.array(spread))
+        mean = circular_mean_deg(angles)
+        rotated = circular_mean_deg(wrap_to_360(angles + rotation))
+        assert 0.0 <= rotated < 360.0
+        assert abs(yaw_error(rotated, wrap_to_360(mean + rotation))) <= 1e-9
+
 
 class TestRegions:
+    """Each boundary speed belongs to the region above it."""
+
     def test_below_cut_in(self, tp):
-        assert region_of(2.0, tp) is PowerRegion.BELOW_CUT_IN
+        assert power_with_misalignment(2.0, 0.0, tp) == 0.0
+        assert power_with_misalignment(np.nextafter(tp.v_cut_in, 0.0), 0.0, tp) == 0.0
 
     def test_rated_boundary_owned_by_region_3(self, tp):
-        assert region_of(14.0, tp) is PowerRegion.RATED
+        # rated: no misalignment loss; just below rated the loss applies
+        assert power_with_misalignment(14.0, 30.0, tp) == 2000.0
+        below = np.nextafter(tp.v_rated, 0.0)
+        assert power_with_misalignment(below, 30.0, tp) < power_ideal(below, tp)
 
     def test_above_cut_out(self, tp):
-        assert region_of(26.0, tp) is PowerRegion.ABOVE_CUT_OUT
+        assert power_with_misalignment(26.0, 0.0, tp) == 0.0
 
     def test_boundary_ownership(self, tp):
-        assert region_of(tp.v_cut_in, tp) is PowerRegion.PARTIAL
-        assert region_of(tp.v_cut_out, tp) is PowerRegion.ABOVE_CUT_OUT
+        cubic = 0.5 * tp.rho * tp.area_m2 * tp.v_cut_in**3 * tp.power_coefficient * 1e-3
+        assert power_with_misalignment(tp.v_cut_in, 0.0, tp) == cubic > 0.0
+        assert power_with_misalignment(tp.v_cut_in, 60.0, tp) == pytest.approx(cubic / 8.0, rel=1e-12)
+        assert power_with_misalignment(tp.v_cut_out, 0.0, tp) == 0.0
+        assert power_with_misalignment(np.nextafter(tp.v_cut_out, 0.0), 0.0, tp) == tp.p_rated_kw
 
     def test_negative_speed_rejected(self, tp):
-        with pytest.raises(ValueError):
-            region_of(-0.1, tp)
+        with pytest.raises(ValueError, match="wind speed"):
+            power_with_misalignment(-0.1, 0.0, tp)
+        with pytest.raises(ValueError, match="wind speed"):
+            power_ideal(np.array([5.0, -0.1]), tp)
 
 
 class TestPowerIdeal:
@@ -138,8 +163,9 @@ class TestMisalignmentLoss:
         assert power_with_misalignment(14.0, 30.0, tp) == 2000.0
 
     def test_clamped_past_90(self, tp):
-        assert yaw_loss_factor(90.0, 3.0) == pytest.approx(0.0, abs=1e-15)
-        assert yaw_loss_factor(135.0, 3.0) == 0.0
+        assert power_with_misalignment(7.0, 90.0, tp) == pytest.approx(0.0, abs=1e-12)
+        assert power_with_misalignment(7.0, 135.0, tp) == 0.0
+        assert power_with_misalignment(7.0, -135.0, tp) == 0.0
         assert power_with_misalignment(7.0, 170.0, tp) == 0.0
 
     def test_never_exceeds_ideal(self, tp):
@@ -152,7 +178,8 @@ class TestMisalignmentLoss:
 
     def test_monotone_loss_in_partial_region(self, tp):
         gammas = np.linspace(0.0, 90.0, 181)
-        factors = [yaw_loss_factor(g, tp.alpha) for g in gammas]
+        factors = power_with_misalignment(np.full(181, 7.0), gammas, tp) / power_ideal(7.0, tp)
+        assert factors[0] == 1.0
         assert all(a >= b - 1e-15 for a, b in zip(factors, factors[1:]))
 
 

@@ -410,6 +410,29 @@ class TestUpdateAndTrain:
         with pytest.raises(ValueError, match=rf"{field} must be finite"):
             PpoConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, given",
+        [
+            ("total_steps", float("nan"), {}),  # train returned untrained networks and an empty curve
+            ("total_steps", float("inf"), {}),  # train looped forever
+            ("total_steps", 4096.5, {}),
+            ("epochs", float("nan"), {}),
+            ("epochs", 2.5, {}),
+            ("seed", 1.5, {}),
+            ("seed", -1, {}),
+            ("seed", float("nan"), {}),
+            ("batch_size", 32.5, {"n_steps": 65}),  # 65 % 32.5 == 0, so it passed the divisibility check
+            ("n_steps", 64.5, {}),
+        ],
+    )
+    def test_fractional_or_non_finite_count_named(self, field, value, given):
+        with pytest.raises(ValueError, match=rf"^{field} must be a (positive|non-negative) whole number, got {value}"):
+            PpoConfig(**{field: value, **given})
+
+    def test_whole_float_counts_stored_as_int(self):
+        cfg = PpoConfig(n_steps=64.0, batch_size=32.0, epochs=2.0, total_steps=128.0, seed=3.0)
+        assert [type(x) for x in (cfg.n_steps, cfg.batch_size, cfg.epochs, cfg.total_steps, cfg.seed)] == [int] * 5
+
     @pytest.mark.parametrize("hidden", [(8.7,), (16, 4.5), (float("nan"),), (float("inf"), 8)])
     def test_fractional_hidden_width_rejected(self, hidden):
         # (8.7,) was truncated to (8,) without a word

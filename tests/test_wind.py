@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from yawbench import (
+    CycleTrace,
     GeneratorSpec,
+    NacelleLog,
     Ramp,
     Standardizer,
     WindDataError,
-    WindSample,
     WindSeries,
     constant_preset,
     fit_standardizer,
@@ -17,6 +18,7 @@ from yawbench import (
     steady_preset,
     variable_preset,
 )
+from yawbench.env import TRACE_COLUMNS
 
 
 def make_series(n=20, phi=34.1, v=8.0):
@@ -28,7 +30,7 @@ class TestLoadSeries:
         p = tmp_path / "w.csv"
         p.write_text("t,phi_deg,v_ms\n0,34.1,7.2\n1,35.0,7.0\n")
         s = load_series(p)
-        assert s[0] == WindSample(0, 34.1, 7.2)
+        assert (s.t[0], s.phi[0], s.v[0]) == (0, 34.1, 7.2)
         assert len(s) == 2
 
     def test_negative_direction_normalized(self, tmp_path):
@@ -82,6 +84,51 @@ class TestLoadSeries:
         save_series(s, p)
         back = load_series(p)
         assert back.equals(s)
+
+
+def _columns(record, n):
+    """Valid columns of length ``n`` for one of the three column records."""
+    if record is WindSeries:
+        return {"t": np.arange(n), "phi": np.full(n, 34.1), "v": np.full(n, 8.0)}
+    if record is NacelleLog:
+        return {"t": np.arange(n), "theta": np.full(n, 20.0)}
+    ints = {"cycle", "action_issued", "action_applied"}
+    return {name: np.arange(n) if name in ints else np.full(n, 1.5) for name in TRACE_COLUMNS}
+
+
+COLUMN_CASES = [(record, name) for record in (WindSeries, NacelleLog, CycleTrace) for name in _columns(record, 1)]
+
+
+class TestColumnRecords:
+    """The shared column check of ``WindSeries``, ``NacelleLog`` and ``CycleTrace``."""
+
+    @pytest.mark.parametrize("record, name", COLUMN_CASES)
+    def test_two_dimensional_column_named(self, record, name):
+        cols = _columns(record, 4)
+        cols[name] = np.stack([cols[name], cols[name]], axis=1)
+        with pytest.raises(WindDataError, match=rf"^{record.__name__} column '{name}' must be 1-d, got shape \(4, 2\)"):
+            record(**cols)
+
+    @pytest.mark.parametrize("record, name", COLUMN_CASES)
+    def test_short_column_named(self, record, name):
+        cols = _columns(record, 4)
+        cols[name] = cols[name][:3]
+        with pytest.raises(WindDataError, match=rf"^{record.__name__} column .*'{name}' holds 3"):
+            record(**cols)
+
+    @pytest.mark.parametrize("record, name", COLUMN_CASES)
+    def test_every_column_read_only(self, record, name):
+        rec = record(**_columns(record, 4))
+        col = getattr(rec, name)
+        assert col.ndim == 1 and len(col) == 4 and not col.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = col[1]
+
+    @pytest.mark.parametrize("record, n_min", [(WindSeries, 1), (NacelleLog, 2)])
+    def test_too_short_log_named(self, record, n_min):
+        with pytest.raises(WindDataError, match=rf"^{record.__name__} too short: {n_min - 1} samples"):
+            record(**_columns(record, n_min - 1))
+        assert len(record(**_columns(record, n_min))) == n_min
 
 
 class TestSplit:
@@ -210,6 +257,22 @@ class TestGenerator:
         spec = {"length_s": 3000, "dir_mean_deg": 10.0, "dir_std_deg": 2.0, field: bad}
         with pytest.raises(WindDataError, match=rf"^{field} must be"):
             GeneratorSpec(**spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"ramps": ((100, 200, float("nan")),)}, "ramp 0 magnitude_deg must be finite"),
+            ({"ramps": (Ramp(100, 200, 5.0), Ramp(300, 400, float("inf")))}, "ramp 1 magnitude_deg must be finite"),
+            ({"ramps": (Ramp(100, 200, 5.0), Ramp(300, 200, 5.0))}, "ramp 1 outside the series or empty"),
+            ({"dir_mean_deg": float("nan")}, "dir_mean_deg must be finite"),
+            ({"dir_mean_deg": float("-inf")}, "dir_mean_deg must be finite"),
+        ],
+    )
+    def test_non_finite_ramp_or_mean_direction_named(self, spec, message):
+        # both were accepted; generate_synthetic then failed with the nameless
+        # "wind direction must be finite and in [0, 360)"
+        with pytest.raises(WindDataError, match=rf"^{message}"):
+            GeneratorSpec(**{"length_s": 3000, "dir_mean_deg": 10.0, "dir_std_deg": 2.0, **spec})
 
     def test_whole_float_length_stored_as_int(self):
         # 3000.0 was accepted, and generate_synthetic then died with a bare TypeError
