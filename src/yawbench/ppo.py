@@ -11,10 +11,21 @@ features per lagged row. They are small, so a step costs numpy call
 overhead, not arithmetic. Training and evaluation read the env's encoded
 observation, which the env updates one row per step, and greedy evaluation
 runs only the policy network; the batch-of-one softmax and the sampler avoid
-``keepdims`` reductions and ``searchsorted``; Adam updates flat moment
-arrays. Each keeps the operations and their order, so results are
-bit-identical to the per-call forms. The softmax keeps ``np.exp``:
-``math.exp`` differs from it in the last bit.
+``keepdims`` reductions and ``searchsorted``. Each keeps the operations and
+their order, so results are bit-identical to the per-call forms. The softmax
+keeps ``np.exp``: ``math.exp`` differs from it in the last bit.
+
+The rollout runs only the policy network. The state values GAE needs are
+taken after the rollout, ``batch_size`` rows at a time, as a stack of
+batch-of-one forwards (``Mlp.forward_rows``): numpy's ``matmul`` makes the
+same BLAS call for each item of an ``(n, 1, k) @ (k, m)`` stack as for a lone
+``(1, k) @ (k, m)``, while a flat ``(n, k)`` batch calls another routine
+whose results differ in the last bit. The parameters of both networks live
+in one flat vector and their gradients in another; each weight and bias is a
+reshaped view into them. The backward pass writes into the gradient views,
+and Adam updates the parameter vector in one pass. The loss reductions are
+the arithmetic of ``np.mean`` (a sum, then a division by the count) without
+its call overhead.
 """
 
 from __future__ import annotations
@@ -79,34 +90,49 @@ class PpoConfig:
     from_dict = classmethod(from_fields)
 
 
+def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """Weight and bias views into ``flat`` for a network of layer ``sizes``, ordered like ``parameters``."""
+    views, lo = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for shape in ((fan_in, fan_out), (fan_out,)):
+            n = math.prod(shape)
+            views.append(flat[lo : lo + n].reshape(shape))
+            lo += n
+    return views
+
+
 class Mlp:
-    """Dense network with tanh hidden activations and a linear output layer."""
+    """Dense network with tanh hidden activations and a linear output layer.
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
+    Its weights and biases are views into a flat parameter vector, and their
+    gradients views into a flat gradient vector laid out alike.
+    """
 
-    @classmethod
-    def create(cls, sizes: tuple[int, ...], rng: np.random.Generator) -> "Mlp":
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
+    def __init__(self, sizes: tuple[int, ...], params: np.ndarray, grads: np.ndarray):
+        self.sizes = tuple(sizes)
+        self.parameters = _layer_views(params, self.sizes)
+        self.gradients = _layer_views(grads, self.sizes)
+        self.weights, self.biases = self.parameters[0::2], self.parameters[1::2]
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+    @staticmethod
+    def param_count(sizes: tuple[int, ...]) -> int:
+        """The number of parameters of a network of layer ``sizes``."""
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
+
+    def forward_rows(self, x: np.ndarray, chunk: int) -> np.ndarray:
+        """The output for each row of ``x``, bit-identical to a batch-of-one forward of that row.
+
+        A ``(n, 1, k) @ (k, m)`` stack makes, for each row, the BLAS call of a
+        lone ``(1, k) @ (k, m)``; a flat ``(n, k)`` batch calls another routine
+        and differs in the last bit. ``chunk`` rows at a time bound the memory.
+        """
+        out = np.empty((len(x), self.sizes[-1]))
+        for lo in range(0, len(x), chunk):
+            out[lo : lo + chunk] = self.forward(x[lo : lo + chunk, None, :])[:, 0]
+        return out
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         acts = [x]
@@ -116,17 +142,14 @@ class Mlp:
             acts.append(h)
         return h @ self.weights[-1] + self.biases[-1], acts
 
-    def backward(self, acts: list[np.ndarray], d_out: np.ndarray) -> list[np.ndarray]:
-        """Gradients w.r.t. every parameter, ordered like ``parameters``."""
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
+    def backward(self, acts: list[np.ndarray], d_out: np.ndarray) -> None:
+        """Write the gradients w.r.t. every parameter into ``gradients``."""
         d_h = d_out
         for layer in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[layer]
-            grads[2 * layer] = a_prev.T @ d_h
-            grads[2 * layer + 1] = d_h.sum(axis=0)
+            np.matmul(acts[layer].T, d_h, out=self.gradients[2 * layer])
+            np.sum(d_h, axis=0, out=self.gradients[2 * layer + 1])
             if layer > 0:
                 d_h = (d_h @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
-        return grads
 
     def to_dict(self) -> dict:
         return {
@@ -135,32 +158,33 @@ class Mlp:
             "biases": [b.tolist() for b in self.biases],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        return cls(
-            [np.array(w, dtype=np.float64) for w in d["weights"]],
-            [np.array(b, dtype=np.float64) for b in d["biases"]],
-        )
-
 
 class ActorCritic:
-    """Policy network (3 logits) and value network (scalar) over the encoded state."""
+    """Policy network (3 logits) and value network (scalar) over the encoded state.
 
-    def __init__(self, policy: Mlp, value: Mlp, lag_depth: int):
-        self.policy = policy
-        self.value = value
+    Every parameter of both networks lives in one float64 vector,
+    ``flat_params``, in ``parameters`` order (policy first); their gradients
+    live in ``flat_grads``, laid out alike.
+    """
+
+    def __init__(self, policy_sizes: tuple[int, ...], value_sizes: tuple[int, ...], lag_depth: int):
+        n_policy = Mlp.param_count(policy_sizes)
+        self.flat_params = np.zeros(n_policy + Mlp.param_count(value_sizes))
+        self.flat_grads = np.zeros_like(self.flat_params)
+        self.policy = Mlp(policy_sizes, self.flat_params[:n_policy], self.flat_grads[:n_policy])
+        self.value = Mlp(value_sizes, self.flat_params[n_policy:], self.flat_grads[n_policy:])
         self.lag_depth = lag_depth
+        self.parameters = self.policy.parameters + self.value.parameters
+        self.gradients = self.policy.gradients + self.value.gradients
 
     @classmethod
     def create(cls, lag_depth: int, hidden: tuple[int, int], rng: np.random.Generator) -> "ActorCritic":
+        """Both networks with N(0, 1/fan_in) weights, policy first, and zero biases."""
         in_dim = lag_depth * OBS_FEATURES_PER_ROW
-        policy = Mlp.create((in_dim, *hidden, 3), rng)
-        value = Mlp.create((in_dim, *hidden, 1), rng)
-        return cls(policy, value, lag_depth)
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return self.policy.parameters + self.value.parameters
+        ac = cls((in_dim, *hidden, 3), (in_dim, *hidden, 1), lag_depth)
+        for w in ac.policy.weights + ac.value.weights:
+            w[...] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
+        return ac
 
 
 def encode_observation(obs: np.ndarray) -> np.ndarray:
@@ -180,14 +204,10 @@ def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _forward_encoded(ac: ActorCritic, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Action probabilities and state value for one encoded row ``x``."""
-    return _policy_probs(ac, x), float(ac.value.forward(x[None])[0, 0])
-
-
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
     """Action probabilities and state value for one raw j x 4 observation."""
-    return _forward_encoded(ac, encode_observation(np.asarray(obs, dtype=np.float64)))
+    x = encode_observation(np.asarray(obs, dtype=np.float64))
+    return _policy_probs(ac, x), float(ac.value.forward(x[None])[0, 0])
 
 
 _ACTIONS = tuple(Action)
@@ -247,7 +267,6 @@ class RolloutBuffer:
         self.actions = np.zeros(n_steps, dtype=np.int64)
         self.logp = np.zeros(n_steps)
         self.rewards = np.zeros(n_steps)
-        self.values = np.zeros(n_steps)
         self.dones = np.zeros(n_steps, dtype=bool)
         self.advantages: np.ndarray | None = None
         self.returns: np.ndarray | None = None
@@ -257,7 +276,7 @@ class RolloutBuffer:
     def full(self) -> bool:
         return self.idx >= self.n_steps
 
-    def add(self, obs_enc, action, logp, reward, value, done) -> None:
+    def add(self, obs_enc, action, logp, reward, done) -> None:
         if self.full:
             raise RuntimeError("rollout buffer is full")
         i = self.idx
@@ -265,15 +284,15 @@ class RolloutBuffer:
         self.actions[i] = int(action)
         self.logp[i] = logp
         self.rewards[i] = reward
-        self.values[i] = value
         self.dones[i] = done
         self.idx += 1
 
-    def finalize(self, bootstrap_value: float, discount: float, gae_lambda: float) -> None:
+    def finalize(self, values, bootstrap_value: float, discount: float, gae_lambda: float) -> None:
+        """Advantages and returns from the state value of each stored step and of the step after."""
         if not self.full:
             raise RuntimeError("cannot finalize a partially filled buffer")
         self.advantages, self.returns = compute_gae(
-            self.rewards, self.values, self.dones, bootstrap_value, discount, gae_lambda
+            self.rewards, values, self.dones, bootstrap_value, discount, gae_lambda
         )
 
     def reset(self) -> None:
@@ -293,7 +312,11 @@ def ppo_loss_and_grads(
     value_coef: float,
     entropy_coef: float,
 ) -> tuple[dict, list[np.ndarray]]:
-    """PPO loss with analytic gradients for every parameter of both networks."""
+    """PPO loss with analytic gradients for every parameter of both networks.
+
+    The gradients are ``ac.gradients``, views into ``ac.flat_grads`` that the
+    next call overwrites.
+    """
     n = len(actions)
     logits, p_acts = ac.policy.forward_cached(obs_enc)
     logp_all = log_softmax(logits)
@@ -303,14 +326,14 @@ def ppo_loss_and_grads(
     unclipped = ratio * advantages
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
     surrogate = np.minimum(unclipped, clipped)
-    policy_loss = -float(np.mean(surrogate))
+    policy_loss = -float(np.add.reduce(surrogate)) / n
     entropy_rows = -np.sum(probs * logp_all, axis=1)
-    entropy = float(np.mean(entropy_rows))
+    entropy = float(np.add.reduce(entropy_rows)) / n
 
     v_out, v_acts = ac.value.forward_cached(obs_enc)
     v = v_out[:, 0]
     diff = v - returns
-    value_loss = float(np.mean(diff**2))
+    value_loss = float(np.add.reduce(diff * diff)) / n
 
     total = policy_loss + value_coef * value_loss - entropy_coef * entropy
     if not math.isfinite(total):
@@ -327,60 +350,56 @@ def ppo_loss_and_grads(
     # -entropy_coef * mean(H): dH/dz_j = -p_j (logp_j + H).
     if entropy_coef != 0.0:
         d_logits += (entropy_coef / n) * probs * (logp_all + entropy_rows[:, None])
-    grads_policy = ac.policy.backward(p_acts, d_logits)
+    ac.policy.backward(p_acts, d_logits)
 
     d_v = (value_coef * 2.0 / n) * diff
-    grads_value = ac.value.backward(v_acts, d_v[:, None])
+    ac.value.backward(v_acts, d_v[:, None])
 
     stats = {
         "total": total,
         "policy_loss": policy_loss,
         "value_loss": value_loss,
         "entropy": entropy,
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > clip_eps)),
+        "clip_fraction": int(np.count_nonzero(np.abs(ratio - 1.0) > clip_eps)) / n,
     }
-    return stats, grads_policy + grads_value
+    return stats, ac.gradients
 
 
 class Adam:
-    """Adaptive-moment optimizer over a list of parameter arrays.
+    """Adaptive-moment optimizer over one flat parameter vector.
 
-    The moments of all parameters live in two flat arrays, updated with
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
-    ``p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)`` in the operand order of the
-    per-array form, so the result is the same to the bit.
+    ``step`` updates ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)`` elementwise, in the operand
+    order of the per-array form, so the result is the same to the bit.
     """
 
-    def __init__(self, shapes: list[tuple], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
-        self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
-        self._g, self._step = np.empty(ends[-1]), np.empty(ends[-1])  # scratch: gradients, step
-        self._step_views = [self._step[lo:hi].reshape(s) for lo, hi, s in zip(ends, ends[1:], shapes)]
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._step, self._denom = np.empty(size), np.empty(size)  # scratch
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update the flat vector ``params`` in place from its gradient vector ``grads``."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        m, v, g, step = self.m, self.v, self._g, self._step
-        np.concatenate(grads, axis=None, out=g)
+        m, v, step, denom = self.m, self.v, self._step, self._denom
         m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=step)
+        m += np.multiply(1.0 - self.beta1, grads, out=step)
         v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=step)
-        v += np.multiply(step, g, out=step)
+        np.multiply(1.0 - self.beta2, grads, out=step)
+        v += np.multiply(step, grads, out=step)
         np.divide(m, b1c, out=step)
         np.multiply(self.lr, step, out=step)
-        denom = np.divide(v, b2c, out=g)  # the gradients are spent
+        np.divide(v, b2c, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        for p, d in zip(params, self._step_views):
-            p -= d
+        params -= step
 
 
 def ppo_update(
@@ -407,7 +426,7 @@ def ppo_update(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            stats, grads = ppo_loss_and_grads(
+            stats, _ = ppo_loss_and_grads(
                 ac,
                 buffer.obs[idx],
                 buffer.actions[idx],
@@ -418,7 +437,7 @@ def ppo_update(
                 cfg.value_coef,
                 cfg.entropy_coef,
             )
-            adam.step(ac.parameters, grads)
+            adam.step(ac.flat_params, ac.flat_grads)
             for key in agg:
                 agg[key] += stats[key]
             batches += 1
@@ -435,7 +454,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     """
     rng = np.random.default_rng(cfg.seed)
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
-    adam = Adam([p.shape for p in ac.parameters], lr=cfg.learning_rate)
+    adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)
     buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
 
     def fresh_episode() -> None:
@@ -453,17 +472,17 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
         while not buffer.full:
             # a step writes the row above this view, so it still holds the observation acted on
             x = env.encoded_observation
-            probs, value = _forward_encoded(ac, x)
-            action, logp = sample_action(probs, rng)
+            action, logp = sample_action(_policy_probs(ac, x), rng)
             _, reward, done = env.step(action)
-            buffer.add(x, action, logp, reward, value, done)
+            buffer.add(x, action, logp, reward, done)
             ep_return += reward
             if done:
                 episode_returns.append(ep_return)
                 ep_return = 0.0
                 fresh_episode()
-        _, bootstrap = _forward_encoded(ac, env.encoded_observation)
-        buffer.finalize(bootstrap, cfg.discount, cfg.gae_lambda)
+        values = ac.value.forward_rows(buffer.obs, cfg.batch_size)[:, 0]
+        bootstrap = float(ac.value.forward(env.encoded_observation[None])[0, 0])
+        buffer.finalize(values, bootstrap, cfg.discount, cfg.gae_lambda)
         stats = ppo_update(ac, buffer, cfg, adam, rng)
         steps_done += cfg.n_steps
         update_idx += 1
@@ -532,16 +551,18 @@ def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfi
         f.write(text)
 
 
-def _load_network(path: Path, payload: dict, name: str, in_dim: int, out_dim: int) -> Mlp:
-    """The ``name`` network, checked to chain in_dim -> out_dim with finite weights."""
+def _load_network(path: Path, payload: dict, name: str, in_dim: int, out_dim: int) -> tuple[tuple, list]:
+    """The layer sizes and the parameters (in ``parameters`` order) of the
+    ``name`` network, checked to chain in_dim -> out_dim with finite weights."""
     try:
-        net = Mlp.from_dict(payload[name])
+        weights = [np.array(w, dtype=np.float64) for w in payload[name]["weights"]]
+        biases = [np.array(b, dtype=np.float64) for b in payload[name]["biases"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {name}: unreadable network: {exc}") from exc
     width = in_dim
-    if not net.weights or len(net.weights) != len(net.biases):
-        raise ValueError(f"{path}: {name}: {len(net.weights)} weight and {len(net.biases)} bias arrays")
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+    if not weights or len(weights) != len(biases):
+        raise ValueError(f"{path}: {name}: {len(weights)} weight and {len(biases)} bias arrays")
+    for i, (w, b) in enumerate(zip(weights, biases)):
         if w.ndim != 2 or w.shape[0] != width:
             raise ValueError(f"{path}: {name}.weights[{i}] has shape {w.shape}, expected ({width}, n)")
         if b.shape != (w.shape[1],):
@@ -551,7 +572,7 @@ def _load_network(path: Path, payload: dict, name: str, in_dim: int, out_dim: in
         width = w.shape[1]
     if width != out_dim:
         raise ValueError(f"{path}: {name}: {width} outputs, expected {out_dim}")
-    return net
+    return (in_dim, *(w.shape[1] for w in weights)), [x for pair in zip(weights, biases) for x in pair]
 
 
 def _load_config(path: Path, payload: dict, name: str, cls):
@@ -590,9 +611,9 @@ def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     if lag_depth != env_cfg.j:
         raise ValueError(f"{path}: lag_depth {lag_depth} differs from the env config's j={env_cfg.j}")
     in_dim = lag_depth * OBS_FEATURES_PER_ROW
-    ac = ActorCritic(
-        _load_network(path, payload, "policy", in_dim, 3),
-        _load_network(path, payload, "value", in_dim, 1),
-        lag_depth,
-    )
+    policy_sizes, policy = _load_network(path, payload, "policy", in_dim, 3)
+    value_sizes, value = _load_network(path, payload, "value", in_dim, 1)
+    ac = ActorCritic(policy_sizes, value_sizes, lag_depth)
+    for dst, src in zip(ac.parameters, policy + value):
+        dst[...] = src
     return ac, env_cfg, ppo_cfg

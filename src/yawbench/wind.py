@@ -38,12 +38,20 @@ def set_columns(record, dtypes: dict) -> None:
     """Store each field of the frozen dataclass ``record`` named in ``dtypes`` as
     a read-only 1-d array of that dtype.
 
-    A column that is not 1-d, or not as long as the first, raises
+    The stored array is a read-only view, so an array of the caller's keeps
+    its own flags. A column that is not 1-d, not as long as the first, or
+    int64 but holding a value that is not a whole number, raises
     WindDataError naming the record's class and the column.
     """
     kind, first = type(record).__name__, None
     for name, dtype in dtypes.items():
-        arr = np.asarray(getattr(record, name), dtype=dtype)
+        col = np.asarray(getattr(record, name))
+        if dtype is np.int64 and col.dtype.kind not in "iub":
+            x = col.astype(np.float64)
+            bad = ~((np.abs(x) < 2.0**63) & (x == np.trunc(x)))
+            if bad.any():
+                raise WindDataError(f"{kind} column {name!r} must hold whole numbers, got {float(x[bad][0])}")
+        arr = col.astype(dtype, copy=False).view()
         if arr.ndim != 1:
             raise WindDataError(f"{kind} column {name!r} must be 1-d, got shape {arr.shape}")
         if first is None:

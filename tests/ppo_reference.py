@@ -2,17 +2,22 @@
 
 These are the plain per-call statements that ``yawbench.ppo`` reproduces
 with one encode per step, a preallocated encoder, a lean batch-of-one
-softmax and sampler, and flat-moment Adam: a per-array ``Adam``, an
-``np.stack`` encoder, a ``policy_forward`` and ``sample_action`` built from
-``keepdims`` reductions, ``cumsum`` and ``searchsorted``, and a ``train``
-loop that encodes every observation twice. ``train`` and ``evaluate`` run on
-the reference environment of ``env_reference``, built from the series and
-config of the env they are given. ``ppo_loss`` is the forward-only loss the
-analytic gradients are checked against. The library's outputs must equal
-theirs bit for bit.
+softmax and sampler, values taken after the rollout in one stacked forward,
+and Adam on one flat vector: a per-array ``Adam``, an ``np.stack`` encoder,
+a ``policy_forward`` and ``sample_action`` built from ``keepdims``
+reductions, ``cumsum`` and ``searchsorted``, and a ``train`` loop that
+encodes every observation twice and runs the value network at every step.
+``train`` and ``evaluate`` run on the reference environment of
+``env_reference``, built from the series and config of the env they are
+given. ``ppo_loss_and_grads`` is the loss with ``np.mean`` reductions and
+gradients in freshly allocated arrays; its loss alone, ``ppo_loss``, is what
+the analytic gradients are checked against by finite differences. The
+library's outputs must equal theirs bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,6 +47,17 @@ def encode_batch(obs: np.ndarray) -> np.ndarray:
     return feats.reshape(obs.shape[0], -1)
 
 
+def create_parameters(lag_depth, hidden, rng) -> list[np.ndarray]:
+    """The parameters of both networks as separate arrays, in the draw order
+    of ``ActorCritic.create``: N(0, 1/fan_in) weights, zero biases, policy first."""
+    in_dim = lag_depth * OBS_FEATURES_PER_ROW
+    out = []
+    for sizes in ((in_dim, *hidden, 3), (in_dim, *hidden, 1)):
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            out += [rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in), np.zeros(fan_out)]
+    return out
+
+
 def encode_observation(obs: np.ndarray) -> np.ndarray:
     return encode_batch(obs[None])[0]
 
@@ -69,10 +85,24 @@ def sample_action(probs: np.ndarray, rng) -> tuple[Action, float]:
     return Action(idx), float(np.log(p[idx]))
 
 
+def split(flat, shapes) -> list[np.ndarray]:
+    """Views of consecutive arrays of ``shapes`` into the flat vector ``flat``."""
+    out, lo = [], 0
+    for s in shapes:
+        out.append(flat[lo : lo + math.prod(s)].reshape(s))
+        lo += out[-1].size
+    return out
+
+
 class Adam:
-    """Adaptive-moment optimizer with one moment array per parameter array."""
+    """Adaptive-moment optimizer with one moment array per parameter array.
+
+    ``step`` takes the flat parameter and gradient vectors of the library's
+    ``Adam`` and updates each array of ``shapes`` on its own view.
+    """
 
     def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.shapes = shapes
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -82,6 +112,7 @@ class Adam:
         self.v = [np.zeros(s) for s in shapes]
 
     def step(self, params, grads) -> None:
+        params, grads = split(params, self.shapes), split(grads, self.shapes)
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
@@ -94,7 +125,8 @@ class Adam:
 
 
 def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
-    """The rollout loop that encodes each observation for the forward and again for the buffer."""
+    """The rollout loop that encodes each observation for the forward and again for the
+    buffer, and takes each step's value with a batch-of-one forward as it goes."""
     env = env_reference.YawEnv(env.series, env.cfg)
     rng = np.random.default_rng(cfg.seed)
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
@@ -113,11 +145,13 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     while steps_done < cfg.total_steps:
         buffer.reset()
         episode_returns: list[float] = []
+        values = []
         while not buffer.full:
             probs, value = policy_forward(ac, obs)
+            values.append(value)
             action, logp = sample_action(probs, rng)
             next_obs, reward, done, _ = env.step(action)
-            buffer.add(encode_observation(obs), action, logp, reward, value, done)
+            buffer.add(encode_observation(obs), action, logp, reward, done)
             ep_return += reward
             if done:
                 episode_returns.append(ep_return)
@@ -126,7 +160,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
             else:
                 obs = next_obs
         _, bootstrap = policy_forward(ac, obs)
-        buffer.finalize(bootstrap, cfg.discount, cfg.gae_lambda)
+        buffer.finalize(values, bootstrap, cfg.discount, cfg.gae_lambda)
         stats = ppo_update(ac, buffer, cfg, adam, rng)
         steps_done += cfg.n_steps
         update_idx += 1
@@ -158,26 +192,53 @@ def evaluate(ac, env, mode="greedy", rng=None, start_cycle=0) -> CycleTrace:
     return env_reference.trace_from_records(records)
 
 
-def ppo_loss(ac, obs_enc, actions, logp_old, advantages, returns, clip_eps, value_coef, entropy_coef) -> dict:
-    """Forward-only PPO loss; the reference for the gradient computation."""
-    logits = ac.policy.forward(obs_enc)
-    logp_all = log_softmax(logits)
+def backward(net, acts, d_out) -> list[np.ndarray]:
+    """Gradients w.r.t. every parameter of ``net``, ordered like ``parameters``, in new arrays."""
+    grads = [None] * (2 * len(net.weights))
+    d_h = d_out
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grads[2 * layer] = acts[layer].T @ d_h
+        grads[2 * layer + 1] = d_h.sum(axis=0)
+        if layer > 0:
+            d_h = (d_h @ net.weights[layer].T) * (1.0 - acts[layer] ** 2)
+    return grads
+
+
+def ppo_loss_and_grads(ac, obs_enc, actions, logp_old, advantages, returns, clip_eps, value_coef, entropy_coef):
+    """The loss with ``np.mean`` reductions and ``**2``, and gradients in freshly allocated arrays."""
     n = len(actions)
+    logits, p_acts = ac.policy.forward_cached(obs_enc)
+    logp_all = log_softmax(logits)
+    probs = np.exp(logp_all)
     lp = logp_all[np.arange(n), actions]
     ratio = np.exp(lp - logp_old)
     unclipped = ratio * advantages
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
     policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
-    probs = np.exp(logp_all)
-    entropy = float(np.mean(-np.sum(probs * logp_all, axis=1)))
-    v = ac.value.forward(obs_enc)[:, 0]
-    value_loss = float(np.mean((v - returns) ** 2))
+    entropy_rows = -np.sum(probs * logp_all, axis=1)
+    entropy = float(np.mean(entropy_rows))
+    v_out, v_acts = ac.value.forward_cached(obs_enc)
+    diff = v_out[:, 0] - returns
+    value_loss = float(np.mean(diff**2))
     total = policy_loss + value_coef * value_loss - entropy_coef * entropy
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip_eps))
-    return {
+    active = (unclipped <= clipped).astype(np.float64)
+    d_lp = -(advantages * ratio * active) / n
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), actions] = 1.0
+    d_logits = d_lp[:, None] * (onehot - probs)
+    if entropy_coef != 0.0:
+        d_logits += (entropy_coef / n) * probs * (logp_all + entropy_rows[:, None])
+    grads = backward(ac.policy, p_acts, d_logits) + backward(ac.value, v_acts, ((value_coef * 2.0 / n) * diff)[:, None])
+    stats = {
         "total": total,
         "policy_loss": policy_loss,
         "value_loss": value_loss,
         "entropy": entropy,
-        "clip_fraction": clip_fraction,
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > clip_eps)),
     }
+    return stats, grads
+
+
+def ppo_loss(ac, obs_enc, actions, logp_old, advantages, returns, clip_eps, value_coef, entropy_coef) -> dict:
+    """The reference loss statistics alone; finite differences of ``total`` check the analytic gradients."""
+    return ppo_loss_and_grads(ac, obs_enc, actions, logp_old, advantages, returns, clip_eps, value_coef, entropy_coef)[0]

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yawbench import (
     Action,
@@ -29,7 +31,7 @@ from yawbench import (
 )
 from yawbench.ppo import OBS_FEATURES_PER_ROW, encode_batch, log_softmax
 
-from ppo_reference import ppo_loss, softmax
+from ppo_reference import create_parameters, ppo_loss, softmax
 
 
 def tiny_ac(seed=0, j=2, hidden=(8, 8)):
@@ -48,6 +50,21 @@ def random_batch(seed, ac, n=16, near_old=False):
     advantages = rng.normal(size=n)
     returns = rng.normal(size=n)
     return obs, actions, logp_old, advantages, returns
+
+
+def filled_buffer(seed, ac, n):
+    """A finalized buffer of ``n`` random transitions for ``ac``'s input width."""
+    obs, actions, logp_old, _, _ = random_batch(seed, ac, n=n)
+    rng = np.random.default_rng(seed)
+    buffer = RolloutBuffer(n, obs.shape[1])
+    for row, a, lp in zip(obs, actions, logp_old):
+        buffer.add(row, a, lp, rng.normal(), rng.random() < 0.1)
+    buffer.finalize(rng.normal(size=n), rng.normal(), 0.99, 0.95)
+    return buffer
+
+
+def hexes(ac) -> list[str]:
+    return [x.hex() for x in ac.flat_params.tolist()]
 
 
 class TestPolicyForward:
@@ -294,6 +311,48 @@ class TestLossArithmetic:
                     )
 
 
+class TestFlatStorage:
+    @staticmethod
+    def assert_views(ac):
+        """Every parameter and gradient is a view into its flat vector, laid out in ``parameters`` order."""
+        assert len(ac.parameters) == len(ac.gradients) == 2 * (len(ac.policy.weights) + len(ac.value.weights))
+        offset = 0
+        for p, g in zip(ac.parameters, ac.gradients):
+            assert p.base is ac.flat_params and g.base is ac.flat_grads and p.shape == g.shape
+            assert p.ctypes.data == ac.flat_params.ctypes.data + 8 * offset
+            assert g.ctypes.data == ac.flat_grads.ctypes.data + 8 * offset
+            offset += p.size
+        assert offset == ac.flat_params.size == ac.flat_grads.size
+
+    def test_created_network_is_views_with_the_draws_of_separate_arrays(self):
+        ac = ActorCritic.create(3, (5, 4), np.random.default_rng(8))
+        self.assert_views(ac)
+        expected = create_parameters(3, (5, 4), np.random.default_rng(8))
+        assert [p.tobytes() for p in ac.parameters] == [p.tobytes() for p in expected]
+
+    def test_loaded_network_is_views(self, tmp_path):
+        env = make_env()
+        cfg = small_cfg(total_steps=128, hidden=(6, 5))
+        ac = ActorCritic.create(env.cfg.j, cfg.hidden, np.random.default_rng(1))
+        save_checkpoint(tmp_path / "ck.json", ac, env.cfg, cfg)
+        back, _, _ = load_checkpoint(tmp_path / "ck.json")
+        self.assert_views(back)
+        assert hexes(back) == hexes(ac)
+
+    def test_update_moves_views_and_flat_vector_together(self):
+        ac = tiny_ac(4)
+        before = ac.flat_params.copy()
+        views_before = [p.copy() for p in ac.parameters]
+        cfg = small_cfg(n_steps=32, batch_size=16, epochs=1, total_steps=32)
+        ppo_update(ac, filled_buffer(5, ac, 32), cfg, Adam(ac.flat_params.size, 0.01), np.random.default_rng(6))
+        self.assert_views(ac)
+        assert not np.array_equal(ac.flat_params, before)
+        assert np.concatenate([p.ravel() for p in ac.parameters]).tobytes() == ac.flat_params.tobytes()
+        assert any(not np.array_equal(b, p) for b, p in zip(views_before, ac.parameters))
+        ac.flat_params[0] += 1.0
+        assert ac.policy.weights[0][0, 0] == ac.flat_params[0]
+
+
 def make_env(length=3000, episode_len=16, j=2, seed=40):
     series = generate_synthetic(steady_preset(length_s=length), seed=seed)
     cfg = EnvConfig(
@@ -338,14 +397,16 @@ class TestUpdateAndTrain:
         cfg = small_cfg()
         buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
         obs = env.reset(rng=rng)
+        values = []
         while not buffer.full:
             probs, value = policy_forward(ac, obs)
+            values.append(value)
             a, logp = sample_action(probs, rng)
             obs2, r, done = env.step(a)
-            buffer.add(encode_observation(obs), a, logp, r, value, done)
+            buffer.add(encode_observation(obs), a, logp, r, done)
             obs = env.reset(rng=rng) if done else obs2
-        buffer.finalize(0.0, cfg.discount, cfg.gae_lambda)
-        adam = Adam([p.shape for p in ac.parameters], lr=cfg.learning_rate)
+        buffer.finalize(values, 0.0, cfg.discount, cfg.gae_lambda)
+        adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)
         stats = ppo_update(ac, buffer, cfg, adam, rng)
         assert any(not np.array_equal(b, p) for b, p in zip(before, ac.parameters))
         assert np.isfinite(stats["total"])
@@ -355,7 +416,7 @@ class TestUpdateAndTrain:
         cfg = small_cfg()
         buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
         ac = tiny_ac()
-        adam = Adam([p.shape for p in ac.parameters], lr=0.001)
+        adam = Adam(ac.flat_params.size, lr=0.001)
         with pytest.raises(RuntimeError):
             ppo_update(ac, buffer, cfg, adam, np.random.default_rng(0))
 
@@ -509,6 +570,28 @@ class TestCheckpoint:
         assert ppo_cfg2 == cfg
         for a, b in zip(ac.parameters, ac2.parameters):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=10)
+    @given(
+        seed=st.integers(0, 2**16),
+        j=st.integers(1, 3),
+        hidden=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        entropy_coef=st.sampled_from([0.0, 0.05]),
+    )
+    def test_trained_network_round_trip_then_update_bit_equal(self, tmp_path_factory, seed, j, hidden, entropy_coef):
+        env = make_env(j=j)
+        cfg = small_cfg(
+            n_steps=32, batch_size=16, epochs=2, total_steps=64, hidden=hidden, seed=seed, entropy_coef=entropy_coef
+        )
+        ac, _ = train(env, cfg)
+        path = tmp_path_factory.mktemp("ck") / "ck.json"
+        save_checkpoint(path, ac, env.cfg, cfg)
+        back, _, _ = load_checkpoint(path)
+        assert hexes(back) == hexes(ac)
+        buffer = filled_buffer(seed, ac, 32)
+        for net in (ac, back):
+            ppo_update(net, buffer, cfg, Adam(net.flat_params.size, cfg.learning_rate), np.random.default_rng(seed))
+        assert hexes(back) == hexes(ac)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="checkpoint not found"):

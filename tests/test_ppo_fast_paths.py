@@ -1,9 +1,13 @@
 """Differential property tests: the PPO hot loop against the reference it replaced.
 
-Training (one encode per step, flat-moment Adam, the lean batch-of-one
-softmax and sampler), evaluation, the encoder and the sampler must reproduce
-``ppo_reference`` bit for bit, not merely to a tolerance.
+Training (one encode per step, values in one stacked forward after the
+rollout, Adam on one flat vector, the lean batch-of-one softmax and
+sampler), the loss and its gradients, evaluation, the encoder and the
+sampler must reproduce ``ppo_reference`` bit for bit, not merely to a
+tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from yawbench import (
     YawEnv,
     evaluate,
     generate_synthetic,
+    ppo_loss_and_grads,
     sample_action,
     steady_preset,
     train,
@@ -125,14 +130,17 @@ class TestAdam:
     )
     def test_parameters_match_per_array_reference(self, shapes, lr, steps, seed):
         rng = np.random.default_rng(seed)
-        params = [rng.normal(size=s) for s in shapes]
-        params_ref = [p.copy() for p in params]
-        opt, opt_ref = Adam(shapes, lr), ref.Adam(shapes, lr)
+        size = sum(math.prod(s) for s in shapes)
+        params = rng.normal(size=size)
+        params_ref = params.copy()
+        opt, opt_ref = Adam(size, lr), ref.Adam(shapes, lr)
         for _ in range(steps):
-            grads = grads_for(rng, shapes)
+            grads = np.concatenate([g.ravel() for g in grads_for(rng, shapes)])
+            given_grads = grads.copy()
             opt.step(params, grads)
             opt_ref.step(params_ref, grads)
-        assert all(same_bits(a, b) for a, b in zip(params, params_ref))
+            assert same_bits(grads, given_grads)  # the gradients are read, never overwritten
+        assert same_bits(params, params_ref)
         assert same_bits(opt.m, np.concatenate([m.ravel() for m in opt_ref.m]))
         assert same_bits(opt.v, np.concatenate([v.ravel() for v in opt_ref.v]))
 
@@ -140,13 +148,62 @@ class TestAdam:
         rng = np.random.default_rng(11)
         ac = ActorCritic.create(12, (64, 64), rng)
         shapes = [p.shape for p in ac.parameters]
-        params, params_ref = ac.parameters, [p.copy() for p in ac.parameters]
-        opt, opt_ref = Adam(shapes, 0.003), ref.Adam(shapes, 0.003)
+        params_ref = ac.flat_params.copy()
+        opt, opt_ref = Adam(ac.flat_params.size, 0.003), ref.Adam(shapes, 0.003)
         for _ in range(300):
-            grads = grads_for(rng, shapes)
-            opt.step(params, grads)
-            opt_ref.step(params_ref, grads)
-        assert all(same_bits(a, b) for a, b in zip(params, params_ref))
+            for g, new in zip(ac.gradients, grads_for(rng, shapes)):
+                g[...] = new
+            opt.step(ac.flat_params, ac.flat_grads)
+            opt_ref.step(params_ref, ac.flat_grads)
+        assert same_bits(ac.flat_params, params_ref)
+
+
+class TestStackedValues:
+    @given(
+        j=st.sampled_from([1, 2, 3, 12, 20]),
+        hidden=st.lists(st.integers(1, 80), min_size=1, max_size=3).map(tuple),
+        n=st.integers(1, 130),
+        chunk=st.integers(1, 140),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(j=12, hidden=(64, 64), n=2048, chunk=64, seed=0)  # the shape of a default rollout
+    def test_each_row_matches_a_batch_of_one_forward(self, j, hidden, n, chunk, seed):
+        rng = np.random.default_rng(seed)
+        ac = ActorCritic.create(j, hidden, rng)
+        x = rng.normal(size=(n, j * 5))
+        for net in (ac.policy, ac.value):
+            rows = np.concatenate([net.forward(row[None]) for row in x])
+            assert same_bits(net.forward_rows(x, chunk), rows)
+
+
+class TestLossAndGrads:
+    @given(
+        hidden=st.tuples(widths, widths),
+        n=st.integers(1, 80),
+        j=st.integers(1, 4),
+        clip_eps=st.sampled_from([0.05, 0.2]),
+        value_coef=st.sampled_from([0.0, 0.5, 2.0]),
+        entropy_coef=st.sampled_from([0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stats_and_gradients_match_reference(self, hidden, n, j, clip_eps, value_coef, entropy_coef, seed):
+        rng = np.random.default_rng(seed)
+        ac = ActorCritic.create(j, hidden, rng)
+        args = (
+            rng.normal(size=(n, j * 5)),
+            rng.integers(0, 3, n),
+            rng.normal(-1.1, 0.3, n),
+            rng.normal(size=n),
+            rng.normal(size=n),
+            clip_eps,
+            value_coef,
+            entropy_coef,
+        )
+        stats, grads = ppo_loss_and_grads(ac, *args)
+        stats_ref, grads_ref = ref.ppo_loss_and_grads(ac, *args)
+        assert repr(stats) == repr(stats_ref)
+        assert len(grads) == len(grads_ref) and all(same_bits(g, r) for g, r in zip(grads, grads_ref))
+        assert all(np.shares_memory(g, ac.flat_grads) for g in grads)
 
 
 # Directions at and next to the 0/360 seam, and anywhere on the circle.

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,9 @@ def _columns(record, n):
 
 
 COLUMN_CASES = [(record, name) for record in (WindSeries, NacelleLog, CycleTrace) for name in _columns(record, 1)]
+INT_COLUMN_CASES = [
+    (record, name) for record, name in COLUMN_CASES if name in ("t", "cycle", "action_issued", "action_applied")
+]
 
 
 class TestColumnRecords:
@@ -123,6 +129,49 @@ class TestColumnRecords:
         assert col.ndim == 1 and len(col) == 4 and not col.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             col[0] = col[1]
+
+    @pytest.mark.parametrize("record, name", INT_COLUMN_CASES)
+    @pytest.mark.parametrize("bad", [0.5, 0.9, -1.5, math.nan, math.inf, -math.inf, 1e19])
+    def test_int_column_holding_a_fraction_or_non_finite_named(self, record, name, bad):
+        cols = _columns(record, 4)
+        cols[name] = cols[name].astype(float)
+        cols[name][2] = bad  # was truncated (0.5 -> 0) or cast to an arbitrary integer
+        with pytest.raises(WindDataError, match=rf"^{record.__name__} column '{name}' must hold whole numbers, got {re.escape(str(bad))}$"):
+            record(**cols)
+
+    @pytest.mark.parametrize(
+        "record, cols",
+        [
+            (WindSeries, {"t": [0.5, 1.5, 2.5], "phi": [10.0] * 3, "v": [5.0] * 3}),  # was t = [0, 1, 2]
+            (NacelleLog, {"t": [0.9, 1.9], "theta": [1.0, 2.0]}),  # was t = [0, 1]
+            (CycleTrace, {**_columns(CycleTrace, 2), "action_issued": [0.7, 1.0]}),  # was action 0
+        ],
+    )
+    def test_fractional_int_column_from_a_list_rejected(self, record, cols):
+        with pytest.raises(WindDataError, match="must hold whole numbers"):
+            record(**cols)
+
+    @pytest.mark.parametrize("record, name", INT_COLUMN_CASES)
+    def test_whole_floats_in_an_int_column_stored_as_int64(self, record, name):
+        cols = _columns(record, 4)
+        cols[name] = cols[name].astype(float)
+        col = getattr(record(**cols), name)
+        assert col.dtype == np.int64 and col.tolist() == list(range(4))
+
+    @pytest.mark.parametrize("record, name", COLUMN_CASES)
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_caller_array_stays_writeable(self, record, name, fails):
+        cols = _columns(record, 4)
+        given = cols[name]
+        if fails:  # another column is short, so the construction fails after or before this one is stored
+            other = next(n for n in cols if n != name)
+            cols[other] = cols[other][:3]
+            with pytest.raises(WindDataError):
+                record(**cols)
+        else:
+            assert not getattr(record(**cols), name).flags.writeable
+        assert given.flags.writeable
+        given[0] = given[1]  # was "assignment destination is read-only"
 
     @pytest.mark.parametrize("record, n_min", [(WindSeries, 1), (NacelleLog, 2)])
     def test_too_short_log_named(self, record, n_min):
