@@ -82,8 +82,6 @@ def run_cyca_s(
     """
     n = len(series)
     p = whole_number("cycle_period", cycle_period, "seconds")
-    if n < p:
-        raise ValueError(f"series of {n} samples holds no full {p} s cycle")
 
     dt = int(cfg.inner_period)
     window = int(cfg.target_window)
@@ -148,6 +146,8 @@ def _resample_to_cycles(
     """
     phi, v = cycle_stats(series, p)
     count = len(phi)
+    if count == 0:
+        raise ValueError(f"series of {len(series)} samples holds no full {p} s cycle")
     theta = theta_sec[p - 1 : count * p : p].copy()
     gamma = yaw_error(phi, theta)
     delta = wrap_angle(np.diff(theta, prepend=theta_prev))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -138,24 +138,6 @@ def indifference_misalignment(cfg: EnvConfig, v_tilde: float, correction: float)
     return (cfg.w / v_tilde**3 + correction**2) / (2.0 * correction)
 
 
-TRACE_COLUMNS = (
-    "cycle",
-    "t_s",
-    "phi",
-    "v",
-    "theta",
-    "gamma",
-    "action_issued",
-    "action_applied",
-    "power_kw",
-    "r1",
-    "r2",
-)
-
-_TRACE_INT_COLUMNS = {"cycle", "action_issued", "action_applied"}
-_TRACE_DTYPES = {name: np.int64 if name in _TRACE_INT_COLUMNS else np.float64 for name in TRACE_COLUMNS}
-
-
 @dataclass(frozen=True, eq=False)
 class CycleTrace:
     """Per-cycle record of a control run; the common currency of the benchmark."""
@@ -207,6 +189,11 @@ class CycleTrace:
         raises WindDataError (a ValueError) naming the file and line."""
         cycle, rest = read_log_csv(path, TRACE_COLUMNS, ints=_TRACE_INT_COLUMNS)
         return cls(cycle, *rest)
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(CycleTrace))
+_TRACE_INT_COLUMNS = {"cycle", "action_issued", "action_applied"}
+_TRACE_DTYPES = {name: np.int64 if name in _TRACE_INT_COLUMNS else np.float64 for name in TRACE_COLUMNS}
 
 
 class YawEnv:
@@ -290,10 +277,10 @@ class YawEnv:
             if rng is None:
                 raise ValueError("reset needs either start_cycle or rng")
             start_cycle = int(rng.integers(0, self.max_start_cycle + 1))
-        if not (0 <= start_cycle <= self.max_start_cycle):
+        if not (isinstance(start_cycle, (int, np.integer)) and 0 <= start_cycle <= self.max_start_cycle):
             raise ValueError(
-                f"start_cycle {start_cycle} leaves fewer than episode_len={self.cfg.episode_len} "
-                f"cycles (valid range 0..{self.max_start_cycle})"
+                f"start_cycle must be a whole number in 0..{self.max_start_cycle}, leaving "
+                f"episode_len={self.cfg.episode_len} cycles, got {start_cycle}"
             )
         theta = self._phi[start_cycle] if init_theta == "align" else float(init_theta)
         self._theta = wrap_to_360(theta + align_offset_deg)

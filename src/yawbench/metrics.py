@@ -133,6 +133,8 @@ def compare(
 
 def align_traces(a: CycleTrace, b: CycleTrace) -> tuple[CycleTrace, CycleTrace]:
     """Restrict two traces to their common cycle range (both must cover it)."""
+    if not (len(a) and len(b)):
+        raise ValueError(f"cannot align an empty trace: lengths {len(a)} and {len(b)}")
     lo = max(int(a.cycle[0]), int(b.cycle[0]))
     hi = min(int(a.cycle[-1]), int(b.cycle[-1]))
     if lo > hi:

@@ -26,6 +26,10 @@ reshaped view into them. The backward pass writes into the gradient views,
 and Adam updates the parameter vector in one pass. The loss reductions are
 the arithmetic of ``np.mean`` (a sum, then a division by the count) without
 its call overhead.
+
+A version-2 checkpoint is one JSON object: ``format``, ``version``, the
+``env`` and ``ppo`` config records, and ``params``, ``flat_params`` as a list.
+No network shape is stored; ``env.j`` and ``ppo.hidden`` decide them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, en
 from .power import from_fields, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class PpoConfig:
     value_coef: float = 0.5
     entropy_coef: float = 0.0
     seed: int = 0
-    hidden: tuple[int, int] = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     init_offset_deg: float = 0.0  # training episodes start misaligned by U(-x, x)
 
     def __post_init__(self):
@@ -151,37 +155,35 @@ class Mlp:
             if layer > 0:
                 d_h = (d_h @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
 
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
 
 class ActorCritic:
-    """Policy network (3 logits) and value network (scalar) over the encoded state.
+    """Policy network (3 logits) and value network (scalar) over ``j`` lagged rows, hidden widths ``hidden``.
 
     Every parameter of both networks lives in one float64 vector,
     ``flat_params``, in ``parameters`` order (policy first); their gradients
     live in ``flat_grads``, laid out alike.
     """
 
-    def __init__(self, policy_sizes: tuple[int, ...], value_sizes: tuple[int, ...], lag_depth: int):
+    def __init__(self, j: int, hidden: tuple[int, ...]):
+        policy_sizes, value_sizes = self.layer_sizes(j, hidden)
         n_policy = Mlp.param_count(policy_sizes)
         self.flat_params = np.zeros(n_policy + Mlp.param_count(value_sizes))
         self.flat_grads = np.zeros_like(self.flat_params)
         self.policy = Mlp(policy_sizes, self.flat_params[:n_policy], self.flat_grads[:n_policy])
         self.value = Mlp(value_sizes, self.flat_params[n_policy:], self.flat_grads[n_policy:])
-        self.lag_depth = lag_depth
         self.parameters = self.policy.parameters + self.value.parameters
         self.gradients = self.policy.gradients + self.value.gradients
 
+    @staticmethod
+    def layer_sizes(j: int, hidden: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The layer sizes of the policy and of the value network."""
+        in_dim = j * OBS_FEATURES_PER_ROW
+        return (in_dim, *hidden, 3), (in_dim, *hidden, 1)
+
     @classmethod
-    def create(cls, lag_depth: int, hidden: tuple[int, int], rng: np.random.Generator) -> "ActorCritic":
+    def create(cls, j: int, hidden: tuple[int, ...], rng: np.random.Generator) -> "ActorCritic":
         """Both networks with N(0, 1/fan_in) weights, policy first, and zero biases."""
-        in_dim = lag_depth * OBS_FEATURES_PER_ROW
-        ac = cls((in_dim, *hidden, 3), (in_dim, *hidden, 1), lag_depth)
+        ac = cls(j, hidden)
         for w in ac.policy.weights + ac.value.weights:
             w[...] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
         return ac
@@ -531,48 +533,23 @@ def evaluate(
 
 
 def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfig) -> None:
-    """Structured-text checkpoint carrying the networks and the exact
-    environment settings they were trained with, so evaluation is
-    self-contained."""
+    """Structured-text checkpoint carrying the networks and the exact environment
+    settings they were trained with, so evaluation is self-contained. Raises
+    ValueError unless ``env_cfg.j`` and ``ppo_cfg.hidden`` give ``ac``'s layer sizes."""
+    sizes = (ac.policy.sizes, ac.value.sizes)
+    if sizes != ActorCritic.layer_sizes(env_cfg.j, ppo_cfg.hidden):
+        raise ValueError(f"layer sizes {sizes} do not match j={env_cfg.j}, hidden={ppo_cfg.hidden}")
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "lag_depth": ac.lag_depth,
-        "policy": ac.policy.to_dict(),
-        "value": ac.value.to_dict(),
         "env": env_cfg.to_dict(),
         "ppo": ppo_cfg.to_dict(),
+        "params": ac.flat_params.tolist(),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # dumps runs the C encoder; dump would stream through the pure-Python one.
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
-
-
-def _load_network(path: Path, payload: dict, name: str, in_dim: int, out_dim: int) -> tuple[tuple, list]:
-    """The layer sizes and the parameters (in ``parameters`` order) of the
-    ``name`` network, checked to chain in_dim -> out_dim with finite weights."""
-    try:
-        weights = [np.array(w, dtype=np.float64) for w in payload[name]["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in payload[name]["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {name}: unreadable network: {exc}") from exc
-    width = in_dim
-    if not weights or len(weights) != len(biases):
-        raise ValueError(f"{path}: {name}: {len(weights)} weight and {len(biases)} bias arrays")
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.ndim != 2 or w.shape[0] != width:
-            raise ValueError(f"{path}: {name}.weights[{i}] has shape {w.shape}, expected ({width}, n)")
-        if b.shape != (w.shape[1],):
-            raise ValueError(f"{path}: {name}.biases[{i}] has shape {b.shape}, expected ({w.shape[1]},)")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"{path}: {name}: layer {i} holds non-finite weights")
-        width = w.shape[1]
-    if width != out_dim:
-        raise ValueError(f"{path}: {name}: {width} outputs, expected {out_dim}")
-    return (in_dim, *(w.shape[1] for w in weights)), [x for pair in zip(weights, biases) for x in pair]
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_config(path: Path, payload: dict, name: str, cls):
@@ -586,34 +563,38 @@ def _load_config(path: Path, payload: dict, name: str, cls):
 
 
 def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
-    """Read a ``save_checkpoint`` file; raises ValueError naming the file and
-    the field unless every key is present and known, ``lag_depth`` equals the
-    env config's ``j``, both networks take ``lag_depth`` x 5 inputs and every
-    weight is finite."""
+    """Read a ``save_checkpoint`` file; raises ValueError naming the file and the
+    field unless it is a version-2 JSON object with every key present and known
+    and ``params`` holds as many finite numbers as the configs' networks have."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file"
-        )
-    for key in ("env", "lag_depth", "ppo", "policy", "value"):
-        if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r}")
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
+    head = (payload.get("format"), payload.get("version")) if isinstance(payload, dict) else None
+    if head != (CHECKPOINT_FORMAT, CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file")
+    key = min(payload.keys() ^ {"format", "version", "env", "ppo", "params"}, default=None)
+    if key is not None:
+        raise ValueError(f"{path}: {'unknown' if key in payload else 'missing'} key {key!r}")
     env_cfg = _load_config(path, payload, "env", EnvConfig)
     ppo_cfg = _load_config(path, payload, "ppo", PpoConfig)
+    # counted before the networks are allocated, so a tampered hidden cannot request a huge array
+    n = sum(map(Mlp.param_count, ActorCritic.layer_sizes(env_cfg.j, ppo_cfg.hidden)))
     try:
-        lag_depth = int(payload["lag_depth"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: lag_depth: {exc}") from exc
-    if lag_depth != env_cfg.j:
-        raise ValueError(f"{path}: lag_depth {lag_depth} differs from the env config's j={env_cfg.j}")
-    in_dim = lag_depth * OBS_FEATURES_PER_ROW
-    policy_sizes, policy = _load_network(path, payload, "policy", in_dim, 3)
-    value_sizes, value = _load_network(path, payload, "value", in_dim, 1)
-    ac = ActorCritic(policy_sizes, value_sizes, lag_depth)
-    for dst, src in zip(ac.parameters, policy + value):
-        dst[...] = src
+        params = np.array(payload["params"])
+    except ValueError as exc:  # a ragged list
+        raise ValueError(f"{path}: params: {exc}") from exc
+    if params.shape != (n,) or params.dtype.kind not in "iuf":
+        raise ValueError(
+            f"{path}: params: expected a list of {n} numbers for j={env_cfg.j} and "
+            f"hidden={ppo_cfg.hidden}, got shape {params.shape} of {params.dtype}"
+        )
+    bad = ~np.isfinite(params)
+    if bad.any():
+        raise ValueError(f"{path}: params[{int(np.argmax(bad))}] is {params[bad][0]}, not finite")
+    ac = ActorCritic(env_cfg.j, ppo_cfg.hidden)
+    ac.flat_params[...] = params
     return ac, env_cfg, ppo_cfg

@@ -40,17 +40,19 @@ def set_columns(record, dtypes: dict) -> None:
 
     The stored array is a read-only view, so an array of the caller's keeps
     its own flags. A column that is not 1-d, not as long as the first, or
-    int64 but holding a value that is not a whole number, raises
-    WindDataError naming the record's class and the column.
+    int64 but holding a value that is not a whole number in the int64 range,
+    raises WindDataError naming the record's class and the column.
     """
     kind, first = type(record).__name__, None
     for name, dtype in dtypes.items():
-        col = np.asarray(getattr(record, name))
-        if dtype is np.int64 and col.dtype.kind not in "iub":
+        col, bad = np.asarray(getattr(record, name)), None
+        if dtype is np.int64 and col.dtype == np.uint64:  # the cast would wrap values >= 2**63
+            bad = col > np.iinfo(np.int64).max
+        elif dtype is np.int64 and col.dtype.kind not in "iub":
             x = col.astype(np.float64)
             bad = ~((np.abs(x) < 2.0**63) & (x == np.trunc(x)))
-            if bad.any():
-                raise WindDataError(f"{kind} column {name!r} must hold whole numbers, got {float(x[bad][0])}")
+        if bad is not None and bad.any():
+            raise WindDataError(f"{kind} column {name!r} must hold whole numbers, got {col[bad][0]}")
         arr = col.astype(dtype, copy=False).view()
         if arr.ndim != 1:
             raise WindDataError(f"{kind} column {name!r} must be 1-d, got shape {arr.shape}")

@@ -6,8 +6,6 @@ give these dicts, and ``save_checkpoint`` the bytes of ``checkpoint_text``.
 
 import json
 
-from yawbench.ppo import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
-
 
 def turbine_to_dict(tp) -> dict:
     return {
@@ -89,13 +87,12 @@ def spec_to_dict(spec) -> dict:
 
 
 def checkpoint_text(ac, env_cfg, ppo_cfg) -> str:
+    """A version-2 checkpoint: both configs and every parameter, policy first, layer by layer."""
     payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "lag_depth": ac.lag_depth,
-        "policy": ac.policy.to_dict(),
-        "value": ac.value.to_dict(),
+        "format": "yawbench-checkpoint",
+        "version": 2,
         "env": env_to_dict(env_cfg),
         "ppo": ppo_to_dict(ppo_cfg),
+        "params": [x for p in ac.parameters for x in p.ravel().tolist()],
     }
     return json.dumps(payload, sort_keys=True) + "\n"

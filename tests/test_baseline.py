@@ -194,6 +194,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds, got 10.5"):
             replay_cyca_l(series, log, tp, cycle_period=10.5)
 
+    def test_series_shorter_than_one_cycle_rejected(self, tp):
+        series = flat_series(5)
+        with pytest.raises(ValueError, match="^series of 5 samples holds no full 10 s cycle$"):  # was an empty trace
+            replay_cyca_l(series, NacelleLog(np.arange(5), np.full(5, 50.0)), tp)
+        with pytest.raises(ValueError, match="^series of 5 samples holds no full 10 s cycle$"):
+            run_cyca_s(series, CycaConfig(), tp, init_theta=50.0)
+
     def test_replay_pure(self, tp):
         series = generate_synthetic(steady_preset(length_s=2000), seed=22)
         rng = np.random.default_rng(0)

@@ -125,6 +125,20 @@ class TestReset:
         with pytest.raises(ValueError):
             env.reset(start_cycle=6, init_theta="align")
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, -1, 6, "1"])
+    def test_start_cycle_not_a_whole_number_in_range_named(self, bad):
+        env = YawEnv(flat_series(100), cfg_for(episode_len=4))
+        match = rf"^start_cycle must be a whole number in 0\.\.5, leaving episode_len=4 cycles, got {bad}$"
+        with pytest.raises(ValueError, match=match):  # 1.5 was a bare TypeError
+            env.reset(start_cycle=bad)
+        with pytest.raises(ValueError, match=match):
+            run_actions(env, [1], start_cycle=bad)
+
+    @pytest.mark.parametrize("good", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_start_cycle_accepted(self, good):
+        env = YawEnv(flat_series(100), cfg_for(episode_len=4))
+        assert run_actions(env, [2], start_cycle=good).equals(run_actions(env, [2], start_cycle=3))
+
     def test_reset_requires_rng_or_start(self):
         env = YawEnv(flat_series(100), cfg_for())
         with pytest.raises(ValueError):

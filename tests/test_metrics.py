@@ -262,6 +262,12 @@ class TestAlignAndTables:
         with pytest.raises(ValueError):
             align_traces(a, b)
 
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_align_empty_trace_rejected(self, empty_first):
+        a, b = trace_from_theta(np.full(5, 1.0)), trace_from_theta(np.full(5, 1.0)).slice(0, 0)
+        with pytest.raises(ValueError, match="cannot align an empty trace"):  # was IndexError
+            align_traces(*((b, a) if empty_first else (a, b)))
+
     def test_tables_render(self):
         reports = {"rlyca": report(err=6.18, energy=1173.1), "cyca_s": report(), "cyca_l": report(err=6.91)}
         txt = render_metrics_table(reports, omit_energy={"cyca_l"})

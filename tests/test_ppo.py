@@ -575,7 +575,7 @@ class TestCheckpoint:
     @given(
         seed=st.integers(0, 2**16),
         j=st.integers(1, 3),
-        hidden=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
         entropy_coef=st.sampled_from([0.0, 0.05]),
     )
     def test_trained_network_round_trip_then_update_bit_equal(self, tmp_path_factory, seed, j, hidden, entropy_coef):
@@ -627,51 +627,82 @@ class TestCheckpoint:
         p.write_text(json.dumps(payload))
         return p
 
-    @staticmethod
-    def _set(payload, keys, value):
-        *outer, last = keys
-        for k in outer:
-            payload = payload[k]
-        payload[last] = value
-
     @pytest.mark.parametrize(
-        "edits, field",
+        "edit, field",
         [
-            ([(("lag_depth",), 5)], "lag_depth"),  # was accepted beside a 10-wide input layer
-            ([(("env", "j"), 3)], "lag_depth"),
-            ([(("policy", "weights", 1), [[0.0] * 3] * 5)], r"policy\.weights\[1\]"),
-            ([(("value", "biases", 0), [0.0] * 5)], r"value\.biases\[0\]"),
-            ([(("value", "weights", 0), [[0.0] * 4] * 12)], r"value\.weights\[0\]"),
-            (
-                [(("policy", "weights", 2), [[0.0] * 2] * 3), (("policy", "biases", 2), [0.0] * 2)],
-                "policy: 2 outputs, expected 3",
-            ),
-            (
-                [(("value", "weights", 2), [[0.0] * 3] * 3), (("value", "biases", 2), [0.0] * 3)],
-                "value: 3 outputs, expected 1",
-            ),
-            ([(("policy", "weights", 0, 3, 1), float("nan"))], "policy: layer 0 holds non-finite"),  # was accepted
-            ([(("value", "biases", 2, 0), float("inf"))], "value: layer 2 holds non-finite"),
-            ([(("policy", "weights"), [])], "policy: 0 weight"),
-            ([(("policy", "weights", 1), [[0.0, 1.0], [0.0]])], "policy: unreadable"),
+            (lambda payload: payload["params"].pop(), r"params: expected a list of 134 numbers .* got shape \(133,\)"),
+            (lambda payload: payload["ppo"].update(hidden=[4, 4]), r"params: expected a list of 148 numbers"),
+            (lambda payload: payload["ppo"].update(hidden=[10**9]), r"params: expected a list of 26000000004 numbers"),
+            (lambda payload: payload["env"].update(j=3), r"params: expected a list of 174 numbers for j=3"),
+            (lambda payload: payload["params"].__setitem__(5, float("nan")), r"params\[5\] is nan, not finite"),
+            (lambda payload: payload["params"].__setitem__(7, float("inf")), r"params\[7\] is inf, not finite"),
+            (lambda payload: payload["params"].__setitem__(0, -float("inf")), r"params\[0\] is -inf, not finite"),
+            (lambda payload: payload["params"].__setitem__(3, [0.0, 1.0]), r"params: setting an array element"),
+            (lambda payload: payload.update(params=[[x] for x in payload["params"]]), r"got shape \(134, 1\)"),
+            (lambda payload: payload["params"].__setitem__(3, "0.5"), r"params: expected .* of <U"),
+            (lambda payload: payload["params"].__setitem__(3, None), r"params: expected .* of object"),
+            (lambda payload: payload.update(params={"policy": []}), r"params: expected .* got shape \(\)"),
         ],
     )
-    def test_bad_checkpoint_rejected_naming_file_and_field(self, tmp_path, edits, field):
-        def edit(payload):
-            for keys, value in edits:
-                self._set(payload, keys, value)
-
+    def test_bad_params_rejected_naming_file_and_field(self, tmp_path, edit, field):
         p = self._tampered(tmp_path, edit)
         with pytest.raises(ValueError, match=field) as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
 
-    @pytest.mark.parametrize("key", ["env", "lag_depth", "ppo", "policy", "value"])
+    @pytest.mark.parametrize("key", ["env", "ppo", "params"])
     def test_missing_top_level_key_named(self, tmp_path, key):
         p = self._tampered(tmp_path, lambda payload: payload.pop(key))  # was a bare KeyError
         with pytest.raises(ValueError, match=rf"missing key '{key}'") as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["lag_depth", "policy", "bogus"])
+    def test_unknown_top_level_key_named(self, tmp_path, key):
+        p = self._tampered(tmp_path, lambda payload: payload.update({key: 2}))
+        with pytest.raises(ValueError, match=rf"unknown key '{key}'") as err:
+            load_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]\n",  # was AttributeError: 'list' object has no attribute 'get'
+            "3\n",
+            json.dumps({"format": "yawbench-checkpoint", "version": 1, "lag_depth": 2, "policy": {}, "value": {}}),
+        ],
+    )
+    def test_not_a_version_2_checkpoint_named(self, tmp_path, text):
+        p = tmp_path / "ck.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=r"not a version-2 yawbench-checkpoint file") as err:
+            load_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("data", [b'{"format": "yawbench-checkpoint", ', b"\xff\xfe{}"])
+    def test_invalid_json_named(self, tmp_path, data):
+        p = tmp_path / "ck.json"
+        p.write_bytes(data)  # was a bare JSONDecodeError or UnicodeDecodeError
+        with pytest.raises(ValueError, match=r"not JSON") as err:
+            load_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "j, hidden, match",
+        [
+            (3, (4, 3), r"\(10, 4, 3, 3\), \(10, 4, 3, 1\)\) do not match j=3, hidden=\(4, 3\)$"),
+            (2, (4, 4), r"^layer sizes \(\(10, 4, 3, 3\), \(10, 4, 3, 1\)\) do not match"),
+            (2, (4,), r"hidden=\(4,\)"),
+            (2, (4, 3, 2), r"hidden=\(4, 3, 2\)"),
+        ],
+    )
+    def test_save_rejects_networks_that_do_not_match_the_configs(self, tmp_path, j, hidden, match):
+        ac = ActorCritic.create(2, (4, 3), np.random.default_rng(0))
+        env_cfg = make_env(j=j).cfg
+        p = tmp_path / "ck.json"
+        with pytest.raises(ValueError, match=match):
+            save_checkpoint(p, ac, env_cfg, small_cfg(total_steps=128, hidden=hidden))
+        assert not p.exists()
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -681,9 +712,8 @@ class TestCheckpoint:
             (lambda payload: payload["env"]["turbine"].update(bogus=1), r"env: .*'bogus'"),
             (lambda payload: payload["env"].pop("standardizer_scale"), r"env: missing key 'standardizer_scale'"),
             (lambda payload: payload["env"].pop("turbine"), r"env: missing key 'turbine'"),
-            (lambda payload: payload.update(lag_depth=None), r"lag_depth: int\(\) argument"),  # was a bare TypeError
-            (lambda payload: payload.update(lag_depth="x"), r"lag_depth: invalid literal"),
             (lambda payload: payload["ppo"].update(learning_rate=float("nan")), r"ppo: learning_rate must be finite"),
+            (lambda payload: payload["ppo"].update(hidden=[]), r"ppo: hidden layer widths must be positive"),
         ],
     )
     def test_bad_config_key_named(self, tmp_path, edit, match):
@@ -691,12 +721,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match) as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
-
-    def test_input_width_must_be_lag_depth_times_five(self, tmp_path):
-        def widen(payload):
-            payload["lag_depth"] = payload["env"]["j"] = 3  # inputs stay 10 wide
-        with pytest.raises(ValueError, match=r"policy\.weights\[0\] has shape \(10, 4\), expected \(15, n\)"):
-            load_checkpoint(self._tampered(tmp_path, widen))
 
     def test_training_checkpoints_reproducible(self, tmp_path):
         paths = []

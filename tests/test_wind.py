@@ -158,6 +158,22 @@ class TestColumnRecords:
         col = getattr(record(**cols), name)
         assert col.dtype == np.int64 and col.tolist() == list(range(4))
 
+    @pytest.mark.parametrize("record, name", INT_COLUMN_CASES)
+    def test_uint64_column_beyond_int64_named(self, record, name):
+        cols = _columns(record, 4)
+        cols[name] = cols[name].astype(np.uint64)
+        col = getattr(record(**cols), name)
+        assert col.dtype == np.int64 and col.tolist() == list(range(4))
+        cols[name][1] = 2**63  # was wrapped to -2**63
+        match = rf"^{record.__name__} column '{name}' must hold whole numbers, got {2**63}$"
+        with pytest.raises(WindDataError, match=match):
+            record(**cols)
+
+    def test_uint64_timestamp_that_would_wrap_to_minus_one_rejected(self):
+        match = r"^WindSeries column 't' must hold whole numbers, got 18446744073709551615$"
+        with pytest.raises(WindDataError, match=match):
+            WindSeries(np.array([2**64 - 1, 0, 1], dtype=np.uint64), [1.0] * 3, [5.0] * 3)  # was t = [-1, 0, 1]
+
     @pytest.mark.parametrize("record, name", COLUMN_CASES)
     @pytest.mark.parametrize("fails", [False, True])
     def test_caller_array_stays_writeable(self, record, name, fails):
