@@ -58,7 +58,6 @@ from .ppo import (
     Adam,
     Mlp,
     PpoConfig,
-    RolloutBuffer,
     compute_gae,
     encode_observation,
     evaluate,

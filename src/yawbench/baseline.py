@@ -227,7 +227,10 @@ def calibrate_threshold(
 
     Returns the threshold whose usage lands closest to ``target_pct`` (ties go
     to the smaller threshold) along with the usage measured for each candidate.
+    A ``target_pct`` outside [0, 100] (NaN and inf included) raises ValueError.
     """
+    if not 0.0 <= target_pct <= 100.0:  # False for NaN too
+        raise ValueError(f"target_pct must be a finite percentage in [0, 100], got {target_pct}")
     grid = [float(x) for x in thresholds]
     if not grid:
         raise ValueError("empty calibration grid")

@@ -359,7 +359,7 @@ def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
 
 def run_constant_action(env: YawEnv, action: Action, n_steps: int | None = None, **reset_kwargs) -> CycleTrace:
     """Reset ``env`` and repeat one action until done (or for ``n_steps``)."""
-    limit = env.cfg.episode_len if n_steps is None else n_steps
+    limit = env.cfg.episode_len if n_steps is None else whole_number("n_steps", n_steps)
     return run_actions(env, [action] * limit, **reset_kwargs)
 
 

@@ -53,7 +53,7 @@ class PpoConfig:
     learning_rate: float = 0.003
     n_steps: int = 2048        # transitions collected per update
     batch_size: int = 64
-    epochs: int = 10           # passes over the buffer per update
+    epochs: int = 10           # passes over the rollout per update
     discount: float = 0.99
     gae_lambda: float = 0.95
     total_steps: int = 200_000
@@ -260,49 +260,6 @@ def compute_gae(
     return adv, adv + v
 
 
-class RolloutBuffer:
-    """Fixed-size on-policy storage for one update's worth of transitions."""
-
-    def __init__(self, n_steps: int, in_dim: int):
-        self.n_steps = n_steps
-        self.obs = np.zeros((n_steps, in_dim))
-        self.actions = np.zeros(n_steps, dtype=np.int64)
-        self.logp = np.zeros(n_steps)
-        self.rewards = np.zeros(n_steps)
-        self.dones = np.zeros(n_steps, dtype=bool)
-        self.advantages: np.ndarray | None = None
-        self.returns: np.ndarray | None = None
-        self.idx = 0
-
-    @property
-    def full(self) -> bool:
-        return self.idx >= self.n_steps
-
-    def add(self, obs_enc, action, logp, reward, done) -> None:
-        if self.full:
-            raise RuntimeError("rollout buffer is full")
-        i = self.idx
-        self.obs[i] = obs_enc
-        self.actions[i] = int(action)
-        self.logp[i] = logp
-        self.rewards[i] = reward
-        self.dones[i] = done
-        self.idx += 1
-
-    def finalize(self, values, bootstrap_value: float, discount: float, gae_lambda: float) -> None:
-        """Advantages and returns from the state value of each stored step and of the step after."""
-        if not self.full:
-            raise RuntimeError("cannot finalize a partially filled buffer")
-        self.advantages, self.returns = compute_gae(
-            self.rewards, values, self.dones, bootstrap_value, discount, gae_lambda
-        )
-
-    def reset(self) -> None:
-        self.idx = 0
-        self.advantages = None
-        self.returns = None
-
-
 def ppo_loss_and_grads(
     ac: ActorCritic,
     obs_enc: np.ndarray,
@@ -371,15 +328,15 @@ class Adam:
     """Adaptive-moment optimizer over one flat parameter vector.
 
     ``step`` updates ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
-    ``p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)`` elementwise, in the operand
-    order of the per-array form, so the result is the same to the bit.
+    ``p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)`` elementwise with the fixed
+    ``b1, b2, eps = BETA1, BETA2, EPS``, in the operand order of the
+    per-array form, so the result is the same to the bit.
     """
 
-    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m, self.v = np.zeros(size), np.zeros(size)
         self._step, self._denom = np.empty(size), np.empty(size)  # scratch
@@ -387,41 +344,48 @@ class Adam:
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update the flat vector ``params`` in place from its gradient vector ``grads``."""
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         m, v, step, denom = self.m, self.v, self._step, self._denom
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, grads, out=step)
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, grads, out=step)
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, grads, out=step)
+        v *= self.BETA2
+        np.multiply(1.0 - self.BETA2, grads, out=step)
         v += np.multiply(step, grads, out=step)
         np.divide(m, b1c, out=step)
         np.multiply(self.lr, step, out=step)
         np.divide(v, b2c, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         step /= denom
         params -= step
 
 
 def ppo_update(
     ac: ActorCritic,
-    buffer: RolloutBuffer,
+    obs_enc: np.ndarray,
+    actions: np.ndarray,
+    logp_old: np.ndarray,
+    advantages: np.ndarray,
+    returns: np.ndarray,
     cfg: PpoConfig,
     adam: Adam,
     rng: np.random.Generator,
 ) -> dict:
-    """One PPO update: ``epochs`` passes over shuffled minibatches of the buffer.
+    """One PPO update: ``epochs`` passes over shuffled minibatches of one rollout.
 
+    Row ``t`` of each array belongs to step ``t`` of the rollout; an array
+    that does not hold ``cfg.n_steps`` rows raises ValueError naming it.
     Advantages are normalized to mean 0 / std 1 once per update. Raises
     FloatingPointError (leaving parameters at their last finite state) if a
     minibatch loss turns non-finite.
     """
-    if not buffer.full or buffer.advantages is None:
-        raise RuntimeError("buffer must be full and finalized before an update")
-    adv = buffer.advantages
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    n = buffer.n_steps
+    n = cfg.n_steps
+    names = ("obs_enc", "actions", "logp_old", "advantages", "returns")
+    for name, a in zip(names, (obs_enc, actions, logp_old, advantages, returns)):
+        if np.shape(a)[:1] != (n,):
+            raise ValueError(f"{name} must hold n_steps={n} rows, got shape {np.shape(a)}")
+    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     agg = {"total": 0.0, "policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_fraction": 0.0}
     batches = 0
     for _ in range(cfg.epochs):
@@ -429,15 +393,8 @@ def ppo_update(
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             stats, _ = ppo_loss_and_grads(
-                ac,
-                buffer.obs[idx],
-                buffer.actions[idx],
-                buffer.logp[idx],
-                adv[idx],
-                buffer.returns[idx],
-                cfg.clip_eps,
-                cfg.value_coef,
-                cfg.entropy_coef,
+                ac, obs_enc[idx], actions[idx], logp_old[idx], adv[idx], returns[idx],
+                cfg.clip_eps, cfg.value_coef, cfg.entropy_coef,
             )
             adam.step(ac.flat_params, ac.flat_grads)
             for key in agg:
@@ -449,6 +406,7 @@ def ppo_update(
 def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     """Train on ``env``, alternating n-step rollouts and clipped updates.
 
+    A rollout is five preallocated arrays, written a row per step.
     Episodes restart (at rng-drawn windows, nacelle aligned up to a random
     offset of at most ``init_offset_deg``) whenever one finishes mid-rollout.
     Returns the trained networks and the learning-curve records, one per
@@ -457,7 +415,9 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     rng = np.random.default_rng(cfg.seed)
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
     adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)
-    buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
+    n = cfg.n_steps
+    obs, actions = np.empty((n, env.cfg.j * OBS_FEATURES_PER_ROW)), np.empty(n, dtype=np.int64)
+    logp, rewards, dones = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
     def fresh_episode() -> None:
         offset = rng.uniform(-cfg.init_offset_deg, cfg.init_offset_deg) if cfg.init_offset_deg > 0 else 0.0
@@ -465,33 +425,27 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
 
     fresh_episode()
     curve: list[dict] = []
-    steps_done = 0
-    update_idx = 0
     ep_return = 0.0
-    while steps_done < cfg.total_steps:
-        buffer.reset()
+    for update_idx in range(1, -(-cfg.total_steps // n) + 1):  # ceil: a partial last rollout runs in full
         episode_returns: list[float] = []
-        while not buffer.full:
-            # a step writes the row above this view, so it still holds the observation acted on
-            x = env.encoded_observation
-            action, logp = sample_action(_policy_probs(ac, x), rng)
+        for t in range(n):
+            x = obs[t] = env.encoded_observation
+            action, logp[t] = sample_action(_policy_probs(ac, x), rng)
             _, reward, done = env.step(action)
-            buffer.add(x, action, logp, reward, done)
+            actions[t], rewards[t], dones[t] = action, reward, done
             ep_return += reward
             if done:
                 episode_returns.append(ep_return)
                 ep_return = 0.0
                 fresh_episode()
-        values = ac.value.forward_rows(buffer.obs, cfg.batch_size)[:, 0]
+        values = ac.value.forward_rows(obs, cfg.batch_size)[:, 0]
         bootstrap = float(ac.value.forward(env.encoded_observation[None])[0, 0])
-        buffer.finalize(values, bootstrap, cfg.discount, cfg.gae_lambda)
-        stats = ppo_update(ac, buffer, cfg, adam, rng)
-        steps_done += cfg.n_steps
-        update_idx += 1
+        advantages, returns = compute_gae(rewards, values, dones, bootstrap, cfg.discount, cfg.gae_lambda)
+        stats = ppo_update(ac, obs, actions, logp, advantages, returns, cfg, adam, rng)
         curve.append(
             {
                 "update_idx": update_idx,
-                "steps": steps_done,
+                "steps": update_idx * n,
                 "mean_return": float(np.mean(episode_returns)) if episode_returns else float("nan"),
                 "policy_loss": stats["policy_loss"],
                 "value_loss": stats["value_loss"],
@@ -522,7 +476,7 @@ def evaluate(
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic evaluation needs an rng")
     env.reset(start_cycle=start_cycle, init_theta=init_theta, align_offset_deg=align_offset_deg, rng=rng)
-    limit = env.cfg.episode_len if n_steps is None else n_steps
+    limit = env.cfg.episode_len if n_steps is None else whole_number("n_steps", n_steps)
     greedy = mode == "greedy"
     for _ in range(limit):
         probs = _policy_probs(ac, env.encoded_observation)

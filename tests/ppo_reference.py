@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 import env_reference
-from yawbench import Action, ActorCritic, CycleTrace, PpoConfig, RolloutBuffer, YawEnv, ppo_update
+from yawbench import Action, ActorCritic, CycleTrace, PpoConfig, YawEnv, compute_gae, ppo_update
 from yawbench.ppo import OBS_FEATURES_PER_ROW, log_softmax
 
 
@@ -125,13 +125,13 @@ class Adam:
 
 
 def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
-    """The rollout loop that encodes each observation for the forward and again for the
-    buffer, and takes each step's value with a batch-of-one forward as it goes."""
+    """The rollout loop that collects each step in lists, encodes each observation for the
+    forward and again for the rollout, and takes each step's value with a batch-of-one
+    forward as it goes."""
     env = env_reference.YawEnv(env.series, env.cfg)
     rng = np.random.default_rng(cfg.seed)
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
     adam = Adam([p.shape for p in ac.parameters], lr=cfg.learning_rate)
-    buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
 
     def fresh_episode() -> np.ndarray:
         offset = rng.uniform(-cfg.init_offset_deg, cfg.init_offset_deg) if cfg.init_offset_deg > 0 else 0.0
@@ -143,15 +143,13 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     update_idx = 0
     ep_return = 0.0
     while steps_done < cfg.total_steps:
-        buffer.reset()
         episode_returns: list[float] = []
-        values = []
-        while not buffer.full:
+        rows = []
+        for _ in range(cfg.n_steps):
             probs, value = policy_forward(ac, obs)
-            values.append(value)
             action, logp = sample_action(probs, rng)
             next_obs, reward, done, _ = env.step(action)
-            buffer.add(encode_observation(obs), action, logp, reward, done)
+            rows.append((encode_observation(obs), int(action), logp, reward, done, value))
             ep_return += reward
             if done:
                 episode_returns.append(ep_return)
@@ -160,8 +158,9 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
             else:
                 obs = next_obs
         _, bootstrap = policy_forward(ac, obs)
-        buffer.finalize(values, bootstrap, cfg.discount, cfg.gae_lambda)
-        stats = ppo_update(ac, buffer, cfg, adam, rng)
+        obs_enc, actions, logp_old, rewards, dones, values = map(np.array, zip(*rows))
+        advantages, returns = compute_gae(rewards, values, dones, bootstrap, cfg.discount, cfg.gae_lambda)
+        stats = ppo_update(ac, obs_enc, actions, logp_old, advantages, returns, cfg, adam, rng)
         steps_done += cfg.n_steps
         update_idx += 1
         curve.append(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,19 @@ class TestCalibration:
             trace = run_cyca_s(series, CycaConfig(threshold=thr), tp, 34.1)
             moving = np.concatenate([[False], np.abs(wrap_angle(np.diff(trace.theta))) > 0])
             assert usage == float(100.0 * np.mean(moving))
+
+    @pytest.mark.parametrize("target_pct", [math.nan, -5.0, 250.0, math.inf, -math.inf])
+    def test_target_pct_outside_0_to_100_rejected(self, tp, target_pct):
+        # with the grid below these returned 300.0, 20000.0 and 300.0 without a word
+        series = generate_synthetic(steady_preset(length_s=3000), seed=24)
+        with pytest.raises(ValueError, match="target_pct must be a finite percentage in"):
+            calibrate_threshold(series, CycaConfig(), tp, 34.1, [300.0, 20000.0], target_pct=target_pct)
+
+    @pytest.mark.parametrize("target_pct", [0.0, 100.0])
+    def test_target_pct_bounds_accepted(self, tp, target_pct):
+        series = generate_synthetic(steady_preset(length_s=3000), seed=24)
+        best, _ = calibrate_threshold(series, CycaConfig(), tp, 34.1, [300.0, 20000.0], target_pct=target_pct)
+        assert best in (300.0, 20000.0)
 
     def test_empty_grid_rejected(self, tp):
         series = flat_series(100)

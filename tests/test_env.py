@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -336,6 +337,18 @@ class TestTrace:
         assert back.equals(trace)
         header = p.read_text().splitlines()[0]
         assert header == "cycle,t_s,phi,v,theta,gamma,action_issued,action_applied,power_kw,r1,r2"
+
+    @pytest.mark.parametrize("n_steps", [1.5, math.inf, math.nan, -3, 0])
+    def test_constant_action_n_steps_must_be_a_positive_whole_number(self, n_steps):
+        env = YawEnv(flat_series(2000), cfg_for(episode_len=12))
+        with pytest.raises(ValueError, match="n_steps must be a positive whole number"):
+            run_constant_action(env, Action.STAY, n_steps=n_steps, start_cycle=0)
+
+    def test_constant_action_whole_float_n_steps_accepted(self):
+        env = YawEnv(flat_series(2000), cfg_for(episode_len=12))
+        trace = run_constant_action(env, Action.STAY, n_steps=3.0, start_cycle=0)
+        assert trace.equals(run_constant_action(env, Action.STAY, n_steps=3, start_cycle=0))
+        assert len(trace.cycle) == 3
 
     def _written_lines(self, tmp_path):
         series = generate_synthetic(steady_preset(length_s=2000), seed=15)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from yawbench import (
     EnvConfig,
     Mlp,
     PpoConfig,
-    RolloutBuffer,
     Standardizer,
     YawEnv,
     compute_gae,
@@ -52,15 +52,13 @@ def random_batch(seed, ac, n=16, near_old=False):
     return obs, actions, logp_old, advantages, returns
 
 
-def filled_buffer(seed, ac, n):
-    """A finalized buffer of ``n`` random transitions for ``ac``'s input width."""
+def random_rollout(seed, ac, n):
+    """The five ``ppo_update`` arrays of ``n`` random transitions for ``ac``'s input width."""
     obs, actions, logp_old, _, _ = random_batch(seed, ac, n=n)
     rng = np.random.default_rng(seed)
-    buffer = RolloutBuffer(n, obs.shape[1])
-    for row, a, lp in zip(obs, actions, logp_old):
-        buffer.add(row, a, lp, rng.normal(), rng.random() < 0.1)
-    buffer.finalize(rng.normal(size=n), rng.normal(), 0.99, 0.95)
-    return buffer
+    rewards, dones = zip(*[(rng.normal(), rng.random() < 0.1) for _ in range(n)])
+    advantages, returns = compute_gae(rewards, rng.normal(size=n), dones, rng.normal(), 0.99, 0.95)
+    return obs, actions, logp_old, advantages, returns
 
 
 def hexes(ac) -> list[str]:
@@ -286,7 +284,7 @@ class TestLossArithmetic:
         assert np.all(surr <= np.maximum(unclipped, clipped) + 1e-15)
 
     def test_gradients_match_finite_differences(self):
-        # 20 random instances of a small network and buffer, central differences
+        # 20 random instances of a small network and minibatch, central differences
         h = 1e-5
         for case in range(20):
             ac = tiny_ac(seed=100 + case)
@@ -344,7 +342,7 @@ class TestFlatStorage:
         before = ac.flat_params.copy()
         views_before = [p.copy() for p in ac.parameters]
         cfg = small_cfg(n_steps=32, batch_size=16, epochs=1, total_steps=32)
-        ppo_update(ac, filled_buffer(5, ac, 32), cfg, Adam(ac.flat_params.size, 0.01), np.random.default_rng(6))
+        ppo_update(ac, *random_rollout(5, ac, 32), cfg, Adam(ac.flat_params.size, 0.01), np.random.default_rng(6))
         self.assert_views(ac)
         assert not np.array_equal(ac.flat_params, before)
         assert np.concatenate([p.ravel() for p in ac.parameters]).tobytes() == ac.flat_params.tobytes()
@@ -395,30 +393,32 @@ class TestUpdateAndTrain:
         ac = ActorCritic.create(env.cfg.j, (16, 16), rng)
         before = [p.copy() for p in ac.parameters]
         cfg = small_cfg()
-        buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
         obs = env.reset(rng=rng)
-        values = []
-        while not buffer.full:
+        rows = []
+        for _ in range(cfg.n_steps):
             probs, value = policy_forward(ac, obs)
-            values.append(value)
             a, logp = sample_action(probs, rng)
             obs2, r, done = env.step(a)
-            buffer.add(encode_observation(obs), a, logp, r, done)
+            rows.append((encode_observation(obs), int(a), logp, r, done, value))
             obs = env.reset(rng=rng) if done else obs2
-        buffer.finalize(values, 0.0, cfg.discount, cfg.gae_lambda)
+        obs_enc, actions, logp_old, rewards, dones, values = map(np.array, zip(*rows))
+        advantages, returns = compute_gae(rewards, values, dones, 0.0, cfg.discount, cfg.gae_lambda)
         adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)
-        stats = ppo_update(ac, buffer, cfg, adam, rng)
+        stats = ppo_update(ac, obs_enc, actions, logp_old, advantages, returns, cfg, adam, rng)
         assert any(not np.array_equal(b, p) for b, p in zip(before, ac.parameters))
         assert np.isfinite(stats["total"])
 
-    def test_unfinalized_buffer_rejected(self):
-        env = make_env()
-        cfg = small_cfg()
-        buffer = RolloutBuffer(cfg.n_steps, env.cfg.j * OBS_FEATURES_PER_ROW)
+    @pytest.mark.parametrize("which, name", enumerate(["obs_enc", "actions", "logp_old", "advantages", "returns"]))
+    @pytest.mark.parametrize("rows", [31, 33, 0])
+    def test_update_rejects_an_array_not_n_steps_long(self, which, name, rows):
+        cfg = small_cfg(n_steps=32, batch_size=16, epochs=1, total_steps=32)
         ac = tiny_ac()
-        adam = Adam(ac.flat_params.size, lr=0.001)
-        with pytest.raises(RuntimeError):
-            ppo_update(ac, buffer, cfg, adam, np.random.default_rng(0))
+        before = hexes(ac)
+        arrays = list(random_rollout(1, ac, 32))
+        arrays[which] = np.resize(arrays[which], (rows, *arrays[which].shape[1:]))
+        with pytest.raises(ValueError, match=rf"^{name} must hold n_steps=32 rows, got shape \({rows},"):
+            ppo_update(ac, *arrays, cfg, Adam(ac.flat_params.size, lr=0.001), np.random.default_rng(0))
+        assert hexes(ac) == before
 
     def test_advantage_normalization_in_update(self):
         env = make_env()
@@ -549,6 +549,17 @@ class TestEvaluate:
         evaluate(ac, env, mode="greedy", start_cycle=0)
         assert all(np.array_equal(b, p) for b, p in zip(before, ac.parameters))
 
+    @pytest.mark.parametrize("n_steps", [1.5, math.inf, math.nan, -3, 0])
+    def test_n_steps_must_be_a_positive_whole_number(self, n_steps):
+        env = make_env()
+        with pytest.raises(ValueError, match="n_steps must be a positive whole number"):
+            evaluate(tiny_ac(), env, n_steps=n_steps)
+
+    def test_whole_float_n_steps_accepted(self):
+        env, ac = make_env(), tiny_ac()
+        assert evaluate(ac, env, n_steps=3.0).equals(evaluate(ac, env, n_steps=3))
+        assert len(evaluate(ac, env, n_steps=3).cycle) == 3
+
     def test_mode_validation(self):
         env = make_env()
         ac = tiny_ac()
@@ -588,9 +599,9 @@ class TestCheckpoint:
         save_checkpoint(path, ac, env.cfg, cfg)
         back, _, _ = load_checkpoint(path)
         assert hexes(back) == hexes(ac)
-        buffer = filled_buffer(seed, ac, 32)
+        rollout = random_rollout(seed, ac, 32)
         for net in (ac, back):
-            ppo_update(net, buffer, cfg, Adam(net.flat_params.size, cfg.learning_rate), np.random.default_rng(seed))
+            ppo_update(net, *rollout, cfg, Adam(net.flat_params.size, cfg.learning_rate), np.random.default_rng(seed))
         assert hexes(back) == hexes(ac)
 
     def test_missing_file(self, tmp_path):
