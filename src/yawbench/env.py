@@ -17,12 +17,11 @@ direction as its (sin, cos) pair (raw degrees are discontinuous at the seam),
 and the standardized speed as is - five features per lagged row.
 
 ``YawEnv`` keeps what a step needs as columns. The wind features of every
-cycle are encoded once, when the env is built. The raw and the encoded
-observation rows live in two tables of ``episode_len + j`` rows, newest row
-first, filled from the end toward the start, so the observation is a
-contiguous slice and a step writes one row to each table. ``step`` returns
-``(obs, reward, done)`` and records the cycle in preallocated trace columns;
-``trace()`` builds the episode's ``CycleTrace`` from them once.
+cycle are encoded once, when the env is built. The encoded observation rows
+live in one table of ``episode_len + j`` rows, newest first, filled from the
+end, so the network input is a contiguous slice and a step writes one row.
+``step`` returns ``(reward, done)`` and records the cycle in preallocated
+trace columns, from which ``observation`` and ``trace()`` are built on demand.
 """
 
 from __future__ import annotations
@@ -127,14 +126,12 @@ def indifference_misalignment(cfg: EnvConfig, v_tilde: float, correction: float)
 
     Solves -(gamma - correction)^2 v~^3 = -gamma^2 v~^3 + w for gamma, i.e.
     gamma* = (w / v~^3 + correction^2) / (2 correction). Strictly decreasing in
-    the standardized wind speed: fast wind buys more correction.
+    the standardized wind speed: fast wind buys more correction. Raises
+    ValueError unless both are finite and positive.
     """
-    if correction == 0:
-        raise ZeroDivisionError("correction must be positive, got 0")
-    if correction < 0:
-        raise ValueError(f"correction must be positive, got {correction}")
-    if not v_tilde > 0:
-        raise ValueError(f"v_tilde must be positive, got {v_tilde}")
+    for name, x in (("correction", correction), ("v_tilde", v_tilde)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x}")
     return (cfg.w / v_tilde**3 + correction**2) / (2.0 * correction)
 
 
@@ -200,8 +197,8 @@ class YawEnv:
     """Gym-style environment over a wind series.
 
     ``step(action)`` takes 0, 1 or 2 (an ``Action``) and returns
-    ``(obs, reward, done)``, where ``obs`` is the j x 4 matrix of
-    (action, gamma, phi, v_tilde) rows, newest first.
+    ``(reward, done)``. ``observation``, which ``reset`` returns, is the j x 4
+    matrix of (action, gamma, phi, v_tilde) rows, newest first.
     ``encoded_observation`` is the same observation as the read-only network
     input of ``encode_batch``, bit for bit, and ``trace()`` returns the
     ``CycleTrace`` of the steps since the last ``reset``.
@@ -225,7 +222,7 @@ class YawEnv:
         self._wind_features = encode_batch(cycles).reshape(-1, OBS_FEATURES_PER_ROW)[:, 2:].tolist()
         self._delta = [cfg.cycle_period * (a - 1) * cfg.turbine.yaw_rate_deg_s for a in range(3)]
         n, j = cfg.episode_len, cfg.j
-        self._raw = np.zeros((n + j, 4))
+        self._warmup = np.zeros((j, 4))  # the observation at reset
         self._enc = np.zeros((n + j) * OBS_FEATURES_PER_ROW)
         self._enc_read_only = self._enc.view()
         self._enc_read_only.flags.writeable = False
@@ -292,16 +289,28 @@ class YawEnv:
         self._row = self.cfg.episode_len
         for i in range(self.cfg.j):
             c = max(start_cycle - i, 0)
-            self._write_row(self._row + i, int(Action.STAY), yaw_error(self._phi[c], self._theta), c)
-        return self._raw[self._row :].copy()
+            gamma = yaw_error(self._phi[c], self._theta)
+            self._warmup[i] = (int(Action.STAY), gamma, self._phi[c], self._vt[c])
+            self._write_row(self._row + i, int(Action.STAY), gamma, c)
+        return self.observation
+
+    @property
+    def observation(self) -> np.ndarray:
+        """The last min(steps, j) trace rows, newest first, above the warm-up rows."""
+        j, t = self.cfg.j, self._steps
+        steps = np.arange(t - 1, max(t - j, 0) - 1, -1)
+        cycles = self._start + 1 + steps
+        rows = np.column_stack(
+            (self._issued_col[steps], self._gamma_col[steps], self._phi_c[cycles], self._vt_c[cycles])
+        )
+        return np.concatenate((rows, self._warmup[: j - len(steps)]))
 
     def _write_row(self, row: int, action: int, gamma: float, c: int) -> None:
-        """Row ``row`` of both tables; Python floats round as ``encode_batch``'s arrays do."""
-        self._raw[row] = (action, gamma, self._phi[c], self._vt[c])
+        """Row ``row`` of the table; Python floats round as ``encode_batch``'s arrays do."""
         lo = row * OBS_FEATURES_PER_ROW
         self._enc[lo : lo + OBS_FEATURES_PER_ROW] = (action - 1.0, gamma / 180.0, *self._wind_features[c])
 
-    def step(self, action) -> tuple[np.ndarray, float, bool]:
+    def step(self, action) -> tuple[float, bool]:
         if self._done:
             raise RuntimeError("episode is done; call reset() before stepping")
         try:
@@ -332,7 +341,7 @@ class YawEnv:
         self._pending = a
         self._steps = t + 1
         self._done = self._steps >= cfg.episode_len
-        return self._raw[row : row + cfg.j].copy(), r1 + r2, self._done
+        return r1 + r2, self._done
 
     def trace(self) -> CycleTrace:
         """The per-cycle trace of the steps since the last ``reset``; it owns
@@ -352,7 +361,7 @@ def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
     """Reset ``env`` and play a fixed action sequence, returning the trace."""
     env.reset(**reset_kwargs)
     for a in actions:
-        if env.step(a)[2]:
+        if env.step(a)[1]:
             break
     return env.trace()
 

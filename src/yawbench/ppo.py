@@ -9,11 +9,11 @@ Everything is float64 numpy; a fixed seed reproduces training bit for bit.
 The networks take the observation as ``env.encode_batch`` encodes it, five
 features per lagged row. They are small, so a step costs numpy call
 overhead, not arithmetic. Training and evaluation read the env's encoded
-observation, which the env updates one row per step, and greedy evaluation
-runs only the policy network; the batch-of-one softmax and the sampler avoid
-``keepdims`` reductions and ``searchsorted``. Each keeps the operations and
-their order, so results are bit-identical to the per-call forms. The softmax
-keeps ``np.exp``: ``math.exp`` differs from it in the last bit.
+observation, which the env updates one row per step. Scalar work (the
+batch-of-one softmax's max and sum, the sampler, the greedy pick, GAE) runs
+on Python floats, which round as float64 does. Each fast path keeps the
+operations and their order, so results are bit-identical to the per-call
+forms. The softmax keeps ``np.exp``: ``math.exp`` differs in the last bit.
 
 The rollout runs only the policy network. The state values GAE needs are
 taken after the rollout, ``batch_size`` rows at a time, as a stack of
@@ -25,7 +25,7 @@ in one flat vector and their gradients in another; each weight and bias is a
 reshaped view into them. The backward pass writes into the gradient views,
 and Adam updates the parameter vector in one pass. The loss reductions are
 the arithmetic of ``np.mean`` (a sum, then a division by the count) without
-its call overhead.
+its call overhead, and three-column sums follow ``np.sum``'s order.
 
 A version-2 checkpoint is one JSON object: ``format``, ``version``, the
 ``env`` and ``ppo`` config records, and ``params``, ``flat_params`` as a list.
@@ -153,7 +153,8 @@ class Mlp:
             np.matmul(acts[layer].T, d_h, out=self.gradients[2 * layer])
             np.sum(d_h, axis=0, out=self.gradients[2 * layer + 1])
             if layer > 0:
-                d_h = (d_h @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
+                slope = acts[layer] * acts[layer]  # tanh' = 1 - a^2, in place
+                d_h = np.multiply(d_h @ self.weights[layer].T, np.subtract(1.0, slope, out=slope), out=slope)
 
 
 class ActorCritic:
@@ -194,16 +195,25 @@ def encode_observation(obs: np.ndarray) -> np.ndarray:
     return encode_batch(obs[None])[0]
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=1)`` of an (n, 3) array; numpy's ``((0 + c0) + c1) + c2``
+    differs only for a row of three -0.0, which no row summed here holds."""
+    return (x[:, 0] + x[:, 1]) + x[:, 2]
+
+
 def log_softmax(z: np.ndarray) -> np.ndarray:
     m = np.max(z, axis=-1, keepdims=True)
-    return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
+    shifted = z - m
+    return shifted - np.log(_row_sums(np.exp(shifted)))[:, None]
 
 
 def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
     """Action probabilities for one encoded row ``x``."""
     logits = ac.policy.forward(x[None])[0]  # keep the (1, n) @ W products of the batched forward
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    # exp maps either zero of a +-0.0 tie for the max to 1.0, and e holds no -0.0
+    e = np.exp(logits - max(logits.tolist()))
+    e0, e1, e2 = e.tolist()
+    return e / ((e0 + e1) + e2)
 
 
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -213,6 +223,7 @@ def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]
 
 
 _ACTIONS = tuple(Action)
+_ONE_HOT = np.eye(len(_ACTIONS))
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[Action, float]:
@@ -228,6 +239,14 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[Action, 
     return _ACTIONS[idx], float(np.log(p[idx]))
 
 
+def _greedy_action(probs: np.ndarray) -> int:
+    """``np.argmax`` of three finite probabilities, ties to the lowest index."""
+    p0, p1, p2 = probs.tolist()
+    if not math.isfinite(p0 + p1 + p2):
+        raise ValueError(f"degenerate action distribution: {probs!r}")
+    return 0 if p0 >= p1 and p0 >= p2 else 1 if p1 >= p2 else 2
+
+
 def compute_gae(
     rewards,
     values,
@@ -241,22 +260,22 @@ def compute_gae(
     delta_t = r_t + discount * v_{t+1} * (1 - done_t) - v_t with the value after
     the last step supplied as ``bootstrap_value``; advantages accumulate
     delta_t + discount * lambda * (1 - done_t) * A_{t+1}, and returns are
-    advantages + values.
+    advantages + values. The loop runs on Python floats through memoryviews.
     """
     r = np.asarray(rewards, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     d = np.asarray(dones, dtype=bool)
     if not (r.shape == v.shape == d.shape) or r.ndim != 1:
         raise ValueError(f"mismatched rollout lengths: {r.shape}, {v.shape}, {d.shape}")
-    n = len(r)
-    adv = np.zeros(n)
-    last = 0.0
-    for t in range(n - 1, -1, -1):
-        nonterminal = 0.0 if d[t] else 1.0
-        v_next = bootstrap_value if t == n - 1 else v[t + 1]
-        delta = r[t] + discount * v_next * nonterminal - v[t]
+    adv = np.empty(len(r))
+    out, last, v_next = memoryview(adv), 0.0, bootstrap_value
+    backwards = range(len(r) - 1, -1, -1)
+    for t, r_t, v_t, done in zip(backwards, memoryview(r)[::-1], memoryview(v)[::-1], memoryview(d)[::-1]):
+        nonterminal = 0.0 if done else 1.0
+        delta = r_t + discount * v_next * nonterminal - v_t
         last = delta + discount * gae_lambda * nonterminal * last
-        adv[t] = last
+        out[t] = last
+        v_next = v_t
     return adv, adv + v
 
 
@@ -283,10 +302,10 @@ def ppo_loss_and_grads(
     lp = logp_all[np.arange(n), actions]
     ratio = np.exp(lp - logp_old)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip_eps), 1.0 + clip_eps) * advantages
     surrogate = np.minimum(unclipped, clipped)
     policy_loss = -float(np.add.reduce(surrogate)) / n
-    entropy_rows = -np.sum(probs * logp_all, axis=1)
+    entropy_rows = -_row_sums(probs * logp_all)
     entropy = float(np.add.reduce(entropy_rows)) / n
 
     v_out, v_acts = ac.value.forward_cached(obs_enc)
@@ -303,9 +322,7 @@ def ppo_loss_and_grads(
     # d(policy_loss)/d(logp_new): only where the unclipped branch is active.
     active = (unclipped <= clipped).astype(np.float64)
     d_lp = -(advantages * ratio * active) / n
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), actions] = 1.0
-    d_logits = d_lp[:, None] * (onehot - probs)
+    d_logits = d_lp[:, None] * (_ONE_HOT[actions] - probs)
     # -entropy_coef * mean(H): dH/dz_j = -p_j (logp_j + H).
     if entropy_coef != 0.0:
         d_logits += (entropy_coef / n) * probs * (logp_all + entropy_rows[:, None])
@@ -431,7 +448,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
         for t in range(n):
             x = obs[t] = env.encoded_observation
             action, logp[t] = sample_action(_policy_probs(ac, x), rng)
-            _, reward, done = env.step(action)
+            reward, done = env.step(action)
             actions[t], rewards[t], dones[t] = action, reward, done
             ep_return += reward
             if done:
@@ -468,8 +485,8 @@ def evaluate(
     """Roll the policy over ``env`` and return the per-cycle trace.
 
     Greedy mode takes the argmax action (ties resolve to the lowest action
-    code); stochastic mode samples and needs ``rng``. Only the policy network
-    runs. Never mutates the networks.
+    code; a non-finite probability raises); stochastic mode samples and needs
+    ``rng``. Only the policy network runs. Never mutates the networks.
     """
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"mode must be 'greedy' or 'stochastic', got {mode!r}")
@@ -480,8 +497,8 @@ def evaluate(
     greedy = mode == "greedy"
     for _ in range(limit):
         probs = _policy_probs(ac, env.encoded_observation)
-        action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)[0]
-        if env.step(action)[2]:
+        action = _greedy_action(probs) if greedy else sample_action(probs, rng)[0]
+        if env.step(action)[1]:
             break
     return env.trace()
 

@@ -4,7 +4,8 @@ and statistically matched synthetic generation.
 Series are 1-second samples of wind direction (degrees, [0, 360)) and wind
 speed (m/s, >= 0). The synthetic generator superimposes a mean-reverting
 direction process on deterministic ramp events and matches the requested mean
-and standard deviation of the realized series exactly.
+and standard deviation of the realized series exactly; its AR(1) loop runs
+on Python floats.
 
 Logs are CSV files with one header line. ``read_log_csv`` parses a whole
 file in one ``np.loadtxt`` pass and checks the arrays; only a file that pass
@@ -306,13 +307,16 @@ def _matched_ar1(rng: np.random.Generator, n: int, a: float) -> np.ndarray:
 
     Tails are clipped at ~3.3 sigma so a series centered tens of degrees from
     the 0/360 seam cannot wrap, which would corrupt arithmetic statistics.
+    The recurrence runs on Python floats, which round as float64 does, through
+    memoryviews, so no float object outlives its step.
     """
     eps = rng.standard_normal(n)
     x = np.empty(n)
-    x[0] = 0.0
-    keep = 1.0 - a
-    for i in range(1, n):
-        x[i] = keep * x[i - 1] + eps[i]
+    out, keep, prev = memoryview(x), 1.0 - a, 0.0
+    out[0] = prev
+    for i, e in enumerate(memoryview(eps)[1:], 1):
+        prev = keep * prev + e
+        out[i] = prev
     x -= x.mean()
     s = x.std()
     if s == 0.0:

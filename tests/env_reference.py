@@ -6,17 +6,23 @@ and a trace kept as columns: it shifts its j x 4 observation every step,
 works through the ``Action`` enum, returns ``(obs, reward, done, info)``,
 and prices each cycle with the scalar ``power_with_misalignment`` of
 ``power_reference``. ``cycle_wind`` aggregates one cycle at a time, and
-``trace_from_records`` builds a ``CycleTrace`` from per-cycle dicts. The
+``trace_from_records`` builds a ``CycleTrace`` from per-cycle dicts.
+``RawTableYawEnv`` is the library env as it was before its ``observation``
+property: beside the encoded table it wrote a raw table, a row per step,
+and ``reset`` and ``step`` returned a copy of its newest j rows. The
 library's outputs must equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
+import yawbench.env
 from power_reference import power_with_misalignment
 from yawbench import Action, CycleTrace, circular_mean_deg, wrap_to_360, yaw_error
-from yawbench.env import TRACE_COLUMNS, n_cycles
+from yawbench.env import OBS_FEATURES_PER_ROW, TRACE_COLUMNS, n_cycles
 
 
 def cycle_wind(series, cycle: int, cfg) -> tuple[float, float]:
@@ -130,3 +136,51 @@ def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
         if done:
             break
     return trace_from_records(records)
+
+
+class RawTableYawEnv(yawbench.env.YawEnv):
+    """The column env with a raw observation table beside the encoded one:
+    ``step`` returns ``(obs, reward, done)``, ``obs`` a copy of the table's newest j rows."""
+
+    def __init__(self, series, cfg):
+        super().__init__(series, cfg)
+        self._raw = np.zeros((cfg.episode_len + cfg.j, 4))
+
+    def reset(self, start_cycle=None, init_theta="align", align_offset_deg=0.0, rng=None) -> np.ndarray:
+        super().reset(start_cycle, init_theta, align_offset_deg, rng)  # writes the warm-up rows through _write_row
+        return self._raw[self._row :].copy()
+
+    def _write_row(self, row, action, gamma, c) -> None:
+        self._raw[row] = (action, gamma, self._phi[c], self._vt[c])
+        lo = row * OBS_FEATURES_PER_ROW
+        self._enc[lo : lo + OBS_FEATURES_PER_ROW] = (action - 1.0, gamma / 180.0, *self._wind_features[c])
+
+    def step(self, action):
+        if self._done:
+            raise RuntimeError("episode is done; call reset() before stepping")
+        try:
+            a = operator.index(action)
+        except TypeError:
+            a = None
+        if a not in (0, 1, 2):
+            raise ValueError(f"action must be 0, 1 or 2, got {action!r}")
+        cfg = self.cfg
+        applied = a if cfg.comm_delay == 0.0 else self._pending
+        delta_theta = self._delta[applied]
+        if delta_theta != 0.0:
+            self._theta = wrap_to_360(self._theta + delta_theta)
+        self._cycle = c = self._cycle + 1
+        vt = self._vt[c]
+        gamma = yaw_error(self._phi[c], self._theta)
+        r1 = -(gamma**2) * vt**3
+        self._stay_streak = self._stay_streak + 1 if a == 1 else 0
+        r2 = cfg.w if self._stay_streak >= cfg.k else 0.0
+        t = self._steps
+        self._theta_col[t], self._gamma_col[t], self._r1_col[t], self._r2_col[t] = self._theta, gamma, r1, r2
+        self._issued_col[t], self._applied_col[t] = a, applied
+        self._row = row = self._row - 1
+        self._write_row(row, a, gamma, c)
+        self._pending = a
+        self._steps = t + 1
+        self._done = self._steps >= cfg.episode_len
+        return self._raw[row : row + cfg.j].copy(), r1 + r2, self._done

@@ -5,14 +5,16 @@ with one encode per step, a preallocated encoder, a lean batch-of-one
 softmax and sampler, values taken after the rollout in one stacked forward,
 and Adam on one flat vector: a per-array ``Adam``, an ``np.stack`` encoder,
 a ``policy_forward`` and ``sample_action`` built from ``keepdims``
-reductions, ``cumsum`` and ``searchsorted``, and a ``train`` loop that
-encodes every observation twice and runs the value network at every step.
-``train`` and ``evaluate`` run on the reference environment of
-``env_reference``, built from the series and config of the env they are
-given. ``ppo_loss_and_grads`` is the loss with ``np.mean`` reductions and
-gradients in freshly allocated arrays; its loss alone, ``ppo_loss``, is what
-the analytic gradients are checked against by finite differences. The
-library's outputs must equal theirs bit for bit.
+reductions, ``cumsum`` and ``searchsorted``, a ``compute_gae`` loop over
+numpy scalars, and a ``train`` loop that encodes every observation twice and
+runs the value network at every step. ``train`` and ``evaluate`` run on the
+reference environment of ``env_reference``, built from the series and config
+of the env they are given; greedy ``evaluate`` takes ``np.argmax``.
+``ppo_loss_and_grads`` is the loss with a ``keepdims`` ``log_softmax``,
+``np.sum`` and ``np.mean`` reductions, ``np.clip``, a one-hot written by
+fancy indexing, and gradients in freshly allocated arrays; its loss alone,
+``ppo_loss``, is what the analytic gradients are checked against by finite
+differences. The library's outputs must equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 import numpy as np
 
 import env_reference
-from yawbench import Action, ActorCritic, CycleTrace, PpoConfig, YawEnv, compute_gae, ppo_update
-from yawbench.ppo import OBS_FEATURES_PER_ROW, log_softmax
+from yawbench import Action, ActorCritic, CycleTrace, PpoConfig, YawEnv, ppo_update
+from yawbench.ppo import OBS_FEATURES_PER_ROW
 
 
 def encode_batch(obs: np.ndarray) -> np.ndarray:
@@ -62,6 +64,11 @@ def encode_observation(obs: np.ndarray) -> np.ndarray:
     return encode_batch(obs[None])[0]
 
 
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    m = np.max(z, axis=-1, keepdims=True)
+    return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
@@ -83,6 +90,25 @@ def sample_action(probs: np.ndarray, rng) -> tuple[Action, float]:
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     idx = min(idx, 2)
     return Action(idx), float(np.log(p[idx]))
+
+
+def compute_gae(rewards, values, dones, bootstrap_value, discount, gae_lambda):
+    """The advantage loop indexing numpy arrays, so it runs on numpy float64 scalars."""
+    r = np.asarray(rewards, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    d = np.asarray(dones, dtype=bool)
+    if not (r.shape == v.shape == d.shape) or r.ndim != 1:
+        raise ValueError(f"mismatched rollout lengths: {r.shape}, {v.shape}, {d.shape}")
+    n = len(r)
+    adv = np.zeros(n)
+    last = 0.0
+    for t in range(n - 1, -1, -1):
+        nonterminal = 0.0 if d[t] else 1.0
+        v_next = bootstrap_value if t == n - 1 else v[t + 1]
+        delta = r[t] + discount * v_next * nonterminal - v[t]
+        last = delta + discount * gae_lambda * nonterminal * last
+        adv[t] = last
+    return adv, adv + v
 
 
 def split(flat, shapes) -> list[np.ndarray]:

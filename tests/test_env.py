@@ -165,7 +165,7 @@ class TestStep:
         s = WindSeries(np.arange(40), phi, np.full(40, 8.0))
         env = YawEnv(s, cfg_for(episode_len=2, j=2, k=2, w=40.0))
         env.reset(start_cycle=0, init_theta="align")
-        _, reward, _ = env.step(Action.STAY)
+        reward, _ = env.step(Action.STAY)
         trace = env.trace()
         assert trace.gamma[0] == pytest.approx(3.0, abs=1e-9)
         assert trace.r1[0] == pytest.approx(-9.0, abs=1e-6)
@@ -242,7 +242,8 @@ class TestStep:
     def test_observation_shifts_newest_first(self):
         env = YawEnv(flat_series(400), cfg_for(episode_len=4, j=3))
         obs0 = env.reset(start_cycle=0, init_theta="align")
-        obs1, _, _ = env.step(Action.CLOCKWISE)
+        env.step(Action.CLOCKWISE)
+        obs1 = env.observation
         assert obs1[0, 0] == float(Action.CLOCKWISE)
         assert obs1[0, 1] == env.trace().gamma[0]
         assert np.array_equal(obs1[1], obs0[0])
@@ -279,7 +280,7 @@ class TestProperties:
         env = YawEnv(series, cfg_for(episode_len=50, j=3))
         env.reset(start_cycle=2, init_theta="align", rng=None)
         rng = np.random.default_rng(5)
-        rewards = [env.step(int(rng.integers(0, 3)))[1] for _ in range(50)]
+        rewards = [env.step(int(rng.integers(0, 3)))[0] for _ in range(50)]
         trace = env.trace()
         for reward, r1, r2 in zip(rewards, trace.r1, trace.r2):
             assert reward == r1 + r2
@@ -299,8 +300,8 @@ class TestProperties:
         o1 = e1.reset(start_cycle=20, init_theta="align")
         o2 = e2.reset(start_cycle=20, init_theta="align")
         assert np.array_equal(o1, o2)
-        steps = [(e1.step(Action.STAY), e2.step(Action.STAY)) for _ in range(10)]
-        for ((o1, r1, _), (o2, r2, _)), cycle in zip(steps, e1.trace().cycle):
+        steps = [(e1.step(Action.STAY), e1.observation, e2.step(Action.STAY), e2.observation) for _ in range(10)]
+        for ((r1, _), o1, (r2, _), o2), cycle in zip(steps, e1.trace().cycle):
             if cycle < 50:
                 assert np.array_equal(o1, o2) and r1 == r2
 
@@ -318,12 +319,11 @@ class TestProperties:
 
     def test_indifference_errors(self):
         cfg = cfg_for()
-        with pytest.raises(ZeroDivisionError):
-            indifference_misalignment(cfg, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            indifference_misalignment(cfg, 0.0, 3.0)
-        with pytest.raises(ValueError):
-            indifference_misalignment(cfg, 1.0, -2.0)
+        for bad in (0.0, -0.0, -2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="correction must be finite and positive"):
+                indifference_misalignment(cfg, 1.0, bad)
+            with pytest.raises(ValueError, match="v_tilde must be finite and positive"):
+                indifference_misalignment(cfg, bad, 3.0)
 
 
 class TestTrace:

@@ -1,8 +1,9 @@
 """Differential property tests: each fast path against the reference it replaced.
 
 The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the column
-``YawEnv``, the float branch of the angle wrapping, the power curve (on
-scalars and arrays), the bulk CSV reader and the block CSV writer must
+``YawEnv`` and its on-demand ``observation``, the float branch of the angle
+wrapping, the power curve (on scalars and arrays), the bulk CSV reader, the
+block CSV writer and the Python-float AR(1) loop of the wind generator must
 reproduce their references bit for bit, not merely to a tolerance.
 """
 
@@ -18,6 +19,7 @@ import csv_reference
 import cyca_reference as ref
 import env_reference
 import power_reference
+import wind_reference
 from env_reference import cycle_wind
 from yawbench import (
     Action,
@@ -47,7 +49,7 @@ from yawbench import (
     yaw_error,
 )
 from yawbench.env import TRACE_COLUMNS
-from yawbench.wind import CSV_HEADER, read_log_csv, write_csv_columns
+from yawbench.wind import CSV_HEADER, _matched_ar1, read_log_csv, write_csv_columns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -215,7 +217,8 @@ class TestYawEnv:
         assert same_bits(env.encoded_observation, encode_observation(obs))
         records = []
         for a in actions:
-            obs, reward, done = env.step(a)
+            reward, done = env.step(a)
+            obs = env.observation
             ref_obs, ref_reward, ref_done, info = ref_env.step(a)
             records.append(info)
             assert same_bits(obs, ref_obs) and _same_float(reward, ref_reward) and done is ref_done
@@ -233,10 +236,39 @@ class TestYawEnv:
         actions = rng.integers(0, 3, cfg.episode_len).tolist()
         env.reset(start_cycle=0, init_theta=350.0)
         for a in actions:
-            obs, _, _ = env.step(a)
-            assert same_bits(env.encoded_observation, encode_observation(obs))
+            env.step(a)
+            assert same_bits(env.encoded_observation, encode_observation(env.observation))
         ref_trace = env_reference.run_actions(ref_env, actions, start_cycle=0, init_theta=350.0)
         assert _trace_equal(env.trace(), ref_trace)
+
+    @settings(max_examples=100)
+    @given(run=env_runs(), data=st.data())
+    def test_observation_equals_raw_table(self, run, data):
+        # right after reset, at a drawn step mid-episode and at done, the on-demand
+        # observation equals the raw table the env wrote a row of per step
+        series, cfg, reset, actions = run
+        env, ref_env = YawEnv(series, cfg), env_reference.RawTableYawEnv(series, cfg)
+        obs = env.reset(**reset)
+        assert same_bits(obs, ref_env.reset(**reset)) and same_bits(env.observation, obs)
+        mid = data.draw(st.integers(1, len(actions)))
+        for k, a in enumerate(actions, start=1):
+            reward, done = env.step(a)
+            ref_obs, ref_reward, ref_done = ref_env.step(a)
+            assert _same_float(reward, ref_reward) and done is ref_done
+            if k == mid or done:
+                assert same_bits(env.observation, ref_obs)
+                assert same_bits(env.encoded_observation, ref_env.encoded_observation)
+        assert done and _trace_equal(env.trace(), ref_env.trace())
+
+    def test_observation_of_an_episode_shorter_than_the_lag(self):
+        series, cfg = wind_series_of(np.linspace(0.0, 300.0, 200)), EnvConfig(Standardizer(8.0), j=6, episode_len=3)
+        env, ref_env = YawEnv(series, cfg), env_reference.RawTableYawEnv(series, cfg)
+        env.reset(start_cycle=10, init_theta=5.0)
+        ref_env.reset(start_cycle=10, init_theta=5.0)
+        for a in (0, 2, 1):
+            env.step(a)
+            ref_obs = ref_env.step(a)[0]
+            assert same_bits(env.observation, ref_obs) and env.observation.shape == (6, 4)
 
     @given(run=env_runs())
     def test_one_cycle_delay_law(self, run):
@@ -278,6 +310,17 @@ class TestYawEnv:
         env.reset(start_cycle=0)
         with pytest.raises(ValueError, match="no step"):
             env.trace()
+
+
+class TestMatchedAr1:
+    """The Python-float AR(1) loop against the numpy-scalar loop it replaced."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3000),
+           a=st.one_of(st.sampled_from([1e-3, 0.5, 1.0]), st.floats(1e-6, 1.0)))
+    @example(seed=1, n=21000, a=0.001)  # the presets' length and reversion rate
+    def test_equals_numpy_scalar_loop(self, seed, n, a):
+        out = _matched_ar1(np.random.default_rng(seed), n, a)
+        assert same_bits(out, wind_reference.matched_ar1(np.random.default_rng(seed), n, a))
 
 
 class TestReplay:

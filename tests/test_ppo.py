@@ -12,7 +12,6 @@ from yawbench import (
     ActorCritic,
     Adam,
     EnvConfig,
-    Mlp,
     PpoConfig,
     Standardizer,
     YawEnv,
@@ -29,7 +28,7 @@ from yawbench import (
     steady_preset,
     train,
 )
-from yawbench.ppo import OBS_FEATURES_PER_ROW, encode_batch, log_softmax
+from yawbench.ppo import OBS_FEATURES_PER_ROW, log_softmax
 
 from ppo_reference import create_parameters, ppo_loss, softmax
 
@@ -398,9 +397,9 @@ class TestUpdateAndTrain:
         for _ in range(cfg.n_steps):
             probs, value = policy_forward(ac, obs)
             a, logp = sample_action(probs, rng)
-            obs2, r, done = env.step(a)
+            r, done = env.step(a)
             rows.append((encode_observation(obs), int(a), logp, r, done, value))
-            obs = env.reset(rng=rng) if done else obs2
+            obs = env.reset(rng=rng) if done else env.observation
         obs_enc, actions, logp_old, rewards, dones, values = map(np.array, zip(*rows))
         advantages, returns = compute_gae(rewards, values, dones, 0.0, cfg.discount, cfg.gae_lambda)
         adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)

@@ -2,9 +2,10 @@
 
 Training (one encode per step, values in one stacked forward after the
 rollout, Adam on one flat vector, the lean batch-of-one softmax and
-sampler), the loss and its gradients, evaluation, the encoder and the
-sampler must reproduce ``ppo_reference`` bit for bit, not merely to a
-tolerance.
+sampler, GAE on Python floats), the loss and its gradients (three-column
+sums, no ``np.clip``), evaluation (greedy by Python comparisons), the
+encoder and the sampler must reproduce ``ppo_reference`` bit for bit, not
+merely to a tolerance.
 """
 
 import math
@@ -22,6 +23,7 @@ from yawbench import (
     PpoConfig,
     Standardizer,
     YawEnv,
+    compute_gae,
     evaluate,
     generate_synthetic,
     ppo_loss_and_grads,
@@ -29,7 +31,7 @@ from yawbench import (
     steady_preset,
     train,
 )
-from yawbench.ppo import encode_batch, encode_observation, policy_forward
+from yawbench.ppo import _greedy_action, encode_batch, encode_observation, log_softmax, policy_forward
 
 
 def same_bits(a, b) -> bool:
@@ -94,6 +96,47 @@ class TestEvaluate:
             stochastic = evaluate(ac, env, "stochastic", rng=np.random.default_rng(seed), start_cycle=start_cycle)
             expected = ref.evaluate(ac, env, "stochastic", rng=np.random.default_rng(seed), start_cycle=start_cycle)
         assert same_traces(stochastic, expected)
+
+    @pytest.mark.parametrize(
+        "logits, action",
+        [
+            ([0.0, 0.0, 0.0], 0),
+            ([2.5, 2.5, 2.5], 0),
+            ([1.0, 1.0, -3.0], 0),
+            ([1.0, -3.0, 1.0], 0),
+            ([-3.0, 1.0, 1.0], 1),
+            ([-3.0, 1.0, 2.0], 2),
+            ([-3.0, 2.0, 1.0], 1),
+        ],
+    )
+    def test_greedy_ties_go_to_the_lowest_action(self, logits, action):
+        # zero weights make the logits the output biases
+        ac = ActorCritic.create(2, (4, 4), np.random.default_rng(0))
+        for w in ac.policy.weights:
+            w[...] = 0.0
+        ac.policy.biases[-1][...] = logits
+        env = make_env(1, 2, episode_len=5)
+        trace = evaluate(ac, env, start_cycle=3)
+        assert trace.action_issued.tolist() == [action] * 5
+        assert same_traces(trace, ref.evaluate(ac, env, start_cycle=3))
+
+    @given(p=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1 / 3, 1.0])), min_size=3, max_size=3))
+    def test_greedy_action_is_argmax(self, p):
+        assert _greedy_action(np.array(p)) == int(np.argmax(p))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_greedy_rejects_a_non_finite_probability(self, bad, at):
+        p = np.array([0.2, 0.3, 0.5])
+        p[at] = bad
+        with pytest.raises(ValueError, match="degenerate action distribution"):
+            _greedy_action(p)
+
+    def test_greedy_evaluation_of_nan_weights_raises(self):
+        ac = ActorCritic.create(2, (4, 4), np.random.default_rng(0))
+        ac.policy.weights[-1][0, 0] = math.nan
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="degenerate action distribution"):
+            evaluate(ac, make_env(1, 2, episode_len=5))
 
     def test_policy_forward_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -174,6 +217,47 @@ class TestStackedValues:
         for net in (ac.policy, ac.value):
             rows = np.concatenate([net.forward(row[None]) for row in x])
             assert same_bits(net.forward_rows(x, chunk), rows)
+
+
+class TestGae:
+    @given(
+        n=st.integers(0, 300),
+        discount=st.sampled_from([0.9, 0.99, 1.0]),
+        gae_lambda=st.sampled_from([0.0, 0.95, 1.0]),
+        done_rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        bootstrap=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 0])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2048, discount=0.99, gae_lambda=0.95, done_rate=0.004, bootstrap=-3e4, seed=0)  # a default rollout
+    def test_equals_numpy_scalar_loop(self, n, discount, gae_lambda, done_rate, bootstrap, seed):
+        rng = np.random.default_rng(seed)
+        rewards = rng.normal(scale=1e4, size=n) * 10.0 ** rng.integers(-3, 3, n)
+        values, dones = rng.normal(scale=1e4, size=n), rng.random(n) < done_rate
+        adv, ret = compute_gae(rewards, values, dones, bootstrap, discount, gae_lambda)
+        adv_ref, ret_ref = ref.compute_gae(rewards, values, dones, bootstrap, discount, gae_lambda)
+        assert same_bits(adv, adv_ref) and same_bits(ret, ret_ref)
+        strided = np.repeat(values, 2)[::2]  # a non-contiguous view of the same values
+        assert same_bits(compute_gae(rewards.tolist(), strided, dones, bootstrap, discount, gae_lambda)[0], adv_ref)
+
+
+class TestLogSoftmax:
+    @given(
+        n=st.integers(1, 80),
+        scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 800.0]),  # ties, ordinary, exp underflow
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_keepdims_reference(self, n, scale, seed):
+        z = np.random.default_rng(seed).normal(scale=scale, size=(n, 3))
+        assert same_bits(log_softmax(z), ref.log_softmax(z))
+
+    def test_signed_zeros_and_a_huge_gap(self):
+        z = np.array([[0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, -800.0, -900.0],
+                      [-0.0, -1e308, -1e308], [5.0, 5.0, -1e308]])
+        out = log_softmax(z)
+        assert same_bits(out, ref.log_softmax(z))
+        probs = np.exp(out)
+        assert same_bits(-((probs * out)[:, 0] + (probs * out)[:, 1] + (probs * out)[:, 2]),
+                         -np.sum(probs * out, axis=1))
 
 
 class TestLossAndGrads:
