@@ -15,25 +15,22 @@ on Python floats, which round as float64 does. Each fast path keeps the
 operations and their order, so results are bit-identical to the per-call
 forms. The softmax keeps ``np.exp``: ``math.exp`` differs in the last bit.
 
-The rollout runs only the policy network. The state values GAE needs are
-taken after the rollout, ``batch_size`` rows at a time, as a stack of
-batch-of-one forwards (``Mlp.forward_rows``): numpy's ``matmul`` makes the
-same BLAS call for each item of an ``(n, 1, k) @ (k, m)`` stack as for a lone
-``(1, k) @ (k, m)``, while a flat ``(n, k)`` batch calls another routine
-whose results differ in the last bit. The parameters of both networks live
-in one flat vector and their gradients in another; each weight and bias is a
-reshaped view into them. The backward pass writes into the gradient views,
-and Adam updates the parameter vector in one pass. The loss reductions are
-the arithmetic of ``np.mean`` (a sum, then a division by the count) without
-its call overhead, and three-column sums follow ``np.sum``'s order.
+The rollout runs only the policy network; ``Mlp.forward_rows`` takes the
+state values GAE needs afterwards, bit-identical to batch-of-one forwards.
+The parameters of both networks live in one flat vector and their gradients
+in another, each weight and bias a reshaped view; the backward pass writes
+into the gradient views and Adam updates the parameter vector in one pass.
+Loss reductions are ``np.mean``'s arithmetic (a sum, then a division by the
+count) without its call overhead; three-column sums follow ``np.sum``'s order.
 
-A version-2 checkpoint is one JSON object: ``format``, ``version``, the
-``env`` and ``ppo`` config records, and ``params``, ``flat_params`` as a list.
-No network shape is stored; ``env.j`` and ``ppo.hidden`` decide them.
+A version-3 checkpoint is one JSON object: ``format``, ``version``, the ``env``
+and ``ppo`` config records, and ``params``, the base64 of ``flat_params`` as
+``<f8`` bytes. No network shape is stored; ``env.j`` and ``ppo.hidden`` decide them.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -45,7 +42,7 @@ from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, en
 from .power import from_fields, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -503,23 +500,28 @@ def evaluate(
     return env.trace()
 
 
+def _check_finite(path, params: np.ndarray) -> None:
+    if not (finite := np.isfinite(params)).all():
+        raise ValueError(f"{path}: params[{int(np.argmin(finite))}] is {params[~finite][0]}, not finite")
+
+
 def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfig) -> None:
-    """Structured-text checkpoint carrying the networks and the exact environment
-    settings they were trained with, so evaluation is self-contained. Raises
-    ValueError unless ``env_cfg.j`` and ``ppo_cfg.hidden`` give ``ac``'s layer sizes."""
+    """Checkpoint carrying the networks, as exact float64 bytes, and the environment settings
+    they were trained with, so evaluation is self-contained. Raises ValueError, writing nothing,
+    unless ``env_cfg.j`` and ``ppo_cfg.hidden`` give ``ac``'s layer sizes and every parameter is finite."""
     sizes = (ac.policy.sizes, ac.value.sizes)
     if sizes != ActorCritic.layer_sizes(env_cfg.j, ppo_cfg.hidden):
         raise ValueError(f"layer sizes {sizes} do not match j={env_cfg.j}, hidden={ppo_cfg.hidden}")
+    path = Path(path)
+    _check_finite(path, ac.flat_params)
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "env": env_cfg.to_dict(),
         "ppo": ppo_cfg.to_dict(),
-        "params": ac.flat_params.tolist(),
+        "params": base64.b64encode(ac.flat_params.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # dumps runs the C encoder; dump would stream through the pure-Python one.
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -535,8 +537,8 @@ def _load_config(path: Path, payload: dict, name: str, cls):
 
 def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     """Read a ``save_checkpoint`` file; raises ValueError naming the file and the
-    field unless it is a version-2 JSON object with every key present and known
-    and ``params`` holds as many finite numbers as the configs' networks have."""
+    field unless it is a version-3 JSON object with every key present and known
+    and ``params`` is the base64 of as many finite float64s as the configs' networks have."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -554,18 +556,16 @@ def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     ppo_cfg = _load_config(path, payload, "ppo", PpoConfig)
     # counted before the networks are allocated, so a tampered hidden cannot request a huge array
     n = sum(map(Mlp.param_count, ActorCritic.layer_sizes(env_cfg.j, ppo_cfg.hidden)))
-    try:
-        params = np.array(payload["params"])
-    except ValueError as exc:  # a ragged list
+    text, chars = payload["params"], 4 * -(-8 * n // 3)
+    got = len(text) if isinstance(text, str) else type(text).__name__
+    if got != chars:
+        raise ValueError(f"{path}: params: expected {chars} base64 characters ({n} float64s) for "
+                         f"j={env_cfg.j} and hidden={ppo_cfg.hidden}, got {got}")
+    try:  # that many characters decode to 8n - 2 to 8n bytes, of which only 8n fill whole floats
+        params = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+    except ValueError as exc:  # a binascii.Error, a non-ASCII character or a partial float
         raise ValueError(f"{path}: params: {exc}") from exc
-    if params.shape != (n,) or params.dtype.kind not in "iuf":
-        raise ValueError(
-            f"{path}: params: expected a list of {n} numbers for j={env_cfg.j} and "
-            f"hidden={ppo_cfg.hidden}, got shape {params.shape} of {params.dtype}"
-        )
-    bad = ~np.isfinite(params)
-    if bad.any():
-        raise ValueError(f"{path}: params[{int(np.argmax(bad))}] is {params[bad][0]}, not finite")
+    _check_finite(path, params)
     ac = ActorCritic(env_cfg.j, ppo_cfg.hidden)
     ac.flat_params[...] = params
     return ac, env_cfg, ppo_cfg

@@ -197,7 +197,7 @@ def write_csv_columns(path, header: tuple[str, ...], *cols: np.ndarray) -> None:
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, len(cols[0]), 1024):
-            cells = [map(repr, c[lo : lo + 1024].tolist()) for c in cols]
+            cells = [list(map(repr, c[lo : lo + 1024].tolist())) for c in cols]
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

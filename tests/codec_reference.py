@@ -4,7 +4,9 @@ Kept as the reference of ``test_codecs.py``: the package's ``to_dict`` must
 give these dicts, and ``save_checkpoint`` the bytes of ``checkpoint_text``.
 """
 
+import base64
 import json
+import struct
 
 
 def turbine_to_dict(tp) -> dict:
@@ -87,12 +89,14 @@ def spec_to_dict(spec) -> dict:
 
 
 def checkpoint_text(ac, env_cfg, ppo_cfg) -> str:
-    """A version-2 checkpoint: both configs and every parameter, policy first, layer by layer."""
+    """A version-3 checkpoint: both configs and the base64 of every parameter as a
+    little-endian float64, policy first, layer by layer."""
+    raw = b"".join(struct.pack("<d", x) for p in ac.parameters for x in p.ravel().tolist())
     payload = {
         "format": "yawbench-checkpoint",
-        "version": 2,
+        "version": 3,
         "env": env_to_dict(env_cfg),
         "ppo": ppo_to_dict(ppo_cfg),
-        "params": [x for p in ac.parameters for x in p.ravel().tolist()],
+        "params": base64.b64encode(raw).decode("ascii"),
     }
     return json.dumps(payload, sort_keys=True) + "\n"

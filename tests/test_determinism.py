@@ -4,7 +4,8 @@ The differential tests compare each fast path with its reference on small
 inputs; these pins hold the end results of the seeded pipeline (a full-length
 synthetic series, a toy training run and its greedy evaluation) to the bits
 they had before the fast paths went in, so any change that moves a bit fails
-here and not only in the benchmark's output digests.
+here and not only in the benchmark's output digests. The toy run's checkpoint
+file is pinned too, as the version-3 codec writes it.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from yawbench import (
     evaluate,
     fit_standardizer,
     generate_synthetic,
+    save_checkpoint,
     split_train_test,
     steady_preset,
     train,
@@ -31,6 +33,7 @@ SERIES_SHA256 = "45c7c2f8f9e847c9298e14d566b570db64ab9d74fabc492696cced62deda10e
 WEIGHTS_SHA256 = "9670d9ba8e92fd3554cde17a216a39f9683bae797923ee4be114880f2aaf910b"
 CURVE_SHA256 = "e2ae8b80388c68de08438f214e773700d82a8763eaceb653fc011041a6324788"
 GREEDY_TRACE_SHA256 = "b26861d8c912f6ded62850e2d39d4a9ffea527d0f2e668b9046d452b3926a3bc"
+CHECKPOINT_SHA256 = "583a1a72f6e6316903948f993b12b8daa10b1bf7866f873519d43b2355ebe5ef"
 
 
 def sha256_of(*arrays) -> str:
@@ -49,13 +52,14 @@ def series():
 
 @pytest.fixture(scope="module")
 def toy_run(series):
-    """A toy training run on the train half and a full-span greedy evaluation on the test half."""
+    """A toy training run on the train half, a full-span greedy evaluation on the
+    test half, and the two configs of the run."""
     train_half, test_half = split_train_test(series)
     env_cfg = EnvConfig(standardizer=fit_standardizer(train_half))
     cfg = PpoConfig(n_steps=128, total_steps=256, hidden=(16, 16), seed=1)
     ac, curve = train(YawEnv(train_half, env_cfg), cfg)
     trace = evaluate(ac, YawEnv(test_half, eval_env_config(test_half, env_cfg)))
-    return ac, curve, trace
+    return ac, curve, trace, env_cfg, cfg
 
 
 def test_synthetic_series(series):
@@ -75,3 +79,9 @@ def test_learning_curve(toy_run):
 def test_greedy_trace(toy_run):
     trace = toy_run[2]
     assert sha256_of(*(getattr(trace, name) for name in TRACE_COLUMNS)) == GREEDY_TRACE_SHA256
+
+
+def test_checkpoint_file(toy_run, tmp_path):
+    ac, _, _, env_cfg, cfg = toy_run
+    save_checkpoint(tmp_path / "ck.json", ac, env_cfg, cfg)
+    assert hashlib.sha256((tmp_path / "ck.json").read_bytes()).hexdigest() == CHECKPOINT_SHA256

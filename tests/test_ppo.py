@@ -1,11 +1,15 @@
+import base64
 import io
 import json
 import math
+import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from yawbench import (
     Action,
@@ -62,6 +66,32 @@ def random_rollout(seed, ac, n):
 
 def hexes(ac) -> list[str]:
     return [x.hex() for x in ac.flat_params.tolist()]
+
+
+def decode_params(text: str) -> np.ndarray:
+    """The float64 values of a checkpoint's base64 ``params``."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def encode_params(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def set_param(i, x):
+    """A checkpoint payload edit that writes ``x`` into parameter ``i``."""
+
+    def edit(payload):
+        params = decode_params(payload["params"])
+        params[i] = x
+        payload["params"] = encode_params(params)
+
+    return edit
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
 
 
 class TestPolicyForward:
@@ -603,6 +633,22 @@ class TestCheckpoint:
             ppo_update(net, *rollout, cfg, Adam(net.flat_params.size, cfg.learning_rate), np.random.default_rng(seed))
         assert hexes(back) == hexes(ac)
 
+    @settings(max_examples=50)
+    @given(
+        j=st.integers(1, 3),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+        data=st.data(),
+    )
+    def test_any_finite_parameters_round_trip_bit_equal(self, j, hidden, data):
+        ac = ActorCritic(j, hidden)
+        ac.flat_params[...] = data.draw(hnp.arrays(np.float64, ac.flat_params.size, elements=FINITE_FLOATS))
+        env_cfg = EnvConfig(standardizer=Standardizer(8.2), j=j)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/ck.json"
+            save_checkpoint(path, ac, env_cfg, small_cfg(hidden=hidden))
+            back, _, _ = load_checkpoint(path)
+        assert back.flat_params.tobytes() == ac.flat_params.tobytes()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="checkpoint not found"):
             load_checkpoint(tmp_path / "none.json")
@@ -637,21 +683,33 @@ class TestCheckpoint:
         p.write_text(json.dumps(payload))
         return p
 
+    # j=2 and hidden=(4, 3) give 134 parameters: 1072 bytes, 1432 base64 characters
     @pytest.mark.parametrize(
         "edit, field",
         [
-            (lambda payload: payload["params"].pop(), r"params: expected a list of 134 numbers .* got shape \(133,\)"),
-            (lambda payload: payload["ppo"].update(hidden=[4, 4]), r"params: expected a list of 148 numbers"),
-            (lambda payload: payload["ppo"].update(hidden=[10**9]), r"params: expected a list of 26000000004 numbers"),
-            (lambda payload: payload["env"].update(j=3), r"params: expected a list of 174 numbers for j=3"),
-            (lambda payload: payload["params"].__setitem__(5, float("nan")), r"params\[5\] is nan, not finite"),
-            (lambda payload: payload["params"].__setitem__(7, float("inf")), r"params\[7\] is inf, not finite"),
-            (lambda payload: payload["params"].__setitem__(0, -float("inf")), r"params\[0\] is -inf, not finite"),
-            (lambda payload: payload["params"].__setitem__(3, [0.0, 1.0]), r"params: setting an array element"),
-            (lambda payload: payload.update(params=[[x] for x in payload["params"]]), r"got shape \(134, 1\)"),
-            (lambda payload: payload["params"].__setitem__(3, "0.5"), r"params: expected .* of <U"),
-            (lambda payload: payload["params"].__setitem__(3, None), r"params: expected .* of object"),
-            (lambda payload: payload.update(params={"policy": []}), r"params: expected .* got shape \(\)"),
+            (lambda payload: payload.update(params=decode_params(payload["params"]).tolist()),
+             r"params: expected 1432 base64 characters \(134 float64s\) for j=2 and hidden=\(4, 3\), got list$"),
+            (lambda payload: payload.update(params=0.5), r"params: expected 1432 base64 characters .* got float$"),
+            (lambda payload: payload.update(params=None), r"params: expected 1432 base64 characters .* got NoneType$"),
+            (lambda payload: payload.update(params="!" + payload["params"][1:]), r"params: Only base64 data is allowed"),
+            (lambda payload: payload.update(params=payload["params"][:8] + "=" + payload["params"][9:]),
+             r"params: Discontinuous padding not allowed"),
+            (lambda payload: payload.update(params="\u00e9" + payload["params"][1:]), r"params: .*only ASCII characters"),
+            (lambda payload: payload.update(params=encode_params(decode_params(payload["params"])[:-1])),
+             r"params: expected 1432 base64 characters \(134 float64s\) .* got 1420$"),
+            (lambda payload: payload.update(params=encode_params([*decode_params(payload["params"]), 0.0])),
+             r"params: expected 1432 base64 characters .* got 1440$"),
+            # the right length, but 1074 bytes: no padding where the encoder wrote two
+            (lambda payload: payload.update(params=payload["params"][:-4] + "AAAA"),
+             r"params: buffer size must be a multiple of element size"),
+            (lambda payload: payload["ppo"].update(hidden=[4, 4]), r"params: expected 1580 base64 characters \(148 float64s\)"),
+            (lambda payload: payload["ppo"].update(hidden=[10**9]), r"params: expected \d+ base64 characters \(26000000004 "),
+            (lambda payload: payload["env"].update(j=3), r"params: expected 1856 base64 characters \(174 float64s\) for j=3"),
+            (set_param(5, float("nan")), r"params\[5\] is nan, not finite"),
+            (set_param(7, float("inf")), r"params\[7\] is inf, not finite"),
+            (set_param(0, -float("inf")), r"params\[0\] is -inf, not finite"),
+            # a NaN with a payload, as raw bytes: 0x7ff0000000000001 little-endian
+            (set_param(133, np.frombuffer(bytes.fromhex("010000000000f07f"), "<f8")[0]), r"params\[133\] is nan"),
         ],
     )
     def test_bad_params_rejected_naming_file_and_field(self, tmp_path, edit, field):
@@ -677,15 +735,22 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "text",
         [
-            "[]\n",  # was AttributeError: 'list' object has no attribute 'get'
-            "3\n",
-            json.dumps({"format": "yawbench-checkpoint", "version": 1, "lag_depth": 2, "policy": {}, "value": {}}),
+            lambda payload: "[]\n",  # was AttributeError: 'list' object has no attribute 'get'
+            lambda payload: "3\n",
+            lambda payload: json.dumps(
+                {"format": "yawbench-checkpoint", "version": 1, "lag_depth": 2, "policy": {}, "value": {}}
+            ),
+            # a valid version-2 file: the same configs, params as a list of numbers
+            lambda payload: json.dumps(
+                payload | {"version": 2, "params": decode_params(payload["params"]).tolist()}, sort_keys=True
+            ) + "\n",
         ],
+        ids=["list", "number", "version-1", "version-2"],
     )
-    def test_not_a_version_2_checkpoint_named(self, tmp_path, text):
-        p = tmp_path / "ck.json"
-        p.write_text(text)
-        with pytest.raises(ValueError, match=r"not a version-2 yawbench-checkpoint file") as err:
+    def test_not_a_version_3_checkpoint_named(self, tmp_path, text):
+        p = self._tampered(tmp_path, lambda payload: None)
+        p.write_text(text(json.loads(p.read_text())))
+        with pytest.raises(ValueError, match=r"not a version-3 yawbench-checkpoint file") as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
 
@@ -713,6 +778,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match):
             save_checkpoint(p, ac, env_cfg, small_cfg(total_steps=128, hidden=hidden))
         assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "bad, first, shown",
+        [
+            ({5: math.nan}, 5, "nan"),
+            ({7: math.inf}, 7, "inf"),
+            ({0: -math.inf}, 0, "-inf"),
+            ({9: math.nan, 4: -math.inf}, 4, "-inf"),
+        ],
+    )
+    def test_save_rejects_non_finite_parameters_writing_nothing(self, tmp_path, bad, first, shown):
+        ac = ActorCritic.create(2, (4, 3), np.random.default_rng(0))
+        for i, x in bad.items():
+            ac.flat_params[i] = x
+        p = tmp_path / "new" / "ck.json"  # was written holding NaN, which load_checkpoint then refused
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: params\[{first}\] is {shown}, not finite$"):
+            save_checkpoint(p, ac, make_env(j=2).cfg, small_cfg(total_steps=128, hidden=(4, 3)))
+        assert not p.parent.exists()
 
     @pytest.mark.parametrize(
         "edit, match",
