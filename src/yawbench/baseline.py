@@ -1,7 +1,7 @@
 """Conventional yaw control: a simulated cumulative-error threshold controller
 and a replay baseline reconstructed from recorded nacelle positions.
 
-The simulated controller runs a fast inner loop (1 s by default): it integrates
+The simulated controller ticks once per 1 s wind sample: it integrates
 |yaw error| over time while idle, and once the accumulator crosses the
 threshold it turns toward the mean wind direction of a short trailing window,
 at the fixed yaw rate, until within a deadband of that target. The accumulator
@@ -43,7 +43,6 @@ NACELLE_HEADER = ("t", "theta_deg")
 
 @dataclass(frozen=True)
 class CycaConfig:
-    inner_period: float = 1.0     # seconds between controller ticks
     threshold: float = 900.0      # deg*s of accumulated |yaw error| that triggers a turn
     target_window: float = 30.0   # seconds of trailing wind-direction averaging
     stop_deadband: float = 1.0    # deg; stop turning once within this of the target
@@ -52,12 +51,9 @@ class CycaConfig:
         for name, x in vars(self).items():
             if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
-        whole_number("inner_period", self.inner_period, "seconds")
         whole_number("target_window", self.target_window, "seconds")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.target_window < self.inner_period:
-            raise ValueError("target_window must be at least one inner_period")
         if self.stop_deadband < 0:
             raise ValueError(f"stop_deadband must be >= 0, got {self.stop_deadband}")
 
@@ -77,27 +73,25 @@ def run_cyca_s(
 
     Event-driven, and bit-identical to a per-tick loop (see the module
     docstring): an idle spell is scanned in doubling chunks, ``np.cumsum``
-    adding each chunk's ``|yaw error| * dt`` onto the carried accumulator and
-    ``searchsorted`` finding the trigger tick; a turn steps on Python floats.
+    adding each 1 s tick's ``|yaw error|`` (deg*s) onto the carried
+    accumulator and ``searchsorted`` finding the trigger tick; a turn steps on
+    Python floats, at most ``yaw_rate_deg_s`` per tick.
     """
     n = len(series)
     p = whole_number("cycle_period", cycle_period, "seconds")
 
-    dt = int(cfg.inner_period)
     window = int(cfg.target_window)
-    step_max = tp.yaw_rate_deg_s * dt
+    step_max = tp.yaw_rate_deg_s
     stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
     theta0 = wrap_to_360(float(init_theta))
 
-    phi_tick = series.phi[::dt]
-    n_ticks = len(phi_tick)
-    theta_tick = np.empty(n_ticks)
-    acc_tick = np.zeros(n_ticks)  # zero on every tick from a trigger to the end of its turn
-    yawing_tick = np.zeros(n_ticks, dtype=bool)
+    theta_sec = np.empty(n)
+    acc_sec = np.zeros(n)  # zero on every tick from a trigger to the end of its turn
+    yawing_sec = np.zeros(n, dtype=bool)
 
     theta, acc, yawing, target = theta0, 0.0, False, 0.0
     i, span = 0, _SCAN_TICKS
-    while i < n_ticks:
+    while i < n:
         if yawing:
             rem = yaw_error(target, theta)
             if abs(rem) <= stop_at:
@@ -105,29 +99,26 @@ def run_cyca_s(
             else:
                 theta = wrap_to_360(theta + math.copysign(min(step_max, abs(rem)), rem))
                 yawing = abs(yaw_error(target, theta)) > stop_at
-            theta_tick[i] = theta
-            yawing_tick[i] = yawing
+            theta_sec[i] = theta
+            yawing_sec[i] = yawing
             i, span = i + 1, _SCAN_TICKS
             continue
-        hi = min(i + span, n_ticks)
-        run = np.cumsum(np.concatenate(([acc], np.abs(yaw_error(phi_tick[i:hi], theta)) * dt)))[1:]
+        hi = min(i + span, n)
+        run = np.cumsum(np.concatenate(([acc], np.abs(yaw_error(series.phi[i:hi], theta)))))[1:]
         hit = i + int(np.searchsorted(run, cfg.threshold))
-        theta_tick[i : min(hit + 1, hi)] = theta
+        theta_sec[i : min(hit + 1, hi)] = theta
         if hit < hi:
             # Arm a turn toward the trailing-window mean; motion starts on the next tick.
-            s = hit * dt
-            target = circular_mean_deg(series.phi[max(0, s - window + 1) : s + 1])
-            acc_tick[i:hit] = run[: hit - i]
-            yawing_tick[hit] = yawing = True
+            target = circular_mean_deg(series.phi[max(0, hit - window + 1) : hit + 1])
+            acc_sec[i:hit] = run[: hit - i]
+            yawing_sec[hit] = yawing = True
             acc, i = 0.0, hit + 1
         else:
-            acc_tick[i:hi] = run
+            acc_sec[i:hi] = run
             acc, i, span = float(run[-1]), hi, 2 * span
 
-    theta_sec = np.repeat(theta_tick, dt)[:n]
     trace = _resample_to_cycles(series, theta_sec, tp, p, theta_prev=theta0)
     if return_inner:
-        acc_sec, yawing_sec = np.repeat(acc_tick, dt)[:n], np.repeat(yawing_tick, dt)[:n]
         return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
     return trace
 

@@ -235,10 +235,6 @@ class YawEnv:
         self._done = True  # force a reset before stepping
 
     @property
-    def n_cycles(self) -> int:
-        return self._n_cycles
-
-    @property
     def max_start_cycle(self) -> int:
         return self._n_cycles - self.cfg.episode_len - 1
 
@@ -372,9 +368,9 @@ def run_constant_action(env: YawEnv, action: Action, n_steps: int | None = None,
     return run_actions(env, [action] * limit, **reset_kwargs)
 
 
-def eval_env_config(series: WindSeries, cfg: EnvConfig, start_cycle: int = 0) -> EnvConfig:
-    """Config whose episode spans every cycle of ``series`` after ``start_cycle``."""
-    length = n_cycles(series, cfg) - start_cycle - 1
+def eval_env_config(series: WindSeries, cfg: EnvConfig) -> EnvConfig:
+    """Config whose episode spans every cycle of ``series`` after cycle 0."""
+    length = n_cycles(series, cfg) - 1
     if length < 1:
         raise ValueError("series too short for a full-span evaluation episode")
     return replace(cfg, episode_len=length)

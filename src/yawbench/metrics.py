@@ -67,6 +67,15 @@ def compute_metrics(trace: CycleTrace, tp: TurbineParams, cfg: EnvConfig) -> Met
     )
 
 
+def _check_same_grid(a: CycleTrace, b: CycleTrace) -> None:
+    """Raise ValueError unless both traces hold the same cycles at the same ``t_s``."""
+    if len(a) != len(b) or not np.array_equal(a.cycle, b.cycle):
+        raise ValueError("traces are not on the same cycle grid")
+    if not np.array_equal(a.t_s, b.t_s):
+        i = int(np.argmax(a.t_s != b.t_s))
+        raise ValueError(f"traces are on different time grids: cycle {a.cycle[i]} at t_s {a.t_s[i]} and {b.t_s[i]}")
+
+
 def yaw_consumption_delta(
     trace_candidate: CycleTrace,
     trace_baseline: CycleTrace,
@@ -76,12 +85,10 @@ def yaw_consumption_delta(
 
     delta(t) = (rot_candidate(t) - rot_baseline(t)) / yaw_rate * p_yaw_drive,
     converted to kWh: the rotation-over-rate term is seconds of drive run time.
-    Negative entries are consumption credits for the candidate.
+    Negative entries are consumption credits for the candidate. Both traces
+    must hold the same cycles at the same times (``t_s``).
     """
-    if len(trace_candidate) != len(trace_baseline) or not np.array_equal(
-        trace_candidate.cycle, trace_baseline.cycle
-    ):
-        raise ValueError("traces are not on the same cycle grid")
+    _check_same_grid(trace_candidate, trace_baseline)
     d_c = cycle_deltas(trace_candidate.theta)
     d_b = cycle_deltas(trace_baseline.theta)
     delta = _drive_kwh(d_c - d_b, tp)
@@ -132,7 +139,8 @@ def compare(
 
 
 def align_traces(a: CycleTrace, b: CycleTrace) -> tuple[CycleTrace, CycleTrace]:
-    """Restrict two traces to their common cycle range (both must cover it)."""
+    """Restrict two traces to their common cycle range (both must cover it,
+    each cycle at the same ``t_s``)."""
     if not (len(a) and len(b)):
         raise ValueError(f"cannot align an empty trace: lengths {len(a)} and {len(b)}")
     lo = max(int(a.cycle[0]), int(b.cycle[0]))
@@ -148,7 +156,9 @@ def align_traces(a: CycleTrace, b: CycleTrace) -> tuple[CycleTrace, CycleTrace]:
             raise ValueError("trace does not cover the common cycle range contiguously")
         return out
 
-    return cut(a), cut(b)
+    cut_a, cut_b = cut(a), cut(b)
+    _check_same_grid(cut_a, cut_b)
+    return cut_a, cut_b
 
 
 # Presentation order of the side-by-side metrics table.

@@ -469,34 +469,16 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     return ac, curve
 
 
-def evaluate(
-    ac: ActorCritic,
-    env: YawEnv,
-    mode: str = "greedy",
-    rng: np.random.Generator | None = None,
-    n_steps: int | None = None,
-    start_cycle: int | None = 0,
-    init_theta: float | str = "align",
-    align_offset_deg: float = 0.0,
-) -> CycleTrace:
-    """Roll the policy over ``env`` and return the per-cycle trace.
+def evaluate(ac: ActorCritic, env: YawEnv) -> CycleTrace:
+    """Roll the greedy policy over one episode of ``env`` and return its trace.
 
-    Greedy mode takes the argmax action (ties resolve to the lowest action
-    code; a non-finite probability raises); stochastic mode samples and needs
-    ``rng``. Only the policy network runs. Never mutates the networks.
+    The episode starts at cycle 0 with the nacelle aligned. Each step takes
+    the argmax action (ties resolve to the lowest action code; a non-finite
+    probability raises). Only the policy network runs. Never mutates the networks.
     """
-    if mode not in ("greedy", "stochastic"):
-        raise ValueError(f"mode must be 'greedy' or 'stochastic', got {mode!r}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic evaluation needs an rng")
-    env.reset(start_cycle=start_cycle, init_theta=init_theta, align_offset_deg=align_offset_deg, rng=rng)
-    limit = env.cfg.episode_len if n_steps is None else whole_number("n_steps", n_steps)
-    greedy = mode == "greedy"
-    for _ in range(limit):
-        probs = _policy_probs(ac, env.encoded_observation)
-        action = _greedy_action(probs) if greedy else sample_action(probs, rng)[0]
-        if env.step(action)[1]:
-            break
+    env.reset(start_cycle=0)
+    for _ in range(env.cfg.episode_len):  # the last step ends the episode
+        env.step(_greedy_action(_policy_probs(ac, env.encoded_observation)))
     return env.trace()
 
 

@@ -201,18 +201,18 @@ def write_csv_columns(path, header: tuple[str, ...], *cols: np.ndarray) -> None:
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def load_series(path, source: str = "real", label: str = "") -> WindSeries:
+def load_series(path) -> WindSeries:
     """Read a wind log CSV with header ``t,phi_deg,v_ms`` at uniform 1 s spacing.
 
-    Directions are normalized into [0, 360). Raises WindDataError with the
-    offending line number on malformed rows, on negative speeds, and on
-    non-uniform timestamps.
+    Directions are normalized into [0, 360); the label is the file stem.
+    Raises WindDataError with the offending line number on malformed rows, on
+    negative speeds, and on non-uniform timestamps.
     """
     path = Path(path)
     t, (phi, v) = read_log_csv(path, CSV_HEADER, nonnegative=("v_ms", "wind speed v"))
     if len(t) < 2:
         raise WindDataError(f"{path}: series too short: {len(t)} samples")
-    return WindSeries(t, wrap_to_360(phi), v, source=source, label=label or path.stem)
+    return WindSeries(t, wrap_to_360(phi), v, source="real", label=path.stem)
 
 
 def save_series(series: WindSeries, path) -> None:
@@ -305,8 +305,8 @@ class GeneratorSpec:
 def _matched_ar1(rng: np.random.Generator, n: int, a: float) -> np.ndarray:
     """AR(1) deviations normalized to sample mean 0 and sample std 1.
 
-    Tails are clipped at ~3.3 sigma so a series centered tens of degrees from
-    the 0/360 seam cannot wrap, which would corrupt arithmetic statistics.
+    Tails are clipped at ~3.3 sigma, so a series centered tens of degrees from
+    the 0/360 seam seldom reaches it; ramps can still carry a few samples across.
     The recurrence runs on Python floats, which round as float64 does, through
     memoryviews, so no float object outlives its step.
     """
@@ -339,8 +339,9 @@ def _ramp_offsets(ramps: tuple[Ramp, ...], n: int) -> np.ndarray:
 def generate_synthetic(spec: GeneratorSpec, seed: int) -> WindSeries:
     """Generate a wind series matching ``spec`` exactly in direction mean/std.
 
-    Deterministic for a fixed (spec, seed): the same inputs reproduce the same
-    series bit for bit.
+    The statistics hold before the direction is wrapped into [0, 360), which
+    moves only samples across the 0/360 seam. Deterministic for a fixed
+    (spec, seed): the same inputs reproduce the same series bit for bit.
     """
     rng = np.random.default_rng(seed)
     n = spec.length_s
@@ -362,13 +363,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> WindSeries:
             f"ramps account for more variance ({var_oc:.2f}) than dir_std_deg allows ({target_var:.2f})"
         )
     b = -cov + math.sqrt(disc)
-    phi = spec.dir_mean_deg + b * dev + oc
-    if np.any(phi < 0.0) or np.any(phi >= 360.0):
-        # Wrapping would silently break the matched statistics; refuse instead.
-        raise WindDataError(
-            "generated direction crosses the 0/360 seam; move dir_mean_deg away from it "
-            "or reduce dir_std_deg / ramp magnitudes"
-        )
+    phi = wrap_to_360(spec.dir_mean_deg + b * dev + oc)
 
     if spec.speed_std_ms > 0:
         sdev = _matched_ar1(rng, n, spec.reversion_rate)

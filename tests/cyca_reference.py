@@ -1,6 +1,6 @@
 """Reference implementations of the threshold baseline, kept for differential tests.
 
-``run_cyca_s`` visits every controller tick in a Python loop and
+``run_cyca_s`` visits every 1 s controller tick in a Python loop and
 ``resample_to_cycles`` builds the cycle trace one record at a time. They are
 the plain statements of the semantics that ``yawbench.baseline`` reproduces
 with an event-driven schedule and one vectorised cycle aggregation; the
@@ -24,7 +24,6 @@ def run_cyca_s(series, cfg, tp, init_theta, cycle_period=10.0, return_inner=Fals
     """Per-tick simulation of the cumulative-error threshold controller."""
     n = len(series)
     p = int(cycle_period)
-    dt = int(cfg.inner_period)
     window = int(cfg.target_window)
     rate = tp.yaw_rate_deg_s
     theta = wrap_to_360(float(init_theta))
@@ -36,29 +35,28 @@ def run_cyca_s(series, cfg, tp, init_theta, cycle_period=10.0, return_inner=Fals
     acc = 0.0
     yawing = False
     target = 0.0
-    for tick in range(0, n, dt):
+    for tick in range(n):
         if yawing:
             rem = yaw_error(target, theta)
             stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
             if abs(rem) <= stop_at:
                 yawing = False
             else:
-                step = math.copysign(min(rate * dt, abs(rem)), rem)
+                step = math.copysign(min(rate, abs(rem)), rem)
                 theta = wrap_to_360(theta + step)
                 if abs(yaw_error(target, theta)) <= stop_at:
                     yawing = False
         else:
             gamma = yaw_error(series.phi[tick], theta)
-            acc += abs(gamma) * dt
+            acc += abs(gamma)
             if acc >= cfg.threshold:
                 lo = max(0, tick - window + 1)
                 target = circular_mean_deg(series.phi[lo : tick + 1])
                 acc = 0.0
                 yawing = True  # motion starts on the next tick
-        hi = min(tick + dt, n)
-        theta_sec[tick:hi] = theta
-        acc_sec[tick:hi] = acc
-        yawing_sec[tick:hi] = yawing
+        theta_sec[tick] = theta
+        acc_sec[tick] = acc
+        yawing_sec[tick] = yawing
 
     trace = resample_to_cycles(series, theta_sec, tp, p, theta_prev=wrap_to_360(float(init_theta)))
     if return_inner:

@@ -202,15 +202,14 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     return ac, curve
 
 
-def evaluate(ac, env, mode="greedy", rng=None, start_cycle=0) -> CycleTrace:
-    """Greedy or stochastic roll-out through the reference forward and sampler."""
+def evaluate(ac, env) -> CycleTrace:
+    """Greedy roll-out from cycle 0, nacelle aligned, through the reference forward."""
     env = env_reference.YawEnv(env.series, env.cfg)
-    obs = env.reset(start_cycle=start_cycle, init_theta="align", rng=rng)
+    obs = env.reset(start_cycle=0, init_theta="align")
     records = []
     for _ in range(env.cfg.episode_len):
         probs, _ = policy_forward(ac, obs)
-        action = Action(int(np.argmax(probs))) if mode == "greedy" else sample_action(probs, rng)[0]
-        obs, _, done, info = env.step(action)
+        obs, _, done, info = env.step(Action(int(np.argmax(probs))))
         records.append(info)
         if done:
             break

@@ -41,8 +41,6 @@ class TestCycaConfig:
         with pytest.raises(ValueError):
             CycaConfig(threshold=0.0)
         with pytest.raises(ValueError):
-            CycaConfig(inner_period=0.5)
-        with pytest.raises(ValueError):
             CycaConfig(target_window=0.5)
         with pytest.raises(ValueError):
             CycaConfig(stop_deadband=-1.0)
@@ -52,14 +50,14 @@ class TestCycaConfig:
         with pytest.raises(ValueError, match="target_window"):
             CycaConfig(target_window=1.5)
 
-    @pytest.mark.parametrize("field", ["threshold", "target_window", "stop_deadband", "inner_period"])
+    @pytest.mark.parametrize("field", ["threshold", "target_window", "stop_deadband"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected_by_name(self, field, bad):
         # a nan threshold never triggers and a nan deadband never ends a turn
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CycaConfig(**{field: bad})
 
-    @pytest.mark.parametrize("field", ["inner_period", "target_window"])
+    @pytest.mark.parametrize("field", ["target_window"])
     @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0])
     def test_whole_seconds_named(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be a positive whole number of seconds"):

@@ -37,6 +37,7 @@ from yawbench import (
     eval_env_config,
     load_nacelle_log,
     load_series,
+    n_cycles,
     replay_cyca_l,
     run_actions,
     run_cyca_s,
@@ -83,11 +84,9 @@ thresholds = st.one_of(
 
 @st.composite
 def cyca_configs(draw):
-    dt = draw(st.sampled_from([1, 2, 3, 7]))
     return CycaConfig(
-        inner_period=float(dt),
         threshold=draw(thresholds),
-        target_window=float(dt * draw(st.integers(1, 40))),
+        target_window=float(draw(st.integers(1, 280))),
         stop_deadband=draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
     )
 
@@ -162,7 +161,7 @@ class TestCycleStats:
     def test_env_aggregates_equal_cycle_wind(self, series):
         cfg = EnvConfig(standardizer=Standardizer(7.5))
         env = YawEnv(series, cfg)
-        for c in range(env.n_cycles):
+        for c in range(n_cycles(series, cfg)):
             phi, v = cycle_wind(series, c, cfg)
             assert env._phi_c[c] == phi
             assert env._v_c[c] == v

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from yawbench import (
     Action,
+    CycaConfig,
     CycleTrace,
     EnvConfig,
     MetricsReport,
@@ -16,8 +17,10 @@ from yawbench import (
     align_traces,
     compare,
     compute_metrics,
+    eval_env_config,
     generate_synthetic,
     run_constant_action,
+    run_cyca_s,
     steady_preset,
     wrap_angle,
     yaw_consumption_delta,
@@ -199,6 +202,12 @@ class TestConsumptionDelta:
         with pytest.raises(ValueError, match="grid"):
             yaw_consumption_delta(a, b, tp)
 
+    def test_time_grid_mismatch_rejected(self, tp):
+        a = trace_from_theta(np.full(10, 1.0))
+        b = replace(a, t_s=a.t_s / 2.0)
+        with pytest.raises(ValueError, match=r"^traces are on different time grids: cycle 1 at t_s 10\.0 and 5\.0$"):
+            yaw_consumption_delta(a, b, tp)
+
 
 def report(err=6.52, energy=1168.5):
     return MetricsReport(
@@ -261,6 +270,16 @@ class TestAlignAndTables:
         b = trace_from_theta(np.full(10, 1.0)).slice(6, 10)
         with pytest.raises(ValueError):
             align_traces(a, b)
+
+    def test_align_different_time_grids_rejected(self, tp):
+        # a 5 s control cycle against the 10 s CYCA-S grid: the cycle numbers
+        # overlap, so the two traces were aligned and compared period for period
+        series = generate_synthetic(steady_preset(length_s=3000), seed=31)
+        env_cfg = EnvConfig(standardizer=Standardizer(8.0), cycle_period=5.0, comm_delay=5.0)
+        fast = run_constant_action(YawEnv(series, eval_env_config(series, env_cfg)), Action.STAY, start_cycle=0)
+        slow = run_cyca_s(series, CycaConfig(), tp, init_theta=float(series.phi[0]))
+        with pytest.raises(ValueError, match=r"^traces are on different time grids: cycle 1 at t_s 5\.0 and 10\.0$"):
+            align_traces(fast, slow)
 
     @pytest.mark.parametrize("empty_first", [True, False])
     def test_align_empty_trace_rejected(self, empty_first):

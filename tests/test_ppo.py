@@ -561,41 +561,24 @@ class TestEvaluate:
             w[:] = 0.0
         for b in ac.policy.biases:
             b[:] = 0.0
-        trace = evaluate(ac, env, mode="greedy", start_cycle=0)
+        trace = evaluate(ac, env)
         assert np.all(trace.action_issued == int(Action.CLOCKWISE))
 
-    def test_stochastic_reproducible(self):
+    def test_one_aligned_episode_from_cycle_zero_reproducible(self):
         env = make_env()
         ac = ActorCritic.create(env.cfg.j, (8, 8), np.random.default_rng(1))
-        t1 = evaluate(ac, env, mode="stochastic", rng=np.random.default_rng(3), start_cycle=0)
-        t2 = evaluate(ac, env, mode="stochastic", rng=np.random.default_rng(3), start_cycle=0)
-        assert t1.equals(t2)
+        t1 = evaluate(ac, env)
+        assert t1.equals(evaluate(ac, env))
+        assert t1.cycle.tolist() == list(range(1, env.cfg.episode_len + 1))
+        # the first applied action is the warm-up Stay, so the nacelle is still aligned
+        assert t1.action_applied[0] == Action.STAY and t1.theta[0] == env.cycle_direction(0)
 
     def test_evaluation_does_not_mutate_params(self):
         env = make_env()
         ac = ActorCritic.create(env.cfg.j, (8, 8), np.random.default_rng(2))
         before = [p.copy() for p in ac.parameters]
-        evaluate(ac, env, mode="greedy", start_cycle=0)
+        evaluate(ac, env)
         assert all(np.array_equal(b, p) for b, p in zip(before, ac.parameters))
-
-    @pytest.mark.parametrize("n_steps", [1.5, math.inf, math.nan, -3, 0])
-    def test_n_steps_must_be_a_positive_whole_number(self, n_steps):
-        env = make_env()
-        with pytest.raises(ValueError, match="n_steps must be a positive whole number"):
-            evaluate(tiny_ac(), env, n_steps=n_steps)
-
-    def test_whole_float_n_steps_accepted(self):
-        env, ac = make_env(), tiny_ac()
-        assert evaluate(ac, env, n_steps=3.0).equals(evaluate(ac, env, n_steps=3))
-        assert len(evaluate(ac, env, n_steps=3).cycle) == 3
-
-    def test_mode_validation(self):
-        env = make_env()
-        ac = tiny_ac()
-        with pytest.raises(ValueError):
-            evaluate(ac, env, mode="argmax")
-        with pytest.raises(ValueError):
-            evaluate(ac, env, mode="stochastic")
 
 
 class TestCheckpoint:

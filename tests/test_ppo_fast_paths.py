@@ -83,19 +83,14 @@ class TestEvaluate:
         scale=st.sampled_from([0.0, 1.0, 40.0]),  # ties, ordinary, near-deterministic policies
         seed=st.integers(0, 2**16),
         j=st.integers(1, 4),
-        start_cycle=st.integers(0, 200),
+        episode_len=st.integers(1, 240),
     )
-    def test_greedy_and_stochastic_traces_match_reference(self, hidden, scale, seed, j, start_cycle):
+    def test_greedy_traces_match_reference(self, hidden, scale, seed, j, episode_len):
         ac = ActorCritic.create(j, hidden, np.random.default_rng(seed))
         for w in ac.policy.weights:
             w *= scale
-        env = make_env(seed % 5, j, episode_len=40)
-        greedy = evaluate(ac, env, start_cycle=start_cycle)
-        assert same_traces(greedy, ref.evaluate(ac, env, start_cycle=start_cycle))
-        with np.errstate(divide="ignore"):  # a zero-probability action has log-probability -inf
-            stochastic = evaluate(ac, env, "stochastic", rng=np.random.default_rng(seed), start_cycle=start_cycle)
-            expected = ref.evaluate(ac, env, "stochastic", rng=np.random.default_rng(seed), start_cycle=start_cycle)
-        assert same_traces(stochastic, expected)
+        env = make_env(seed % 5, j, episode_len=episode_len)
+        assert same_traces(evaluate(ac, env), ref.evaluate(ac, env))
 
     @pytest.mark.parametrize(
         "logits, action",
@@ -116,9 +111,9 @@ class TestEvaluate:
             w[...] = 0.0
         ac.policy.biases[-1][...] = logits
         env = make_env(1, 2, episode_len=5)
-        trace = evaluate(ac, env, start_cycle=3)
+        trace = evaluate(ac, env)
         assert trace.action_issued.tolist() == [action] * 5
-        assert same_traces(trace, ref.evaluate(ac, env, start_cycle=3))
+        assert same_traces(trace, ref.evaluate(ac, env))
 
     @given(p=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1 / 3, 1.0])), min_size=3, max_size=3))
     def test_greedy_action_is_argmax(self, p):

@@ -35,6 +35,7 @@ class TestLoadSeries:
         s = load_series(p)
         assert (s.t[0], s.phi[0], s.v[0]) == (0, 34.1, 7.2)
         assert len(s) == 2
+        assert (s.source, s.label) == ("real", "w")
 
     def test_negative_direction_normalized(self, tmp_path):
         p = tmp_path / "w.csv"
@@ -293,6 +294,17 @@ class TestGenerator:
         assert a.equals(b)
         c = generate_synthetic(steady_preset(length_s=3000), seed=8)
         assert not a.equals(c)
+
+    @pytest.mark.parametrize("seed", [180, 313, 426, 819])
+    def test_seam_crossing_seeds_wrap_and_keep_matched_statistics(self, seed):
+        # each of these seeds carries 2-3 samples below 0 deg
+        s = generate_synthetic(variable_preset(), seed=seed)
+        assert np.all(s.phi >= 0.0) and np.all(s.phi < 360.0)
+        crossed = s.phi >= 180.0
+        assert 1 <= crossed.sum() <= 3
+        unwrapped = np.where(crossed, s.phi - 360.0, s.phi)
+        assert unwrapped.mean() == pytest.approx(41.4, abs=1e-6)
+        assert unwrapped.std() == pytest.approx(11.6, abs=1e-6)
 
     def test_normalization_invariants(self):
         s = generate_synthetic(variable_preset(), seed=5)
