@@ -10,11 +10,14 @@ are resampled onto the control-cycle grid used by every other controller.
 
 The simulation is event-driven: while the controller is idle the heading is
 fixed, so only the ticks spent yawing step through a scalar loop (see
-``run_cyca_s``). Its outputs are bit-identical to a loop over every tick,
+``_simulate``). Its outputs are bit-identical to a loop over every tick,
 because ``np.cumsum`` adds strictly in sequence from the carried accumulator,
 as that loop does, the float and array branches of the angle wrapping round
 alike, and the cycle aggregation (``cycle_stats``) takes each cycle's final
 atan2 with ``math.atan2``, as ``circular_mean_deg`` does.
+
+Threshold calibration scores each candidate from its simulated end-of-cycle
+headings alone, without building the cycle trace.
 """
 
 from __future__ import annotations
@@ -58,18 +61,24 @@ class CycaConfig:
             raise ValueError(f"stop_deadband must be >= 0, got {self.stop_deadband}")
 
 
-def run_cyca_s(
-    series: WindSeries,
-    cfg: CycaConfig,
-    tp: TurbineParams,
-    init_theta: float,
-    cycle_period: float = 10.0,
-    return_inner: bool = False,
-):
+def run_cyca_s(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, init_theta: float,
+               cycle_period: float = 10.0, return_inner: bool = False):
     """Simulate the threshold controller over ``series``.
 
     Returns the per-cycle trace; with ``return_inner=True`` also a dict of
     per-second arrays (theta, accumulator, yawing flag) for inspection.
+    """
+    p = whole_number("cycle_period", cycle_period, "seconds")
+    theta0 = wrap_to_360(float(init_theta))
+    theta_sec, acc_sec, yawing_sec = _simulate(series, cfg, tp, theta0)
+    trace = _resample_to_cycles(series, theta_sec, tp, p, theta_prev=theta0)
+    if return_inner:
+        return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
+    return trace
+
+
+def _simulate(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, theta0: float):
+    """Per-second heading, accumulator and yawing flag of the controller from heading ``theta0``.
 
     Event-driven, and bit-identical to a per-tick loop (see the module
     docstring): an idle spell is scanned in doubling chunks, ``np.cumsum``
@@ -78,12 +87,9 @@ def run_cyca_s(
     Python floats, at most ``yaw_rate_deg_s`` per tick.
     """
     n = len(series)
-    p = whole_number("cycle_period", cycle_period, "seconds")
-
     window = int(cfg.target_window)
     step_max = tp.yaw_rate_deg_s
     stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
-    theta0 = wrap_to_360(float(init_theta))
 
     theta_sec = np.empty(n)
     acc_sec = np.zeros(n)  # zero on every tick from a trigger to the end of its turn
@@ -116,30 +122,27 @@ def run_cyca_s(
         else:
             acc_sec[i:hi] = run
             acc, i, span = float(run[-1]), hi, 2 * span
-
-    trace = _resample_to_cycles(series, theta_sec, tp, p, theta_prev=theta0)
-    if return_inner:
-        return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
-    return trace
+    return theta_sec, acc_sec, yawing_sec
 
 
-def _resample_to_cycles(
-    series: WindSeries,
-    theta_sec: np.ndarray,
-    tp: TurbineParams,
-    p: int,
-    theta_prev: float,
-) -> CycleTrace:
+def _cycle_ends(theta_sec: np.ndarray, p: int) -> np.ndarray:
+    """The end-of-cycle headings of a per-second trajectory, one per full ``p`` s cycle (a view)."""
+    count = len(theta_sec) // p
+    if count == 0:
+        raise ValueError(f"series of {len(theta_sec)} samples holds no full {p} s cycle")
+    return theta_sec[p - 1 : count * p : p]
+
+
+def _resample_to_cycles(series: WindSeries, theta_sec: np.ndarray, tp: TurbineParams, p: int,
+                        theta_prev: float) -> CycleTrace:
     """Collapse a per-second nacelle trajectory onto the control-cycle grid.
 
     The nacelle position reported for a cycle is its end-of-cycle value; the
     applied action is derived from the net rotation over the cycle.
     """
+    theta = _cycle_ends(theta_sec, p).copy()
+    count = len(theta)
     phi, v = cycle_stats(series, p)
-    count = len(phi)
-    if count == 0:
-        raise ValueError(f"series of {len(series)} samples holds no full {p} s cycle")
-    theta = theta_sec[p - 1 : count * p : p].copy()
     gamma = yaw_error(phi, theta)
     delta = wrap_angle(np.diff(theta, prepend=theta_prev))
     action = np.where(delta > 1e-12, 2, np.where(delta < -1e-12, 0, 1))
@@ -183,12 +186,8 @@ def save_nacelle_log(log: NacelleLog, path) -> None:
     write_csv_columns(path, NACELLE_HEADER, log.t, log.theta)
 
 
-def replay_cyca_l(
-    series: WindSeries,
-    log: NacelleLog,
-    tp: TurbineParams,
-    cycle_period: float = 10.0,
-) -> CycleTrace:
+def replay_cyca_l(series: WindSeries, log: NacelleLog, tp: TurbineParams,
+                  cycle_period: float = 10.0) -> CycleTrace:
     """Reconstruct a per-cycle trace from recorded nacelle positions.
 
     The log must cover exactly the same 1 s time range as the wind series.
@@ -205,29 +204,27 @@ def replay_cyca_l(
     return _resample_to_cycles(series, log.theta, tp, p, theta_prev=float(log.theta[0]))
 
 
-def calibrate_threshold(
-    series: WindSeries,
-    cfg: CycaConfig,
-    tp: TurbineParams,
-    init_theta: float,
-    thresholds,
-    target_pct: float = 2.0,
-    cycle_period: float = 10.0,
-) -> tuple[float, list[float]]:
+def calibrate_threshold(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, init_theta: float, thresholds,
+                        target_pct: float = 2.0, cycle_period: float = 10.0) -> tuple[float, list[float]]:
     """Grid-search the accumulator threshold for a time-spent-yawing target.
 
     Returns the threshold whose usage lands closest to ``target_pct`` (ties go
     to the smaller threshold) along with the usage measured for each candidate.
     A ``target_pct`` outside [0, 100] (NaN and inf included) raises ValueError.
+
+    A usage is scored from the simulated end-of-cycle headings alone, the
+    ``theta`` that ``run_cyca_s``'s trace holds; no trace is built.
     """
     if not 0.0 <= target_pct <= 100.0:  # False for NaN too
         raise ValueError(f"target_pct must be a finite percentage in [0, 100], got {target_pct}")
     grid = [float(x) for x in thresholds]
     if not grid:
         raise ValueError("empty calibration grid")
+    p = whole_number("cycle_period", cycle_period, "seconds")
+    theta0 = wrap_to_360(float(init_theta))
     usages = []
     for thr in grid:
-        trace = run_cyca_s(series, replace(cfg, threshold=thr), tp, init_theta, cycle_period)
-        usages.append(float(100.0 * np.mean(cycle_deltas(trace.theta) > 0.0)))
+        theta_sec = _simulate(series, replace(cfg, threshold=thr), tp, theta0)[0]
+        usages.append(float(100.0 * np.mean(cycle_deltas(_cycle_ends(theta_sec, p)) > 0.0)))
     best = min(range(len(grid)), key=lambda i: (abs(usages[i] - target_pct), grid[i]))
     return grid[best], usages

@@ -46,12 +46,16 @@ def _drive_kwh(rotation_deg, tp: TurbineParams):
 
 
 def compute_metrics(trace: CycleTrace, tp: TurbineParams, cfg: EnvConfig) -> MetricsReport:
-    """Aggregate one trace into the benchmark metrics; ``tp`` must equal ``cfg.turbine``."""
+    """Aggregate one trace into the benchmark metrics; ``tp`` must equal
+    ``cfg.turbine`` and the trace's cycles must be ``cfg.cycle_period`` apart."""
     if tp != cfg.turbine:
         raise ValueError(f"turbine parameters {tp} differ from the env config's {cfg.turbine}")
     if len(trace) == 0:
         raise ValueError("cannot compute metrics over an empty trace")
     p = cfg.cycle_period
+    steps = np.diff(trace.t_s)
+    if np.any(steps != p):
+        raise ValueError(f"trace cycles are {steps[steps != p][0]:g} s apart but cycle_period is {p:g} s")
     deltas = cycle_deltas(trace.theta)
     moving = deltas > 0.0
     starts = int(np.sum(np.diff(np.concatenate([[0], moving.astype(np.int64)])) == 1))
@@ -76,11 +80,8 @@ def _check_same_grid(a: CycleTrace, b: CycleTrace) -> None:
         raise ValueError(f"traces are on different time grids: cycle {a.cycle[i]} at t_s {a.t_s[i]} and {b.t_s[i]}")
 
 
-def yaw_consumption_delta(
-    trace_candidate: CycleTrace,
-    trace_baseline: CycleTrace,
-    tp: TurbineParams,
-) -> tuple[np.ndarray, float]:
+def yaw_consumption_delta(trace_candidate: CycleTrace, trace_baseline: CycleTrace,
+                          tp: TurbineParams) -> tuple[np.ndarray, float]:
     """Per-cycle difference in yaw-drive energy use, candidate minus baseline.
 
     delta(t) = (rot_candidate(t) - rot_baseline(t)) / yaw_rate * p_yaw_drive,
@@ -112,12 +113,8 @@ class Comparison:
         return from_fields(cls, d, delta_series_kwh=None)
 
 
-def compare(
-    report_candidate: MetricsReport,
-    report_baseline: MetricsReport,
-    delta_total_kwh: float,
-    delta_series_kwh: np.ndarray | None = None,
-) -> Comparison:
+def compare(report_candidate: MetricsReport, report_baseline: MetricsReport, delta_total_kwh: float,
+            delta_series_kwh: np.ndarray | None = None) -> Comparison:
     """Headline percentages of a candidate run against a baseline run.
 
     net gain satisfies net% = gross% - 100 * delta_total / E_baseline exactly.
@@ -182,8 +179,12 @@ _COMPARISON_ROWS = (
 def _render(rows, columns: dict, sep: str, blank=frozenset()) -> str:
     """One line per ``(title, key, fmt)`` row under a ``metric`` header, one cell
     per column; a ``(label, key)`` cell in ``blank`` reads "-". With the
-    two-space separator the cells are padded into aligned columns."""
+    two-space separator the cells are padded into aligned columns; a CSV
+    label holding a comma, quote or line break raises ValueError."""
     labels = list(columns)
+    for lb in labels if sep == "," else ():
+        if set(lb) & set(',"\r\n'):
+            raise ValueError(f"CSV table label {lb!r} holds a comma, quote or line break")
     table = [["metric", *labels]] + [
         [title] + ["-" if (lb, key) in blank else fmt.format(getattr(columns[lb], key)) for lb in labels]
         for title, key, fmt in rows

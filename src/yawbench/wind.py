@@ -11,6 +11,8 @@ Logs are CSV files with one header line. ``read_log_csv`` parses a whole
 file in one ``np.loadtxt`` pass and checks the arrays; only a file that pass
 rejects is re-read row by row, which names the first bad line in a
 WindDataError. Either way the arrays are those ``float()``/``int()`` give.
+``write_csv_columns`` formats a run of equal values once per block of rows,
+and every other value with ``repr``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Collection, NamedTuple
 
@@ -188,17 +191,49 @@ def write_csv_columns(path, header: tuple[str, ...], *cols: np.ndarray) -> None:
     """Write equal-length columns under ``header``, one row per index.
 
     Integer columns are written as integers and float columns as their repr,
-    which parses back to the same float. Each block of rows is formatted a
-    column at a time and written in one call, so memory stays flat in the
-    column length.
+    which parses back to the same float. A header naming another number of
+    columns, or a column of another length than the first, raises ValueError
+    before the file or its directory is created. Rows are written a block at
+    a time, so memory stays flat in the column length.
     """
+    if not cols:
+        raise ValueError("no columns to write")
+    if len(header) != len(cols):
+        raise ValueError(f"header names {len(header)} columns but {len(cols)} were given")
+    n = len(cols[0])
+    for name, col in zip(header, cols):
+        if len(col) != n:
+            raise ValueError(f"column {name!r} holds {len(col)} values but column {header[0]!r} holds {n}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, len(cols[0]), 1024):
-            cells = [list(map(repr, c[lo : lo + 1024].tolist())) for c in cols]
+        for cells in zip(*map(_block_cells, cols)):
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _block_cells(col: np.ndarray):
+    """The cells of ``col``, a list per block of 1024 rows. A column in which a
+    value repeats the one before it (a nacelle at rest) is formatted by runs,
+    each once per block; values compare as bit patterns, so ``-0.0`` after
+    ``0.0`` starts a new run. Other columns take ``repr`` value by value."""
+    n, block = len(col), 1024  # a multiple of 8, for the packed mask
+    bits = col.view(np.int64) if col.itemsize == 8 else col.view(f"V{col.itemsize}")
+    new = np.empty(n, dtype=bool)  # True where a run starts
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if new.all():
+        del new
+        for lo in range(0, n, block):
+            yield list(map(repr, col[lo : lo + block].tolist()))
+        return
+    new[::block] = True
+    packed = np.packbits(new)  # a bit a row keeps memory flat
+    del new
+    for lo in range(0, n, block):
+        at = np.flatnonzero(np.unpackbits(packed[lo // 8 : (lo + block) // 8], count=min(block, n - lo)))
+        lens = np.diff(at, append=min(block, n - lo)).tolist()
+        yield list(chain.from_iterable(map(repeat, map(repr, col[lo + at].tolist()), lens)))
 
 
 def load_series(path) -> WindSeries:

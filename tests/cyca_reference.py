@@ -4,18 +4,21 @@
 ``resample_to_cycles`` builds the cycle trace one record at a time. They are
 the plain statements of the semantics that ``yawbench.baseline`` reproduces
 with an event-driven schedule and one vectorised cycle aggregation; the
-library's outputs must equal theirs bit for bit.
+library's outputs must equal theirs bit for bit. ``calibrate_threshold``
+scores each candidate from a whole cycle trace, where the library reads the
+simulated headings alone.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from env_reference import trace_from_records
 from power_reference import power_with_misalignment
-from yawbench import circular_mean_deg, wrap_angle, wrap_to_360, yaw_error
+from yawbench import circular_mean_deg, run_cyca_s as run_cyca_s_lib, wrap_angle, wrap_to_360, yaw_error
 
 _STOP_FLOOR_DEG = 1e-9
 
@@ -103,3 +106,21 @@ def resample_to_cycles(series, theta_sec, tp, p, theta_prev):
 def replay_cyca_l(series, log, tp, cycle_period=10.0):
     """Reference replay: the per-cycle resample of the recorded headings."""
     return resample_to_cycles(series, log.theta, tp, int(cycle_period), theta_prev=float(log.theta[0]))
+
+
+def calibrate_threshold(series, cfg, tp, init_theta, thresholds, target_pct=2.0, cycle_period=10.0):
+    """Grid search that scores each threshold from the full cycle trace of
+    ``yawbench.run_cyca_s``: its share of cycles that moved, and ties going to
+    the smaller threshold."""
+    grid = [float(x) for x in thresholds]
+    usages = []
+    for thr in grid:
+        trace = run_cyca_s_lib(series, replace(cfg, threshold=thr), tp, init_theta, cycle_period)
+        moving = np.concatenate([[False], np.abs(wrap_angle(np.diff(trace.theta))) > 0])
+        usages.append(float(100.0 * np.mean(moving)))
+    best = 0
+    for i in range(1, len(grid)):
+        gap, best_gap = abs(usages[i] - target_pct), abs(usages[best] - target_pct)
+        if gap < best_gap or (gap == best_gap and grid[i] < grid[best]):
+            best = i
+    return grid[best], usages

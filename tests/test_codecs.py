@@ -222,22 +222,49 @@ any_reports = st.builds(
 any_comparisons = st.builds(Comparison, any_float, any_float, any_float, any_float)
 
 
+_REPORT = MetricsReport(6.18, 1173.1, 420.0, 12, 2.0, 0.95, 1050, 10500.0)
+_COMPARISON = Comparison(5.5, 0.4, 0.31, 0.02)
+
+
+def _csv_matches_reference(render, reference, columns, *args):
+    """The CSV form equals the reference's, unless a label would break its
+    fields; then it raises naming the first such label."""
+    bad = [lb for lb in columns if set(lb) & set(',"\r\n')]
+    if bad:
+        with pytest.raises(ValueError, match=rf"^CSV table label {re.escape(repr(bad[0]))} holds a comma"):
+            render(columns, *args)
+    else:
+        assert render(columns, *args) == reference(columns, *args)
+
+
 @given(data=st.data())
 def test_metrics_tables_match_reference(data):
     names = data.draw(labels)
     reps = {lb: data.draw(any_reports) for lb in names}
     omit = data.draw(st.sets(st.sampled_from([*names, "absent"])))
     assert render_metrics_table(reps) == table_reference.render_metrics_table(reps)
-    assert metrics_table_csv(reps) == table_reference.metrics_table_csv(reps)
+    _csv_matches_reference(metrics_table_csv, table_reference.metrics_table_csv, reps)
     assert render_metrics_table(reps, omit) == table_reference.render_metrics_table(reps, omit)
-    assert metrics_table_csv(reps, omit) == table_reference.metrics_table_csv(reps, omit)
+    _csv_matches_reference(metrics_table_csv, table_reference.metrics_table_csv, reps, omit)
 
 
 @given(data=st.data())
 def test_comparison_tables_match_reference(data):
     comps = {lb: data.draw(any_comparisons) for lb in data.draw(labels)}
     assert render_comparison_table(comps) == table_reference.render_comparison_table(comps)
-    assert comparison_table_csv(comps) == table_reference.comparison_table_csv(comps)
+    _csv_matches_reference(comparison_table_csv, table_reference.comparison_table_csv, comps)
+
+
+@pytest.mark.parametrize("bad", ["PPO, lr 3e-4", 'say "hi"', "two\nlines", "a\rb"])
+def test_csv_table_label_that_would_break_its_fields_rejected(bad):
+    # "PPO, lr 3e-4" wrote the header metric,PPO, lr 3e-4,CYCA-S: 4 fields over 3-field rows
+    reps = {bad: _REPORT, "CYCA-S": _REPORT}
+    with pytest.raises(ValueError, match=rf"^CSV table label {re.escape(repr(bad))} holds a comma, quote or line break$"):
+        metrics_table_csv(reps)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        comparison_table_csv({bad: _COMPARISON})
+    # the aligned text tables take any label
+    assert bad in render_metrics_table(reps) and bad in render_comparison_table({bad: _COMPARISON})
 
 
 def test_csv_table_without_columns_is_header_only():

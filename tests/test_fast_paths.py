@@ -8,6 +8,7 @@ reproduce their references bit for bit, not merely to a tolerance.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,9 +33,11 @@ from yawbench import (
     WindSeries,
     WindDataError,
     YawEnv,
+    calibrate_threshold,
     cycle_stats,
     encode_observation,
     eval_env_config,
+    generate_synthetic,
     load_nacelle_log,
     load_series,
     n_cycles,
@@ -45,6 +48,7 @@ from yawbench import (
     power_with_misalignment,
     save_nacelle_log,
     save_series,
+    variable_preset,
     wrap_angle,
     wrap_to_360,
     yaw_error,
@@ -320,6 +324,45 @@ class TestMatchedAr1:
     def test_equals_numpy_scalar_loop(self, seed, n, a):
         out = _matched_ar1(np.random.default_rng(seed), n, a)
         assert same_bits(out, wind_reference.matched_ar1(np.random.default_rng(seed), n, a))
+
+
+class TestCalibrateThreshold:
+    """Calibration scores each threshold from its simulated headings; the
+    reference scores it from the whole ``run_cyca_s`` trace."""
+
+    @given(
+        series=wind_series(min_len=1),
+        cfg=cyca_configs(),
+        init_theta=st.one_of(finite, st.integers(-720, 720).map(float)),
+        grid=st.lists(thresholds, min_size=1, max_size=5),
+        target_pct=st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 2.0, 50.0, 100.0])),
+        p=st.sampled_from([5, 10, 30]),
+    )
+    def test_equals_trace_scored_reference(self, series, cfg, init_theta, grid, target_pct, p):
+        tp = TurbineParams()
+        args = (series, cfg, tp, init_theta, grid, target_pct, p)
+        if len(series) < p:
+            with pytest.raises(ValueError) as want:
+                ref.calibrate_threshold(*args)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                calibrate_threshold(*args)
+            return
+        best, usages = calibrate_threshold(*args)
+        want_best, want_usages = ref.calibrate_threshold(*args)
+        assert best.hex() == want_best.hex()
+        assert [u.hex() for u in usages] == [u.hex() for u in want_usages]
+
+    def test_series_shorter_than_one_cycle_named(self):
+        series = WindSeries(np.arange(5), np.full(5, 50.0), np.full(5, 8.0))
+        for calibrate in (calibrate_threshold, ref.calibrate_threshold):
+            with pytest.raises(ValueError, match="^series of 5 samples holds no full 10 s cycle$"):
+                calibrate(series, CycaConfig(), TurbineParams(), 50.0, [300.0, 900.0])
+
+    def test_variable_wind_grid(self):
+        # the benchmark's calibration: variable wind, a grid from >= 10% yawing down to about 2%
+        series = generate_synthetic(variable_preset(21000), 1).slice_samples(0, 10500)
+        args = (series, CycaConfig(), TurbineParams(), float(series.phi[0]), (300.0, 2500.0, 20000.0))
+        assert calibrate_threshold(*args) == ref.calibrate_threshold(*args)
 
 
 class TestReplay:
@@ -729,3 +772,38 @@ class TestCsvRoundTrips:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * (tmp_path / "big.csv").stat().st_size  # the text is never held whole
+
+    def test_writer_memory_flat_on_a_constant_column(self, tmp_path):
+        cols = np.arange(100_000), np.full(100_000, 359.5)  # one run, formatted once per block
+        tracemalloc.start()
+        try:
+            write_csv_columns(tmp_path / "big.csv", ("a", "b"), *cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * (tmp_path / "big.csv").stat().st_size
+
+    # Bit patterns whose reprs collide (-0.0 and 0.0 do not; every NaN reads
+    # "nan" whatever its sign and payload) or sit at the edges of the format.
+    run_bits = st.one_of(
+        st.sampled_from([0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x4076780000000000]),
+        st.floats().map(lambda x: int(np.float64(x).view(np.uint64))),
+    )
+    # short runs, and runs about one 1024-row block long, which cross a block boundary
+    run_lengths = st.one_of(st.integers(1, 4), st.integers(1000, 1100), st.integers(2040, 2060))
+
+    @given(runs=st.lists(st.tuples(run_bits, run_lengths, st.integers(-2, 2)), max_size=8))
+    @example(runs=[])
+    @example(runs=[(0x8000000000000000, 1, 0)])
+    @example(runs=[(0x0, 1023, 0), (0x8000000000000000, 2, 0), (0x0, 1024, 1), (0x7FF8000000000001, 3, 1)])
+    def test_writer_with_runs_bytes_equal_reference(self, tmp_path_factory, runs):
+        lengths = [k for _, k, _ in runs]
+        n = sum(lengths)
+        floats = np.repeat(np.array([b for b, _, _ in runs], dtype=np.uint64), lengths).view(np.float64)
+        ints = np.repeat(np.array([i for _, _, i in runs], dtype=np.int64), lengths)
+        cols = (np.arange(n), floats, ints, floats[::-1].copy())
+        d = tmp_path_factory.mktemp("runs")
+        write_csv_columns(d / "new.csv", ("t", "x", "k", "y"), *cols)
+        csv_reference.write_csv_columns(d / "ref.csv", ("t", "x", "k", "y"), *cols)
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()

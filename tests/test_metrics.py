@@ -125,6 +125,16 @@ class TestComputeMetrics:
             compute_metrics(tr, other, cfg)
         assert compute_metrics(tr, other, replace(cfg, turbine=other)).yaw_consumption_kwh > 0
 
+    def test_trace_on_another_cycle_period_rejected(self, tp, cfg):
+        # a 10 s CYCA-S trace read with cycle_period 5 reported half its energy over half its horizon
+        series = generate_synthetic(steady_preset(length_s=4000), seed=32)
+        trace = run_cyca_s(series, CycaConfig(), tp, init_theta=float(series.phi[0]))
+        fast = EnvConfig(standardizer=Standardizer(8.0), cycle_period=5.0, comm_delay=5.0)
+        with pytest.raises(ValueError, match=r"^trace cycles are 10 s apart but cycle_period is 5 s$"):
+            compute_metrics(trace, tp, fast)
+        assert compute_metrics(trace, tp, cfg).horizon_s == 4000.0
+        assert compute_metrics(trace.slice(3, 4), tp, fast).horizon_s == 5.0  # one cycle shows no step
+
     def test_report_dict_roundtrip(self, tp, cfg):
         m = compute_metrics(trace_from_theta(np.full(10, 1.0)), tp, cfg)
         assert MetricsReport.from_dict(m.to_dict()) == m
@@ -158,6 +168,7 @@ def test_metrics_additive_over_concat(theta_a, theta_b, power):
     na, nb = len(theta_a), len(theta_b)
     a = trace_from_theta(theta_a, power=np.array(power[:na]))
     b = trace_from_theta(theta_b, power=np.array(power[na : na + nb]))
+    b = replace(b, cycle=b.cycle + na, t_s=b.t_s + na * cfg.cycle_period)  # b follows a on the cycle grid
     whole = compute_metrics(CycleTrace.concat([a, b]), tp, cfg)
     ma, mb = compute_metrics(a, tp, cfg), compute_metrics(b, tp, cfg)
     assert whole.n_cycles == ma.n_cycles + mb.n_cycles == na + nb

@@ -22,6 +22,7 @@ from yawbench import (
     variable_preset,
 )
 from yawbench.env import TRACE_COLUMNS
+from yawbench.wind import write_csv_columns
 
 
 def make_series(n=20, phi=34.1, v=8.0):
@@ -88,6 +89,30 @@ class TestLoadSeries:
         save_series(s, p)
         back = load_series(p)
         assert back.equals(s)
+
+
+class TestWriteCsvColumns:
+    @pytest.mark.parametrize("header, n_cols, message", [
+        (("t", "a", "b"), 2, "header names 3 columns but 2 were given"),  # wrote 3 names over rows of 2 fields
+        (("t",), 2, "header names 1 columns but 2 were given"),
+        ((), 0, "no columns to write"),  # was an IndexError
+    ])
+    def test_header_must_name_every_column(self, tmp_path, header, n_cols, message):
+        out = tmp_path / "made" / "x.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_csv_columns(out, header, *[np.ones(3)] * n_cols)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("lengths, message", [
+        ((3, 5, 3), "column 'a' holds 5 values but column 't' holds 3"),  # zip wrote 3 rows
+        ((3, 3, 0), "column 'b' holds 0 values but column 't' holds 3"),
+        ((0, 3, 3), "column 'a' holds 3 values but column 't' holds 0"),
+    ])
+    def test_columns_must_be_equally_long(self, tmp_path, lengths, message):
+        out = tmp_path / "made" / "x.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_csv_columns(out, ("t", "a", "b"), *(np.arange(k) for k in lengths))
+        assert not out.parent.exists()
 
 
 def _columns(record, n):
