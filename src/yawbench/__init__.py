@@ -42,7 +42,6 @@ from .env import (
     indifference_misalignment,
     n_cycles,
     run_actions,
-    run_constant_action,
 )
 from .baseline import (
     CycaConfig,

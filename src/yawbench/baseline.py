@@ -8,13 +8,15 @@ at the fixed yaw rate, until within a deadband of that target. The accumulator
 resets when an actuation is armed and does not accrue while yawing. Results
 are resampled onto the control-cycle grid used by every other controller.
 
-The simulation is event-driven: while the controller is idle the heading is
-fixed, so only the ticks spent yawing step through a scalar loop (see
-``_simulate``). Its outputs are bit-identical to a loop over every tick,
-because ``np.cumsum`` adds strictly in sequence from the carried accumulator,
-as that loop does, the float and array branches of the angle wrapping round
-alike, and the cycle aggregation (``cycle_stats``) takes each cycle's final
-atan2 with ``math.atan2``, as ``circular_mean_deg`` does.
+The simulation is event-driven: an idle heading is fixed, so an idle spell is
+scanned by a fixed few array calls and only turns step through a scalar loop
+(see ``_simulate``), bit for bit as a loop over every tick would. The idle
+``minimum(w, 360 - w)``, with ``w = mod(phi - theta, 360)``, equals
+``abs(wrap_angle(phi - theta))``: ``w = 360`` gives 0, and for ``w > 180``
+``360 - w`` is exact (Sterbenz's lemma). ``np.cumsum`` adds in sequence from
+the carried accumulator, Python's float ``%`` rounds as ``np.mod`` does, and
+the turn target divides sin and cos sums by the window length, as ``np.mean``
+in ``circular_mean_deg`` does.
 
 Threshold calibration scores each candidate from its simulated end-of-cycle
 headings alone, without building the cycle trace.
@@ -29,8 +31,7 @@ import numpy as np
 
 from .env import CycleTrace, cycle_stats
 from .metrics import cycle_deltas
-from .power import (TurbineParams, circular_mean_deg, power_with_misalignment, whole_number,
-                    wrap_angle, wrap_to_360, yaw_error)
+from .power import TurbineParams, power_with_misalignment, whole_number, wrap_angle, wrap_to_360, yaw_error
 from .wind import WindSeries, check_log, read_log_csv, set_columns, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
@@ -80,48 +81,60 @@ def run_cyca_s(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, init_thet
 def _simulate(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, theta0: float):
     """Per-second heading, accumulator and yawing flag of the controller from heading ``theta0``.
 
-    Event-driven, and bit-identical to a per-tick loop (see the module
-    docstring): an idle spell is scanned in doubling chunks, ``np.cumsum``
-    adding each 1 s tick's ``|yaw error|`` (deg*s) onto the carried
-    accumulator and ``searchsorted`` finding the trigger tick; a turn steps on
-    Python floats, at most ``yaw_rate_deg_s`` per tick.
+    An idle scan of any length is eight array calls into the output rows: ``w``,
+    ``360 - w`` (into ``theta_sec`` until the heading fill), their minimum, the
+    carried accumulator, ``cumsum`` and ``searchsorted``. An event adds about ten:
+    the window target, and the turn stepped on Python floats and stored at once.
     """
-    n = len(series)
-    window = int(cfg.target_window)
-    step_max = tp.yaw_rate_deg_s
+    phi, n = series.phi, len(series)
+    if not np.isfinite(phi).all():  # the caller may have written into the array since construction
+        raise ValueError("wind direction must be finite")
+    window, thr, step_max = int(cfg.target_window), cfg.threshold, tp.yaw_rate_deg_s
     stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
 
     theta_sec = np.empty(n)
     acc_sec = np.zeros(n)  # zero on every tick from a trigger to the end of its turn
     yawing_sec = np.zeros(n, dtype=bool)
-
-    theta, acc, yawing, target = theta0, 0.0, False, 0.0
-    i, span = 0, _SCAN_TICKS
+    theta, acc, i, span = theta0, 0.0, 0, _SCAN_TICKS
     while i < n:
-        if yawing:
-            rem = yaw_error(target, theta)
-            if abs(rem) <= stop_at:
-                yawing = False
-            else:
-                theta = wrap_to_360(theta + math.copysign(min(step_max, abs(rem)), rem))
-                yawing = abs(yaw_error(target, theta)) > stop_at
-            theta_sec[i] = theta
-            yawing_sec[i] = yawing
-            i, span = i + 1, _SCAN_TICKS
-            continue
         hi = min(i + span, n)
-        run = np.cumsum(np.concatenate(([acc], np.abs(yaw_error(series.phi[i:hi], theta)))))[1:]
-        hit = i + int(np.searchsorted(run, cfg.threshold))
-        theta_sec[i : min(hit + 1, hi)] = theta
-        if hit < hi:
-            # Arm a turn toward the trailing-window mean; motion starts on the next tick.
-            target = circular_mean_deg(series.phi[max(0, hit - window + 1) : hit + 1])
-            acc_sec[i:hit] = run[: hit - i]
-            yawing_sec[hit] = yawing = True
-            acc, i = 0.0, hit + 1
-        else:
-            acc_sec[i:hi] = run
+        run, other = acc_sec[i:hi], theta_sec[i:hi]
+        np.subtract(phi[i:hi], theta, out=run)
+        np.mod(run, 360.0, out=run)
+        np.minimum(run, np.subtract(360.0, run, out=other), out=run)
+        run[0] += acc
+        run.cumsum(out=run)
+        hit = i + int(run.searchsorted(thr))
+        other.fill(theta)  # ticks past a trigger are written again by the turn or a later scan
+        if hit == hi:
             acc, i, span = float(run[-1]), hi, 2 * span
+            continue
+        # Arm a turn toward the trailing-window mean; motion starts on the next tick.
+        acc_sec[hit:hi] = 0.0
+        rad = np.deg2rad(phi[max(0, hit - window + 1) : hit + 1])
+        m = len(rad)
+        target = math.degrees(math.atan2(float(np.sin(rad).sum()) / m, float(np.cos(rad).sum()) / m)) % 360.0
+        if target >= 360.0:
+            target = 0.0
+        k, path = hit + 1, []
+        w = (target - theta) % 360.0
+        rem = w - 360.0 if w > 180.0 else w
+        for _ in range(n - k):
+            a = abs(rem)
+            if a <= stop_at:
+                break
+            theta = (theta + math.copysign(a if a < step_max else step_max, rem)) % 360.0
+            if theta >= 360.0:
+                theta = 0.0
+            path.append(theta)
+            w = (target - theta) % 360.0
+            rem = w - 360.0 if w > 180.0 else w
+        if not path and k < n:
+            path = [theta]  # already within the deadband: the turn ends on its first tick, unmoved
+        i = k + len(path)
+        theta_sec[k:i] = path
+        yawing_sec[hit : i - (i > k and abs(rem) <= stop_at)] = True  # a turn's last tick is idle again
+        acc, span = 0.0, _SCAN_TICKS
     return theta_sec, acc_sec, yawing_sec
 
 

@@ -161,17 +161,6 @@ class CycleTrace:
         stop = len(self) if stop is None else stop
         return CycleTrace(**{name: getattr(self, name)[start:stop].copy() for name in TRACE_COLUMNS})
 
-    @staticmethod
-    def concat(traces: list["CycleTrace"]) -> "CycleTrace":
-        if not traces:
-            raise ValueError("cannot concatenate zero traces")
-        return CycleTrace(
-            **{
-                name: np.concatenate([getattr(tr, name) for tr in traces])
-                for name in TRACE_COLUMNS
-            }
-        )
-
     def equals(self, other: "CycleTrace") -> bool:
         return all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in TRACE_COLUMNS
@@ -360,12 +349,6 @@ def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
         if env.step(a)[1]:
             break
     return env.trace()
-
-
-def run_constant_action(env: YawEnv, action: Action, n_steps: int | None = None, **reset_kwargs) -> CycleTrace:
-    """Reset ``env`` and repeat one action until done (or for ``n_steps``)."""
-    limit = env.cfg.episode_len if n_steps is None else whole_number("n_steps", n_steps)
-    return run_actions(env, [action] * limit, **reset_kwargs)
 
 
 def eval_env_config(series: WindSeries, cfg: EnvConfig) -> EnvConfig:

@@ -206,10 +206,15 @@ def write_csv_columns(path, header: tuple[str, ...], *cols: np.ndarray) -> None:
             raise ValueError(f"column {name!r} holds {len(col)} values but column {header[0]!r} holds {n}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = [None, ","] * (len(cols) - 1) + [None, "\n"]  # cell slots between separators
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for cells in zip(*map(_block_cells, cols)):
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            text = row * len(cells[0])
+            for c, col_cells in enumerate(cells):
+                text[2 * c :: len(row)] = col_cells
+            f.write("".join(text))
+            del text  # freed before the next block is formatted
 
 
 def _block_cells(col: np.ndarray):

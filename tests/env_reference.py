@@ -6,7 +6,9 @@ and a trace kept as columns: it shifts its j x 4 observation every step,
 works through the ``Action`` enum, returns ``(obs, reward, done, info)``,
 and prices each cycle with the scalar ``power_with_misalignment`` of
 ``power_reference``. ``cycle_wind`` aggregates one cycle at a time, and
-``trace_from_records`` builds a ``CycleTrace`` from per-cycle dicts.
+``trace_from_records`` builds a ``CycleTrace`` from per-cycle dicts, and
+``concat_traces`` joins traces that continue one another. ``run_constant_action``
+plays one action through the library env.
 ``RawTableYawEnv`` is the library env as it was before its ``observation``
 property: beside the encoded table it wrote a raw table, a row per step,
 and ``reset`` and ``step`` returned a copy of its newest j rows. The
@@ -23,6 +25,7 @@ import yawbench.env
 from power_reference import power_with_misalignment
 from yawbench import Action, CycleTrace, circular_mean_deg, wrap_to_360, yaw_error
 from yawbench.env import OBS_FEATURES_PER_ROW, TRACE_COLUMNS, n_cycles
+from yawbench.power import whole_number
 
 
 def cycle_wind(series, cycle: int, cfg) -> tuple[float, float]:
@@ -38,6 +41,30 @@ def trace_from_records(records: list[dict]) -> CycleTrace:
     if not records:
         raise ValueError("cannot build a trace from zero records")
     return CycleTrace(**{name: np.array([rec[name] for rec in records]) for name in TRACE_COLUMNS})
+
+
+def run_constant_action(env, action, n_steps=None, **reset_kwargs) -> CycleTrace:
+    """Reset ``env`` and repeat one action until done (or for ``n_steps``)."""
+    limit = env.cfg.episode_len if n_steps is None else whole_number("n_steps", n_steps)
+    return yawbench.env.run_actions(env, [action] * limit, **reset_kwargs)
+
+
+def concat_traces(traces: list[CycleTrace]) -> CycleTrace:
+    """The traces joined end to end. A join whose cycles do not step by 1, or
+    whose ``t_s`` does not keep its first step, raises ValueError naming the
+    first row that breaks."""
+    if not traces:
+        raise ValueError("cannot concatenate zero traces")
+    joined = CycleTrace(**{name: np.concatenate([getattr(tr, name) for tr in traces]) for name in TRACE_COLUMNS})
+    dt = np.diff(joined.t_s)
+    breaks = np.flatnonzero((np.diff(joined.cycle) != 1) | (dt != dt[:1]))
+    if breaks.size:
+        r = int(breaks[0]) + 1
+        raise ValueError(
+            f"joined traces break at row {r}: cycle {joined.cycle[r - 1]} -> {joined.cycle[r]}, "
+            f"t_s {joined.t_s[r - 1]} -> {joined.t_s[r]}"
+        )
+    return joined
 
 
 class YawEnv:

@@ -71,6 +71,17 @@ class TestRunCycaS:
         with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds"):
             run_cyca_s(flat_series(300), CycaConfig(), tp, init_theta=40.0, cycle_period=bad)
 
+    @pytest.mark.parametrize("at, bad", [(0, math.nan), (57, math.nan), (99, math.inf)])
+    def test_non_finite_direction_written_after_construction(self, tp, at, bad):
+        # the series holds a read-only view of the caller's array, which stays writable
+        phi = np.full(100, 80.0)
+        series = WindSeries(np.arange(100), phi, np.full(100, 8.0))
+        phi[at] = bad
+        with pytest.raises(ValueError, match="^wind direction must be finite$"):
+            run_cyca_s(series, CycaConfig(threshold=50.0), tp, 40.0)
+        with pytest.raises(ValueError, match="^wind direction must be finite$"):
+            calibrate_threshold(series, CycaConfig(), tp, 40.0, [50.0, 900.0])
+
     def test_zero_error_never_moves(self, tp):
         series = flat_series(300, phi=40.0)
         trace = run_cyca_s(series, CycaConfig(), tp, init_theta=40.0)

@@ -5,7 +5,9 @@ inputs; these pins hold the end results of the seeded pipeline (a full-length
 synthetic series, a toy training run and its greedy evaluation) to the bits
 they had before the fast paths went in, so any change that moves a bit fails
 here and not only in the benchmark's output digests. The toy run's checkpoint
-file is pinned too, as the version-3 codec writes it.
+file is pinned too, as the version-3 codec writes it, and so are the
+threshold baseline's calibration usages and per-second simulation on seeded
+variable wind.
 """
 
 import hashlib
@@ -15,17 +17,22 @@ import numpy as np
 import pytest
 
 from yawbench import (
+    CycaConfig,
     EnvConfig,
     PpoConfig,
+    TurbineParams,
     YawEnv,
+    calibrate_threshold,
     eval_env_config,
     evaluate,
     fit_standardizer,
     generate_synthetic,
+    run_cyca_s,
     save_checkpoint,
     split_train_test,
     steady_preset,
     train,
+    variable_preset,
 )
 from yawbench.env import TRACE_COLUMNS
 
@@ -34,6 +41,7 @@ WEIGHTS_SHA256 = "9670d9ba8e92fd3554cde17a216a39f9683bae797923ee4be114880f2aaf91
 CURVE_SHA256 = "e2ae8b80388c68de08438f214e773700d82a8763eaceb653fc011041a6324788"
 GREEDY_TRACE_SHA256 = "b26861d8c912f6ded62850e2d39d4a9ffea527d0f2e668b9046d452b3926a3bc"
 CHECKPOINT_SHA256 = "583a1a72f6e6316903948f993b12b8daa10b1bf7866f873519d43b2355ebe5ef"
+CYCA_S_SHA256 = "25752c66a598eb9a14c28c5aabcba176cd476348613c382b8c84233f0fd607bd"
 
 
 def sha256_of(*arrays) -> str:
@@ -85,3 +93,14 @@ def test_checkpoint_file(toy_run, tmp_path):
     ac, _, _, env_cfg, cfg = toy_run
     save_checkpoint(tmp_path / "ck.json", ac, env_cfg, cfg)
     assert hashlib.sha256((tmp_path / "ck.json").read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
+
+def test_cyca_s_calibration_and_simulation():
+    # calibrated on the train half over the benchmark's grid, then run on the test half
+    train_half, test_half = split_train_test(generate_synthetic(variable_preset(21000), 1))
+    tp = TurbineParams()
+    grid = (300.0, 2500.0, 20000.0)
+    thr, usages = calibrate_threshold(train_half, CycaConfig(), tp, float(train_half.phi[0]), grid)
+    _, inner = run_cyca_s(test_half, CycaConfig(threshold=thr), tp, float(test_half.phi[0]), return_inner=True)
+    digest = sha256_of(np.array(usages), inner["t"], inner["theta"], inner["acc"], inner["yawing"])
+    assert digest == CYCA_S_SHA256

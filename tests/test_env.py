@@ -15,11 +15,10 @@ from yawbench import (
     generate_synthetic,
     indifference_misalignment,
     run_actions,
-    run_constant_action,
     steady_preset,
     wrap_to_360,
 )
-from env_reference import cycle_wind
+from env_reference import concat_traces, cycle_wind, run_constant_action
 
 
 def flat_series(n_s, phi=34.1, v=8.0):
@@ -374,12 +373,32 @@ class TestTrace:
         with pytest.raises(ValueError, match=rf"{p.name}: line 3: "):
             CycleTrace.from_csv(p)
 
-    def test_concat_and_slice(self):
+    @staticmethod
+    def _ten_cycles():
         series = generate_synthetic(steady_preset(length_s=2000), seed=16)
         env = YawEnv(series, cfg_for(episode_len=10, j=2))
-        trace = run_constant_action(env, Action.STAY, start_cycle=0, init_theta="align")
+        return run_constant_action(env, Action.STAY, start_cycle=0, init_theta="align")
+
+    def test_concat_and_slice(self):
+        trace = self._ten_cycles()
         parts = [trace.slice(0, 4), trace.slice(4, 10)]
-        assert CycleTrace.concat(parts).equals(trace)
+        assert concat_traces(parts).equals(trace)
+
+    @pytest.mark.parametrize("order, row", [((0, 2, 1), 4), ((1, 0, 2), 2), ((0, 0, 1), 4)])
+    def test_concat_names_the_first_break(self, order, row):
+        trace = self._ten_cycles()
+        parts = [trace.slice(0, 4), trace.slice(4, 6), trace.slice(6, 10)]
+        with pytest.raises(ValueError, match=rf"^joined traces break at row {row}: cycle "):
+            concat_traces([parts[i] for i in order])
+
+    def test_concat_t_s_must_keep_its_step(self):
+        trace = self._ten_cycles()
+        late = trace.slice(4, 10)
+        late = CycleTrace(**{**vars(late), "t_s": late.t_s + 1.0})  # cycles continue, the clock jumps
+        with pytest.raises(ValueError, match=r"^joined traces break at row 4: cycle 4 -> 5, t_s "):
+            concat_traces([trace.slice(0, 4), late])
+        with pytest.raises(ValueError, match="zero traces"):
+            concat_traces([])
 
     def test_eval_env_config_spans_series(self):
         series = generate_synthetic(steady_preset(length_s=2000), seed=17)

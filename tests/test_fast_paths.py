@@ -425,6 +425,35 @@ def _next(x, toward):
     return float(np.nextafter(x, toward))
 
 
+class TestIdleErrorIdentity:
+    """The idle scan of ``run_cyca_s`` takes ``|yaw error|`` as ``minimum(w, 360 - w)``
+    with ``w = mod(phi - theta, 360)``; it must equal ``abs(wrap_angle(phi - theta))``."""
+
+    seam = [0.0, -0.0, 180.0, math.nextafter(180.0, 0.0), math.nextafter(180.0, 360.0),
+            math.nextafter(360.0, 0.0), 360.0, -5e-324, -1e-300, -1e-17, math.nextafter(0.0, -1.0) * 2**40,
+            -180.0, math.nextafter(-180.0, 0.0), -360.0, 540.0]
+
+    @staticmethod
+    def same_bits(phi, theta):
+        d = np.asarray(phi, dtype=float) - np.asarray(theta, dtype=float)
+        w = np.mod(d, 360.0)
+        return np.minimum(w, 360.0 - w).tobytes() == np.abs(wrap_angle(d)).tobytes()
+
+    @given(d=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(seam)), min_size=1, max_size=50))
+    def test_on_differences(self, d):
+        assert self.same_bits(d, 0.0)
+
+    @given(phi=st.lists(st.one_of(st.floats(0.0, 360.0, exclude_max=True), st.sampled_from(seam)),
+                        min_size=1, max_size=50),
+           theta=st.one_of(st.floats(0.0, 360.0, exclude_max=True), st.sampled_from(seam)))
+    def test_on_headings(self, phi, theta):
+        assert self.same_bits(phi, theta)
+
+    def test_seam_values(self):
+        assert self.same_bits(self.seam, 0.0)
+        assert self.same_bits([x + 0.0 for x in self.seam], -0.0)
+
+
 class TestPowerArray:
     """``power_with_misalignment`` against the scalar reference curve, element by element."""
 

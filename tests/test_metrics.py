@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from env_reference import concat_traces, run_constant_action
 from yawbench import (
     Action,
     CycaConfig,
@@ -19,7 +20,6 @@ from yawbench import (
     compute_metrics,
     eval_env_config,
     generate_synthetic,
-    run_constant_action,
     run_cyca_s,
     steady_preset,
     wrap_angle,
@@ -169,7 +169,7 @@ def test_metrics_additive_over_concat(theta_a, theta_b, power):
     a = trace_from_theta(theta_a, power=np.array(power[:na]))
     b = trace_from_theta(theta_b, power=np.array(power[na : na + nb]))
     b = replace(b, cycle=b.cycle + na, t_s=b.t_s + na * cfg.cycle_period)  # b follows a on the cycle grid
-    whole = compute_metrics(CycleTrace.concat([a, b]), tp, cfg)
+    whole = compute_metrics(concat_traces([a, b]), tp, cfg)
     ma, mb = compute_metrics(a, tp, cfg), compute_metrics(b, tp, cfg)
     assert whole.n_cycles == ma.n_cycles + mb.n_cycles == na + nb
     assert whole.horizon_s == ma.horizon_s + mb.horizon_s
