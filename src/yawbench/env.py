@@ -22,6 +22,8 @@ live in one table of ``episode_len + j`` rows, newest first, filled from the
 end, so the network input is a contiguous slice and a step writes one row.
 ``step`` returns ``(reward, done)`` and records the cycle in preallocated
 trace columns, from which ``observation`` and ``trace()`` are built on demand.
+It wraps angles with the float ``%``, which rounds as ``np.mod`` does, and
+stores its row and trace values through memoryviews, not numpy indexing.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .power import TurbineParams, from_fields, power_with_misalignment, whole_number, wrap_to_360, yaw_error
+from .power import TurbineParams, from_fields, power_with_misalignment, whole_number, wrap_to_360
 from .wind import Standardizer, WindSeries, read_log_csv, set_columns, write_csv_columns
 
 OBS_FEATURES_PER_ROW = 5
@@ -216,8 +218,9 @@ class YawEnv:
         self._enc_read_only = self._enc.view()
         self._enc_read_only.flags.writeable = False
         self._floats, self._actions = np.zeros((4, n)), np.zeros((2, n), dtype=np.int64)  # trace columns
-        self._theta_col, self._gamma_col, self._r1_col, self._r2_col = self._floats
-        self._issued_col, self._applied_col = self._actions
+        self._gamma_col, self._issued_col = self._floats[1], self._actions[0]
+        self._theta_mv, self._gamma_mv, self._r1_mv, self._r2_mv = map(memoryview, self._floats)
+        self._issued_mv, self._applied_mv, self._enc_mv = map(memoryview, (*self._actions, self._enc))
         self._start = 0
         self._row = n  # the newest observation row
         self._steps = 0
@@ -264,8 +267,10 @@ class YawEnv:
                 f"start_cycle must be a whole number in 0..{self.max_start_cycle}, leaving "
                 f"episode_len={self.cfg.episode_len} cycles, got {start_cycle}"
             )
-        theta = self._phi[start_cycle] if init_theta == "align" else float(init_theta)
-        self._theta = wrap_to_360(theta + align_offset_deg)
+        theta = float((self._phi[start_cycle] if init_theta == "align" else float(init_theta)) + align_offset_deg)
+        if not math.isfinite(theta):
+            raise ValueError(f"the initial heading must be finite, got {theta!r}")
+        self._theta = theta = 0.0 if (w := theta % 360.0) >= 360.0 else w  # wrapped as step wraps it
         self._start = self._cycle = start_cycle
         self._pending = int(Action.STAY)
         self._stay_streak = self.cfg.j  # warm-up rows count as issued Stays
@@ -274,7 +279,7 @@ class YawEnv:
         self._row = self.cfg.episode_len
         for i in range(self.cfg.j):
             c = max(start_cycle - i, 0)
-            gamma = yaw_error(self._phi[c], self._theta)
+            gamma = w - 360.0 if (w := (self._phi[c] - theta) % 360.0) > 180.0 else w
             self._warmup[i] = (int(Action.STAY), gamma, self._phi[c], self._vt[c])
             self._write_row(self._row + i, int(Action.STAY), gamma, c)
         return self.observation
@@ -292,8 +297,9 @@ class YawEnv:
 
     def _write_row(self, row: int, action: int, gamma: float, c: int) -> None:
         """Row ``row`` of the table; Python floats round as ``encode_batch``'s arrays do."""
-        lo = row * OBS_FEATURES_PER_ROW
-        self._enc[lo : lo + OBS_FEATURES_PER_ROW] = (action - 1.0, gamma / 180.0, *self._wind_features[c])
+        enc, lo = self._enc_mv, row * OBS_FEATURES_PER_ROW
+        enc[lo], enc[lo + 1] = action - 1.0, gamma / 180.0
+        enc[lo + 2], enc[lo + 3], enc[lo + 4] = self._wind_features[c]
 
     def step(self, action) -> tuple[float, bool]:
         if self._done:
@@ -302,25 +308,25 @@ class YawEnv:
             a = operator.index(action)
         except TypeError:
             a = None
-        if a not in (0, 1, 2):
+        if a not in (0, 1, 2) or action.__class__ is bool:
             raise ValueError(f"action must be 0, 1 or 2, got {action!r}")
         cfg = self.cfg
 
         applied = a if cfg.comm_delay == 0.0 else self._pending
         delta_theta = self._delta[applied]
-        if delta_theta != 0.0:
-            self._theta = wrap_to_360(self._theta + delta_theta)
+        if delta_theta != 0.0:  # wrap into [0, 360) as wrap_to_360 does: % can round a tiny negative up to 360
+            self._theta = 0.0 if (w := (self._theta + delta_theta) % 360.0) >= 360.0 else w
 
         self._cycle = c = self._cycle + 1
         vt = self._vt[c]
-        gamma = yaw_error(self._phi[c], self._theta)
+        gamma = w - 360.0 if (w := (self._phi[c] - self._theta) % 360.0) > 180.0 else w  # yaw_error; 360 gives 0.0
         r1 = -(gamma**2) * vt**3
         self._stay_streak = self._stay_streak + 1 if a == 1 else 0
         r2 = cfg.w if self._stay_streak >= cfg.k else 0.0
 
         t = self._steps
-        self._theta_col[t], self._gamma_col[t], self._r1_col[t], self._r2_col[t] = self._theta, gamma, r1, r2
-        self._issued_col[t], self._applied_col[t] = a, applied
+        self._theta_mv[t], self._gamma_mv[t], self._r1_mv[t], self._r2_mv[t] = self._theta, gamma, r1, r2
+        self._issued_mv[t], self._applied_mv[t] = a, applied
         self._row = row = self._row - 1
         self._write_row(row, a, gamma, c)
         self._pending = a

@@ -48,32 +48,21 @@ def whole_number(name: str, x, unit: str = "") -> int:
 def wrap_angle(x):
     """Wrap an angle (degrees) into (-180, 180].
 
-    Accepts a scalar or array; the result is congruent to the input mod 360.
+    Accepts a scalar, which gives a float, or an array; the result is
+    congruent to the input mod 360.
     """
-    w = wrap_to_360(x)
-    if isinstance(w, float):
-        return w - 360.0 if w > 180.0 else w
-    return np.where(w > 180.0, w - 360.0, w)
+    w = np.asarray(wrap_to_360(x))
+    w = np.where(w > 180.0, w - 360.0, w)
+    return float(w) if w.ndim == 0 else w
 
 
 def wrap_to_360(x):
-    """Wrap an angle (degrees) into [0, 360).
-
-    A float or int takes a scalar branch: ``x % 360.0`` rounds exactly as
-    ``np.mod`` does, so it returns bit for bit what the array branch would.
-    """
-    if isinstance(x, (float, int)):
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"angle wrapping requires finite input, got {x!r}")
-        w = x % 360.0
-        # mod can round a tiny negative input up to exactly 360.0
-        return 0.0 if w >= 360.0 else w
+    """Wrap an angle (degrees) into [0, 360); a scalar gives a float, an array an array."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"angle wrapping requires finite input, got {x!r}")
     w = np.mod(arr, 360.0)
-    w = np.where(w >= 360.0, 0.0, w)
+    w = np.where(w >= 360.0, 0.0, w)  # mod can round a tiny negative input up to exactly 360.0
     return float(w) if w.ndim == 0 else w
 
 
@@ -82,8 +71,6 @@ def yaw_error(phi, theta):
 
     Returns wrap_angle(phi - theta), in (-180, 180].
     """
-    if isinstance(phi, float) and isinstance(theta, float):
-        return wrap_angle(phi - theta)
     return wrap_angle(np.asarray(phi, dtype=float) - np.asarray(theta, dtype=float))
 
 

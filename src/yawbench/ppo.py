@@ -7,21 +7,21 @@ advantage estimation, driven by an adaptive-moment first-order optimizer.
 Everything is float64 numpy; a fixed seed reproduces training bit for bit.
 
 The networks take the observation as ``env.encode_batch`` encodes it, five
-features per lagged row. They are small, so a step costs numpy call
-overhead, not arithmetic. Training and evaluation read the env's encoded
-observation, which the env updates one row per step. Scalar work (the
-batch-of-one softmax's max and sum, the sampler, the greedy pick, GAE) runs
-on Python floats, which round as float64 does. Each fast path keeps the
-operations and their order, so results are bit-identical to the per-call
-forms. The softmax keeps ``np.exp``: ``math.exp`` differs in the last bit.
+features per lagged row. They are small, so a call costs numpy overhead, not
+arithmetic. The rollout and greedy evaluation pass the env's encoded row, 1-D,
+to ``Mlp.forward``: for a row, ``dot`` and ``@`` make the vector-matrix BLAS
+call of a ``(1, k)`` row, so this is the batched forward's row, bit for bit.
+Scalar work (the softmax's max and sum, the sampler, the greedy pick, GAE)
+runs on Python floats, which round as float64 does; the softmax keeps
+``np.exp``, as ``math.exp`` differs in the last bit. Each fast path keeps the
+operations and their order, so results are bit-identical to the per-call forms.
 
-The rollout runs only the policy network; ``Mlp.forward_rows`` takes the
-state values GAE needs afterwards, bit-identical to batch-of-one forwards.
-The parameters of both networks live in one flat vector and their gradients
-in another, each weight and bias a reshaped view; the backward pass writes
-into the gradient views and Adam updates the parameter vector in one pass.
-Loss reductions are ``np.mean``'s arithmetic (a sum, then a division by the
-count) without its call overhead; three-column sums follow ``np.sum``'s order.
+``Mlp.forward_rows`` takes the state values GAE needs after the rollout with
+the same per-row call. Both networks' parameters live in one flat vector and
+their gradients in another, as reshaped views; the backward pass writes into
+the gradient views and Adam updates the parameter vector in one pass. Loss
+reductions are ``np.mean``'s arithmetic (a sum, then a division by the count)
+without its call overhead; three-column sums follow ``np.sum``'s order.
 
 A version-3 checkpoint is one JSON object: ``format``, ``version``, the ``env``
 and ``ppo`` config records, and ``params``, the base64 of ``flat_params`` as
@@ -114,6 +114,7 @@ class Mlp:
         self.parameters = _layer_views(params, self.sizes)
         self.gradients = _layer_views(grads, self.sizes)
         self.weights, self.biases = self.parameters[0::2], self.parameters[1::2]
+        self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))  # (weight, bias) of each tanh layer
 
     @staticmethod
     def param_count(sizes: tuple[int, ...]) -> int:
@@ -121,25 +122,31 @@ class Mlp:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(x)[0]
+        """``forward_cached(x)[0]`` of a row (1-D) or a 2-D batch, bit for bit, keeping no activations:
+        ``ndarray.dot`` makes the BLAS call of ``@`` with less overhead (not on a 3-D stack)."""
+        h = x
+        for w, b in self._hidden:
+            h = h.dot(w)
+            h += b
+            np.tanh(h, out=h)
+        return h.dot(self.weights[-1]) + self.biases[-1]
 
     def forward_rows(self, x: np.ndarray, chunk: int) -> np.ndarray:
-        """The output for each row of ``x``, bit-identical to a batch-of-one forward of that row.
-
-        A ``(n, 1, k) @ (k, m)`` stack makes, for each row, the BLAS call of a
-        lone ``(1, k) @ (k, m)``; a flat ``(n, k)`` batch calls another routine
-        and differs in the last bit. ``chunk`` rows at a time bound the memory.
-        """
+        """The output for each row of ``x``, bit-identical to ``forward`` of that row alone: a
+        ``(n, 1, k) @ (k, m)`` stack makes each row's vector-matrix BLAS call, where a flat ``(n, k)``
+        batch calls another routine. ``chunk`` rows at a time bound the memory."""
         out = np.empty((len(x), self.sizes[-1]))
         for lo in range(0, len(x), chunk):
-            out[lo : lo + chunk] = self.forward(x[lo : lo + chunk, None, :])[:, 0]
+            out[lo : lo + chunk] = self.forward_cached(x[lo : lo + chunk, None, :])[0][:, 0]
         return out
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         acts = [x]
         h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
+        for w, b in self._hidden:
+            h = h @ w
+            h += b
+            np.tanh(h, out=h)
             acts.append(h)
         return h @ self.weights[-1] + self.biases[-1], acts
 
@@ -148,7 +155,7 @@ class Mlp:
         d_h = d_out
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(acts[layer].T, d_h, out=self.gradients[2 * layer])
-            np.sum(d_h, axis=0, out=self.gradients[2 * layer + 1])
+            np.add.reduce(d_h, axis=0, out=self.gradients[2 * layer + 1])
             if layer > 0:
                 slope = acts[layer] * acts[layer]  # tanh' = 1 - a^2, in place
                 d_h = np.multiply(d_h @ self.weights[layer].T, np.subtract(1.0, slope, out=slope), out=slope)
@@ -199,14 +206,14 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    m = np.max(z, axis=-1, keepdims=True)
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
     shifted = z - m
     return shifted - np.log(_row_sums(np.exp(shifted)))[:, None]
 
 
 def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
-    """Action probabilities for one encoded row ``x``."""
-    logits = ac.policy.forward(x[None])[0]  # keep the (1, n) @ W products of the batched forward
+    """Action probabilities for one encoded row ``x``, passed 1-D to ``Mlp.forward``."""
+    logits = ac.policy.forward(x)
     # exp maps either zero of a +-0.0 tie for the max to 1.0, and e holds no -0.0
     e = np.exp(logits - max(logits.tolist()))
     e0, e1, e2 = e.tolist()
@@ -216,7 +223,7 @@ def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
     """Action probabilities and state value for one raw j x 4 observation."""
     x = encode_observation(np.asarray(obs, dtype=np.float64))
-    return _policy_probs(ac, x), float(ac.value.forward(x[None])[0, 0])
+    return _policy_probs(ac, x), float(ac.value.forward(x)[0])
 
 
 _ACTIONS = tuple(Action)
@@ -453,7 +460,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
                 ep_return = 0.0
                 fresh_episode()
         values = ac.value.forward_rows(obs, cfg.batch_size)[:, 0]
-        bootstrap = float(ac.value.forward(env.encoded_observation[None])[0, 0])
+        bootstrap = float(ac.value.forward(env.encoded_observation)[0])
         advantages, returns = compute_gae(rewards, values, dones, bootstrap, cfg.discount, cfg.gae_lambda)
         stats = ppo_update(ac, obs, actions, logp, advantages, returns, cfg, adam, rng)
         curve.append(

@@ -16,9 +16,10 @@ from dataclasses import replace
 
 import numpy as np
 
+import yawbench
 from env_reference import trace_from_records
-from power_reference import power_with_misalignment
-from yawbench import circular_mean_deg, run_cyca_s as run_cyca_s_lib, wrap_angle, wrap_to_360, yaw_error
+from power_reference import power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
+from yawbench import circular_mean_deg, run_cyca_s as run_cyca_s_lib
 
 _STOP_FLOOR_DEG = 1e-9
 
@@ -116,7 +117,7 @@ def calibrate_threshold(series, cfg, tp, init_theta, thresholds, target_pct=2.0,
     usages = []
     for thr in grid:
         trace = run_cyca_s_lib(series, replace(cfg, threshold=thr), tp, init_theta, cycle_period)
-        moving = np.concatenate([[False], np.abs(wrap_angle(np.diff(trace.theta))) > 0])
+        moving = np.concatenate([[False], np.abs(yawbench.wrap_angle(np.diff(trace.theta))) > 0])
         usages.append(float(100.0 * np.mean(moving)))
     best = 0
     for i in range(1, len(grid)):

@@ -5,10 +5,11 @@ with per-cycle features encoded once, observation tables filled backwards
 and a trace kept as columns: it shifts its j x 4 observation every step,
 works through the ``Action`` enum, returns ``(obs, reward, done, info)``,
 and prices each cycle with the scalar ``power_with_misalignment`` of
-``power_reference``. ``cycle_wind`` aggregates one cycle at a time, and
-``trace_from_records`` builds a ``CycleTrace`` from per-cycle dicts, and
-``concat_traces`` joins traces that continue one another. ``run_constant_action``
-plays one action through the library env.
+``power_reference``, whose float forms wrap its angles. ``cycle_wind``
+aggregates one cycle at a time, ``trace_from_records`` builds a
+``CycleTrace`` from per-cycle dicts, and ``concat_traces`` joins traces that
+continue one another. ``run_constant_action`` plays one action through the
+library env.
 ``RawTableYawEnv`` is the library env as it was before its ``observation``
 property: beside the encoded table it wrote a raw table, a row per step,
 and ``reset`` and ``step`` returned a copy of its newest j rows. The
@@ -22,8 +23,8 @@ import operator
 import numpy as np
 
 import yawbench.env
-from power_reference import power_with_misalignment
-from yawbench import Action, CycleTrace, circular_mean_deg, wrap_to_360, yaw_error
+from power_reference import power_with_misalignment, wrap_to_360, yaw_error
+from yawbench import Action, CycleTrace, circular_mean_deg
 from yawbench.env import OBS_FEATURES_PER_ROW, TRACE_COLUMNS, n_cycles
 from yawbench.power import whole_number
 
@@ -203,8 +204,8 @@ class RawTableYawEnv(yawbench.env.YawEnv):
         self._stay_streak = self._stay_streak + 1 if a == 1 else 0
         r2 = cfg.w if self._stay_streak >= cfg.k else 0.0
         t = self._steps
-        self._theta_col[t], self._gamma_col[t], self._r1_col[t], self._r2_col[t] = self._theta, gamma, r1, r2
-        self._issued_col[t], self._applied_col[t] = a, applied
+        self._floats[:, t] = self._theta, gamma, r1, r2
+        self._actions[:, t] = a, applied
         self._row = row = self._row - 1
         self._write_row(row, a, gamma, c)
         self._pending = a

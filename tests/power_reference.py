@@ -1,10 +1,17 @@
-"""Reference power curve, kept for differential tests.
+"""Reference power curve and float angle wrapping, kept for differential tests.
 
 The scalar chain ``region_of`` -> ``power_ideal`` -> ``yaw_loss_factor`` ->
 ``power_with_misalignment`` states the curve one speed at a time, with the
 regions as an enum. ``yawbench.power.power_with_misalignment`` computes it
 over scalars or arrays and must equal it bit for bit; the reference
 environment and the reference baseline price their cycles with it.
+
+``wrap_to_360``, ``wrap_angle`` and ``yaw_error`` are the float forms the
+library's wrapping functions once had beside their array path: Python's
+float ``%`` rounds as ``np.mod`` does. They state the arithmetic that
+``YawEnv.step`` and ``YawEnv.reset`` run inline, and the reference
+environment and baseline wrap their angles with them. The library's
+functions, on a scalar, must return their float bit for bit.
 """
 
 from __future__ import annotations
@@ -77,3 +84,24 @@ def power_with_misalignment(v: float, gamma_deg: float, tp: TurbineParams) -> fl
     if region_of(v, tp) is PowerRegion.PARTIAL:
         return p * yaw_loss_factor(gamma_deg, tp.alpha)
     return p
+
+
+def wrap_to_360(x: float) -> float:
+    """``x`` (degrees, finite) wrapped into [0, 360)."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"angle wrapping requires finite input, got {x!r}")
+    w = x % 360.0
+    # mod can round a tiny negative input up to exactly 360.0
+    return 0.0 if w >= 360.0 else w
+
+
+def wrap_angle(x: float) -> float:
+    """``x`` (degrees, finite) wrapped into (-180, 180]."""
+    w = wrap_to_360(x)
+    return w - 360.0 if w > 180.0 else w
+
+
+def yaw_error(phi: float, theta: float) -> float:
+    """Signed misalignment ``wrap_angle(phi - theta)`` of two float angles."""
+    return wrap_angle(float(phi) - float(theta))

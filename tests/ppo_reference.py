@@ -10,6 +10,9 @@ numpy scalars, and a ``train`` loop that encodes every observation twice and
 runs the value network at every step. ``train`` and ``evaluate`` run on the
 reference environment of ``env_reference``, built from the series and config
 of the env they are given; greedy ``evaluate`` takes ``np.argmax``.
+``policy_probs`` is the rollout's softmax on the ``(1, k)`` row that the
+library passes 1-D to its inference-only ``Mlp.forward``; ``policy_forward``
+runs ``forward_cached`` on that row too.
 ``ppo_loss_and_grads`` is the loss with a ``keepdims`` ``log_softmax``,
 ``np.sum`` and ``np.mean`` reductions, ``np.clip``, a one-hot written by
 fancy indexing, and gradients in freshly allocated arrays; its loss alone,
@@ -77,9 +80,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
     x = encode_observation(np.asarray(obs, dtype=np.float64))[None]
-    probs = softmax(ac.policy.forward(x))[0]
-    value = float(ac.value.forward(x)[0, 0])
+    probs = softmax(ac.policy.forward_cached(x)[0])[0]
+    value = float(ac.value.forward_cached(x)[0][0, 0])
     return probs, value
+
+
+def policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
+    """The rollout's batch-of-one softmax on the ``(1, k)`` row ``x[None]``, through ``forward_cached``."""
+    logits = ac.policy.forward_cached(x[None])[0][0]
+    e = np.exp(logits - max(logits.tolist()))
+    e0, e1, e2 = e.tolist()
+    return e / ((e0 + e1) + e2)
 
 
 def sample_action(probs: np.ndarray, rng) -> tuple[Action, float]:

@@ -7,7 +7,9 @@ they had before the fast paths went in, so any change that moves a bit fails
 here and not only in the benchmark's output digests. The toy run's checkpoint
 file is pinned too, as the version-3 codec writes it, and so are the
 threshold baseline's calibration usages and per-second simulation on seeded
-variable wind.
+variable wind. A short run of the default network (64, 64 hidden, j = 12)
+pins the BLAS calls at the shapes the benchmark trains, which the (16, 16)
+toy does not reach.
 """
 
 import hashlib
@@ -41,6 +43,9 @@ WEIGHTS_SHA256 = "9670d9ba8e92fd3554cde17a216a39f9683bae797923ee4be114880f2aaf91
 CURVE_SHA256 = "e2ae8b80388c68de08438f214e773700d82a8763eaceb653fc011041a6324788"
 GREEDY_TRACE_SHA256 = "b26861d8c912f6ded62850e2d39d4a9ffea527d0f2e668b9046d452b3926a3bc"
 CHECKPOINT_SHA256 = "583a1a72f6e6316903948f993b12b8daa10b1bf7866f873519d43b2355ebe5ef"
+PROD_WEIGHTS_SHA256 = "d2dd5ec4cab275a4380822cb785a857db8e5ac3d82a18634772ceca21dc36d48"
+PROD_CURVE_SHA256 = "d36a786f8b88e11667021c17c3fcbf7ab9765873584a7449cebc7ca4cfe8efa0"
+PROD_GREEDY_TRACE_SHA256 = "3d19d174590321f78e180eba53e14496a9faed531563ff9ecf2b14c2bf42427f"
 CYCA_S_SHA256 = "25752c66a598eb9a14c28c5aabcba176cd476348613c382b8c84233f0fd607bd"
 
 
@@ -93,6 +98,20 @@ def test_checkpoint_file(toy_run, tmp_path):
     ac, _, _, env_cfg, cfg = toy_run
     save_checkpoint(tmp_path / "ck.json", ac, env_cfg, cfg)
     assert hashlib.sha256((tmp_path / "ck.json").read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
+
+def test_production_shape_run(series):
+    """One 256-step update (two epochs) of the default (64, 64), j = 12 networks on the
+    train half, and the full-span greedy evaluation on the test half."""
+    train_half, test_half = split_train_test(series)
+    env_cfg = EnvConfig(standardizer=fit_standardizer(train_half))
+    cfg = PpoConfig(n_steps=256, total_steps=256, epochs=2, seed=1)
+    assert cfg.hidden == (64, 64) and env_cfg.j == 12
+    ac, curve = train(YawEnv(train_half, env_cfg), cfg)
+    trace = evaluate(ac, YawEnv(test_half, eval_env_config(test_half, env_cfg)))
+    assert sha256_of(ac.flat_params) == PROD_WEIGHTS_SHA256
+    assert hashlib.sha256(json.dumps(curve, sort_keys=True).encode()).hexdigest() == PROD_CURVE_SHA256
+    assert sha256_of(*(getattr(trace, name) for name in TRACE_COLUMNS)) == PROD_GREEDY_TRACE_SHA256
 
 
 def test_cyca_s_calibration_and_simulation():

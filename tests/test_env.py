@@ -222,6 +222,24 @@ class TestStep:
         with pytest.raises(ValueError, match=rf"^action must be 0, 1 or 2, got {re.escape(repr(bad))}$"):
             env.step(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_])
+    def test_bool_action_rejected(self, bad):
+        # bool is an int subclass: True was taken as Stay and False as Clockwise
+        env = YawEnv(flat_series(100), cfg_for())
+        env.reset(start_cycle=0, init_theta="align")
+        with pytest.raises(ValueError, match=rf"^action must be 0, 1 or 2, got {re.escape(repr(bad))}$"):
+            env.step(bad)
+        env.step(Action.STAY)  # the rejected call recorded no step
+        assert len(env.trace()) == 1
+
+    @pytest.mark.parametrize(
+        "init_theta, offset", [(math.inf, 0.0), (math.nan, 0.0), (10.0, -math.inf), ("align", math.nan)]
+    )
+    def test_non_finite_initial_heading_rejected(self, init_theta, offset):
+        env = YawEnv(flat_series(100), cfg_for())
+        with pytest.raises(ValueError, match="initial heading must be finite"):
+            env.reset(start_cycle=0, init_theta=init_theta, align_offset_deg=offset)
+
     @pytest.mark.parametrize("good", [0, 1, 2, Action.STAY, np.int64(2), np.uint8(0)])
     def test_integer_actions_accepted(self, good):
         env = YawEnv(flat_series(100), cfg_for())

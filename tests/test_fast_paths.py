@@ -1,10 +1,11 @@
 """Differential property tests: each fast path against the reference it replaced.
 
 The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the column
-``YawEnv`` and its on-demand ``observation``, the float branch of the angle
-wrapping, the power curve (on scalars and arrays), the bulk CSV reader, the
-block CSV writer and the Python-float AR(1) loop of the wind generator must
-reproduce their references bit for bit, not merely to a tolerance.
+``YawEnv`` and its on-demand ``observation``, the inline float wrapping of
+``YawEnv.reset`` and ``step``, the scalar angle wrapping, the power curve (on
+scalars and arrays), the bulk CSV reader, the block CSV writer and the
+Python-float AR(1) loop of the wind generator must reproduce their references
+bit for bit, not merely to a tolerance.
 """
 
 import math
@@ -385,22 +386,24 @@ edge_angles = [-0.0, 0.0, -1e-300, 5e-324, -5e-324, 180.0, -180.0, 360.0, -360.0
                -1.7976931348623157e308]
 
 
-class TestWrapFloatBranch:
+class TestWrapScalars:
+    """The wrapping functions on a scalar against the float forms of ``power_reference``."""
+
     @given(x=st.one_of(finite, st.sampled_from(edge_angles), st.integers(-(10**9), 10**9)))
-    def test_float_branch_equals_array_path(self, x):
-        for fn in (wrap_angle, wrap_to_360):
+    def test_scalar_equals_float_reference_and_array_path(self, x):
+        for fn, ref_fn in ((wrap_angle, power_reference.wrap_angle), (wrap_to_360, power_reference.wrap_to_360)):
             scalar = fn(x)
-            arr = fn(np.array([x], dtype=float))
-            assert _same_float(scalar, float(arr[0]))
+            assert _same_float(scalar, ref_fn(x))
+            assert _same_float(scalar, float(fn(np.array([x], dtype=float))[0]))
             assert _same_float(scalar, fn(np.array(x, dtype=float)))  # 0-d array
         assert -180.0 < wrap_angle(x) <= 180.0
         assert 0.0 <= wrap_to_360(x) < 360.0
 
     @given(phi=st.one_of(st.floats(-1e6, 1e6), st.sampled_from(edge_angles[:10])), theta=st.floats(-1e6, 1e6))
-    def test_yaw_error_float_branch_equals_array_path(self, phi, theta):
+    def test_yaw_error_scalar_equals_float_reference(self, phi, theta):
         scalar = yaw_error(phi, theta)
-        arr = yaw_error(np.array([phi]), np.array([theta]))
-        assert _same_float(scalar, float(arr[0]))
+        assert _same_float(scalar, power_reference.yaw_error(phi, theta))
+        assert _same_float(scalar, float(yaw_error(np.array([phi]), np.array([theta]))[0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -416,9 +419,61 @@ class TestWrapFloatBranch:
 
     @given(x=finite)
     @example(x=-0.0)
-    def test_numpy_scalars_take_the_float_branch(self, x):
+    def test_numpy_scalars_give_the_python_float(self, x):
         assert _same_float(wrap_to_360(np.float64(x)), wrap_to_360(x))
         assert _same_float(wrap_angle(np.float64(x)), wrap_angle(x))
+
+
+# Headings at the seams of the inline float wrapping in ``YawEnv.reset`` and
+# ``step``: 0 and 360, tiny negatives that ``%`` rounds up to 360, a 3-degree
+# move's length one ulp off, and 180 and its neighbours. With a wind direction
+# of 0.0 (which the cycle mean keeps exactly), they make phi - theta land on
+# +-180, 180 +- 1 ulp and tiny negatives.
+_ulps_180 = [math.nextafter(180.0, 0.0), math.nextafter(180.0, 360.0)]
+seam_headings = [0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-17, math.nextafter(360.0, 0.0), 360.0, 3.0,
+                 math.nextafter(3.0, 0.0), math.nextafter(3.0, 6.0), math.nextafter(357.0, 360.0), 180.0,
+                 -180.0, *_ulps_180, *(-x for x in _ulps_180), 540.0]
+
+
+class TestStepWrapSeams:
+    """``reset`` and ``step`` wrap the heading and the yaw error inline; each value
+    must equal the float forms of ``power_reference``, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        phi=st.one_of(st.sampled_from([0.0, 90.0, 180.0, 359.0]), st.floats(0.0, 360.0, exclude_max=True)),
+        init_theta=st.one_of(st.sampled_from(seam_headings), st.floats(-720.0, 720.0)),
+        offset=st.one_of(st.just(0.0), st.sampled_from(seam_headings)),
+        move=st.sampled_from([(10, 0.3), (12, 0.25), (1, 180.0)]),  # (cycle_period, yaw rate): 3 deg and 180 deg moves
+        delay=st.booleans(),
+        actions=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=12),
+    )
+    @example(phi=0.0, init_theta=math.nextafter(3.0, 0.0), offset=0.0, move=(12, 0.25), delay=False, actions=[0])
+    @example(phi=0.0, init_theta=5e-324, offset=0.0, move=(10, 0.3), delay=True, actions=[1])
+    @example(phi=0.0, init_theta=-1e-300, offset=0.0, move=(10, 0.3), delay=True, actions=[2, 0, 0])
+    def test_headings_and_errors_equal_float_reference(self, phi, init_theta, offset, move, delay, actions):
+        p, rate = move
+        series = WindSeries(np.arange((len(actions) + 2) * p), np.full((len(actions) + 2) * p, phi),
+                            np.full((len(actions) + 2) * p, 8.0))
+        cfg = EnvConfig(standardizer=Standardizer(8.0), turbine=TurbineParams(yaw_rate_deg_s=rate),
+                        cycle_period=float(p), comm_delay=float(p) if delay else 0.0, j=2,
+                        episode_len=len(actions))
+        phi_c = cycle_stats(series, p)[0].tolist()
+        env = YawEnv(series, cfg)
+        obs = env.reset(start_cycle=0, init_theta=init_theta, align_offset_deg=offset)
+        theta = power_reference.wrap_to_360(init_theta + offset)
+        assert _same_float(float(obs[0, 1]), power_reference.yaw_error(phi_c[0], theta))
+        pending = 1
+        for t, a in enumerate(actions):
+            env.step(a)
+            applied = pending if delay else a
+            delta = cfg.cycle_period * (applied - 1) * rate
+            if delta != 0.0:
+                theta = power_reference.wrap_to_360(theta + delta)
+            trace = env.trace()
+            assert _same_float(float(trace.theta[t]), theta)
+            assert _same_float(float(trace.gamma[t]), power_reference.yaw_error(phi_c[t + 1], theta))
+            pending = a
 
 
 def _next(x, toward):

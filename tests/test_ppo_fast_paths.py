@@ -1,9 +1,10 @@
 """Differential property tests: the PPO hot loop against the reference it replaced.
 
 Training (one encode per step, values in one stacked forward after the
-rollout, Adam on one flat vector, the lean batch-of-one softmax and
-sampler, GAE on Python floats), the loss and its gradients (three-column
-sums, no ``np.clip``), evaluation (greedy by Python comparisons), the
+rollout, Adam on one flat vector, the 1-D inference forward, the lean
+batch-of-one softmax and sampler, GAE on Python floats), the loss and its
+gradients (three-column sums, no ``np.clip``, in-place bias and tanh, ufunc
+reductions, on 1- to 3-layer networks), evaluation (greedy by Python comparisons), the
 encoder and the sampler must reproduce ``ppo_reference`` bit for bit, not
 merely to a tolerance.
 """
@@ -31,7 +32,7 @@ from yawbench import (
     steady_preset,
     train,
 )
-from yawbench.ppo import _greedy_action, encode_batch, encode_observation, log_softmax, policy_forward
+from yawbench.ppo import _greedy_action, _policy_probs, encode_batch, encode_observation, log_softmax, policy_forward
 
 
 def same_bits(a, b) -> bool:
@@ -214,6 +215,41 @@ class TestStackedValues:
             assert same_bits(net.forward_rows(x, chunk), rows)
 
 
+class TestInferenceForward:
+    """``Mlp.forward`` takes a 1-D row and keeps no activations; it must give the bits of the
+    ``(1, k)`` row through ``forward_cached`` and of that row in ``forward_rows``."""
+
+    @given(
+        j=st.sampled_from([1, 2, 3, 7, 12, 20]),
+        hidden=st.lists(st.integers(1, 80), min_size=1, max_size=3).map(tuple),
+        n=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(j=12, hidden=(64, 64), n=64, scale=1.0, seed=0)  # the default networks
+    def test_row_equals_batch_of_one_and_stacked_rows(self, j, hidden, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        ac = ActorCritic.create(j, hidden, rng)
+        x = rng.normal(scale=scale, size=(n, j * 5))
+        for net in (ac.policy, ac.value):
+            rows = np.stack([net.forward(row) for row in x])
+            cached = np.concatenate([net.forward_cached(row[None])[0] for row in x])
+            assert same_bits(rows, cached)
+            assert same_bits(rows, net.forward_rows(x, 16))
+            assert same_bits(net.forward(x), net.forward_cached(x)[0])  # a 2-D batch
+        for row in x:
+            assert same_bits(_policy_probs(ac, row), ref.policy_probs(ac, row))
+
+    def test_read_only_row_of_the_env(self):
+        env = make_env(3, 12)
+        env.reset(start_cycle=0)
+        ac = ActorCritic.create(12, (64, 64), np.random.default_rng(3))
+        x = env.encoded_observation
+        assert not x.flags.writeable
+        assert same_bits(ac.value.forward(x), ac.value.forward_cached(x[None])[0][0])
+        assert same_bits(_policy_probs(ac, x), ref.policy_probs(ac, np.array(x)))
+
+
 class TestGae:
     @given(
         n=st.integers(0, 300),
@@ -257,7 +293,7 @@ class TestLogSoftmax:
 
 class TestLossAndGrads:
     @given(
-        hidden=st.tuples(widths, widths),
+        hidden=st.lists(widths, min_size=1, max_size=3).map(tuple),
         n=st.integers(1, 80),
         j=st.integers(1, 4),
         clip_eps=st.sampled_from([0.05, 0.2]),
@@ -265,6 +301,9 @@ class TestLossAndGrads:
         entropy_coef=st.sampled_from([0.0, 0.05]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(hidden=(5,), n=7, j=2, clip_eps=0.2, value_coef=0.5, entropy_coef=0.05, seed=0)
+    @example(hidden=(3, 8, 5), n=64, j=3, clip_eps=0.2, value_coef=0.5, entropy_coef=0.05, seed=1)
+    @example(hidden=(64, 64), n=64, j=12, clip_eps=0.2, value_coef=0.5, entropy_coef=0.0, seed=2)  # the default
     def test_stats_and_gradients_match_reference(self, hidden, n, j, clip_eps, value_coef, entropy_coef, seed):
         rng = np.random.default_rng(seed)
         ac = ActorCritic.create(j, hidden, rng)
