@@ -23,7 +23,6 @@ from .wind import (
     Standardizer,
     WindDataError,
     WindSeries,
-    constant_preset,
     fit_standardizer,
     generate_synthetic,
     load_series,
@@ -39,9 +38,7 @@ from .env import (
     YawEnv,
     cycle_stats,
     eval_env_config,
-    indifference_misalignment,
     n_cycles,
-    run_actions,
 )
 from .baseline import (
     CycaConfig,

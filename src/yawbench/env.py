@@ -16,6 +16,10 @@ code centered to {-1, 0, 1}, the misalignment scaled by 1/180, the wind
 direction as its (sin, cos) pair (raw degrees are discontinuous at the seam),
 and the standardized speed as is - five features per lagged row.
 
+An episode starts where the caller says: ``reset(start_cycle, theta)`` takes
+the start cycle and the nacelle heading (``None`` aligns it with that cycle's
+wind). The env draws no random numbers; a trainer picks its start windows.
+
 ``YawEnv`` keeps what a step needs as columns. The wind features of every
 cycle are encoded once, when the env is built. The encoded observation rows
 live in one table of ``episode_len + j`` rows, newest first, filled from the
@@ -123,20 +127,6 @@ def encode_batch(obs: np.ndarray) -> np.ndarray:
     return out.reshape(obs.shape[0], -1)
 
 
-def indifference_misalignment(cfg: EnvConfig, v_tilde: float, correction: float) -> float:
-    """Misalignment above which a correcting move out-rewards staying put.
-
-    Solves -(gamma - correction)^2 v~^3 = -gamma^2 v~^3 + w for gamma, i.e.
-    gamma* = (w / v~^3 + correction^2) / (2 correction). Strictly decreasing in
-    the standardized wind speed: fast wind buys more correction. Raises
-    ValueError unless both are finite and positive.
-    """
-    for name, x in (("correction", correction), ("v_tilde", v_tilde)):
-        if not 0.0 < x < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {x}")
-    return (cfg.w / v_tilde**3 + correction**2) / (2.0 * correction)
-
-
 @dataclass(frozen=True, eq=False)
 class CycleTrace:
     """Per-cycle record of a control run; the common currency of the benchmark."""
@@ -185,9 +175,11 @@ _TRACE_DTYPES = {name: np.int64 if name in _TRACE_INT_COLUMNS else np.float64 fo
 
 
 class YawEnv:
-    """Gym-style environment over a wind series.
+    """Gym-style environment over a wind series holding at least one episode
+    plus the one-cycle lookahead; a shorter series raises ValueError here.
 
-    ``step(action)`` takes 0, 1 or 2 (an ``Action``) and returns
+    ``reset(start_cycle, theta=None)`` starts an episode and draws nothing
+    at random. ``step(action)`` takes 0, 1 or 2 (an ``Action``) and returns
     ``(reward, done)``. ``observation``, which ``reset`` returns, is the j x 4
     matrix of (action, gamma, phi, v_tilde) rows, newest first.
     ``encoded_observation`` is the same observation as the read-only network
@@ -199,9 +191,10 @@ class YawEnv:
         self.series = series
         self.cfg = cfg
         self._n_cycles = n_cycles(series, cfg)
-        if self._n_cycles < 2:
+        if self._n_cycles < cfg.episode_len + 1:
             raise ValueError(
-                f"series of {len(series)} samples holds {self._n_cycles} cycles; need at least 2"
+                f"series holds {self._n_cycles} cycles: too short for an episode of "
+                f"{cfg.episode_len} cycles plus the one-cycle lookahead"
             )
         self._phi_c, self._v_c = cycle_stats(series, cfg.p_samples)
         self._vt_c = cfg.standardizer.standardize(self._v_c)
@@ -239,35 +232,29 @@ class YawEnv:
         lo = self._row * OBS_FEATURES_PER_ROW
         return self._enc_read_only[lo : lo + self.cfg.j * OBS_FEATURES_PER_ROW]
 
-    def reset(
-        self,
-        start_cycle: int | None = None,
-        init_theta: float | str = "align",
-        align_offset_deg: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Start an episode at ``start_cycle`` (drawn from ``rng`` when omitted).
+    def reset(self, start_cycle: int, theta: float | None = None) -> np.ndarray:
+        """Start an episode at ``start_cycle`` with the nacelle at heading ``theta``.
 
-        ``init_theta="align"`` points the nacelle at the first cycle's mean
-        wind direction; ``align_offset_deg`` shifts whichever heading was
-        chosen. The j history rows are pre-filled from the wind before the
-        start (clamped at the series head) under all-Stay actions.
+        ``theta=None`` points the nacelle at the start cycle's mean wind
+        direction; a real number (not a bool) is an absolute heading in
+        degrees, wrapped into [0, 360).
+        The j history rows are pre-filled from the wind before the start
+        (clamped at the series head) under all-Stay actions.
         """
-        if self.max_start_cycle < 0:
-            raise ValueError(
-                f"series holds {self._n_cycles} cycles: too short for an episode of "
-                f"{self.cfg.episode_len} cycles plus the one-cycle lookahead"
-            )
-        if start_cycle is None:
-            if rng is None:
-                raise ValueError("reset needs either start_cycle or rng")
-            start_cycle = int(rng.integers(0, self.max_start_cycle + 1))
-        if not (isinstance(start_cycle, (int, np.integer)) and 0 <= start_cycle <= self.max_start_cycle):
+        if not (
+            isinstance(start_cycle, (int, np.integer))
+            and start_cycle.__class__ is not bool
+            and 0 <= start_cycle <= self.max_start_cycle
+        ):
             raise ValueError(
                 f"start_cycle must be a whole number in 0..{self.max_start_cycle}, leaving "
                 f"episode_len={self.cfg.episode_len} cycles, got {start_cycle}"
             )
-        theta = float((self._phi[start_cycle] if init_theta == "align" else float(init_theta)) + align_offset_deg)
+        if theta is None:
+            theta = self._phi[start_cycle]
+        elif not isinstance(theta, (int, float, np.integer, np.floating)) or theta.__class__ is bool:
+            raise ValueError(f"theta must be None or a real number of degrees, got {theta!r}")
+        theta = float(theta)
         if not math.isfinite(theta):
             raise ValueError(f"the initial heading must be finite, got {theta!r}")
         self._theta = theta = 0.0 if (w := theta % 360.0) >= 360.0 else w  # wrapped as step wraps it
@@ -346,15 +333,6 @@ class YawEnv:
         t_s, phi, v = self.series.t[cycle * self.cfg.p_samples], self._phi_c[cycle], self._v_c[cycle]
         power_kw = power_with_misalignment(v, gamma, self.cfg.turbine)
         return CycleTrace(cycle, t_s, phi, v, theta, gamma, issued, applied, power_kw, r1, r2)
-
-
-def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
-    """Reset ``env`` and play a fixed action sequence, returning the trace."""
-    env.reset(**reset_kwargs)
-    for a in actions:
-        if env.step(a)[1]:
-            break
-    return env.trace()
 
 
 def eval_env_config(series: WindSeries, cfg: EnvConfig) -> EnvConfig:

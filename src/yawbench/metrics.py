@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .env import CycleTrace, EnvConfig
-from .power import TurbineParams, from_fields, wrap_angle
+from .power import TurbineParams, wrap_angle
 
 
 def cycle_deltas(theta: np.ndarray) -> np.ndarray:
@@ -37,7 +37,6 @@ class MetricsReport:
     horizon_s: float
 
     to_dict = asdict
-    from_dict = classmethod(from_fields)
 
 
 def _drive_kwh(rotation_deg, tp: TurbineParams):
@@ -107,10 +106,6 @@ class Comparison:
     def to_dict(self) -> dict:
         """The four headline figures; the per-cycle series is left out."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Comparison":
-        return from_fields(cls, d, delta_series_kwh=None)
 
 
 def compare(report_candidate: MetricsReport, report_baseline: MetricsReport, delta_total_kwh: float,

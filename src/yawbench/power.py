@@ -10,7 +10,7 @@ misalignment loss, rated power, zero. Each boundary speed (cut-in, rated,
 cut-out) belongs to the region above it.
 
 ``from_fields`` lives here, in the module every other one imports: it is the
-strict ``from_dict`` of every config and report record in the package.
+strict ``from_dict`` of every config record in the package.
 """
 
 from __future__ import annotations

@@ -427,9 +427,10 @@ def ppo_update(
 def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     """Train on ``env``, alternating n-step rollouts and clipped updates.
 
-    A rollout is five preallocated arrays, written a row per step.
-    Episodes restart (at rng-drawn windows, nacelle aligned up to a random
-    offset of at most ``init_offset_deg``) whenever one finishes mid-rollout.
+    A rollout is five preallocated arrays, written a row per step. Whenever
+    an episode finishes mid-rollout, the trainer's generator draws a heading
+    offset of at most ``init_offset_deg`` and then a start cycle, and the env
+    restarts there with the nacelle that far off the start cycle's wind.
     Returns the trained networks and the learning-curve records, one per
     update: update_idx, steps, mean_return, policy_loss, value_loss, entropy.
     """
@@ -442,7 +443,8 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
 
     def fresh_episode() -> None:
         offset = rng.uniform(-cfg.init_offset_deg, cfg.init_offset_deg) if cfg.init_offset_deg > 0 else 0.0
-        env.reset(rng=rng, init_theta="align", align_offset_deg=offset)
+        start = int(rng.integers(0, env.max_start_cycle + 1))
+        env.reset(start, env.cycle_direction(start) + offset)
 
     fresh_episode()
     curve: list[dict] = []
@@ -483,7 +485,7 @@ def evaluate(ac: ActorCritic, env: YawEnv) -> CycleTrace:
     the argmax action (ties resolve to the lowest action code; a non-finite
     probability raises). Only the policy network runs. Never mutates the networks.
     """
-    env.reset(start_cycle=0)
+    env.reset(0)
     for _ in range(env.cfg.episode_len):  # the last step ends the episode
         env.step(_greedy_action(_policy_probs(ac, env.encoded_observation)))
     return env.trace()

@@ -21,14 +21,14 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .power import from_fields, wrap_to_360
+from .power import wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
 _SERIES_DTYPES = {"t": np.int64, "phi": np.float64, "v": np.float64}
@@ -336,11 +336,6 @@ class GeneratorSpec:
                 raise WindDataError(f"ramp {i} magnitude_deg must be finite, got {r.magnitude_deg}")
         object.__setattr__(self, "ramps", ramps)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "ramps": [list(r) for r in self.ramps]}
-
-    from_dict = classmethod(from_fields)
-
 
 def _matched_ar1(rng: np.random.Generator, n: int, a: float) -> np.ndarray:
     """AR(1) deviations normalized to sample mean 0 and sample std 1.
@@ -445,17 +440,4 @@ def variable_preset(length_s: int = 21000) -> GeneratorSpec:
         ),
         speed_mean_ms=8.2,
         speed_std_ms=1.0,
-    )
-
-
-def constant_preset(length_s: int = 2000, dir_deg: float = 34.1, v_ms: float = 8.2) -> GeneratorSpec:
-    """Degenerate regime: constant direction and speed."""
-    return GeneratorSpec(
-        length_s=length_s,
-        dir_mean_deg=dir_deg,
-        dir_std_deg=0.0,
-        reversion_rate=0.001,
-        ramps=(),
-        speed_mean_ms=v_ms,
-        speed_std_ms=0.0,
     )

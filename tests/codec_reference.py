@@ -76,18 +76,6 @@ def comparison_to_dict(c) -> dict:
     }
 
 
-def spec_to_dict(spec) -> dict:
-    return {
-        "length_s": spec.length_s,
-        "dir_mean_deg": spec.dir_mean_deg,
-        "dir_std_deg": spec.dir_std_deg,
-        "reversion_rate": spec.reversion_rate,
-        "ramps": [list(r) for r in spec.ramps],
-        "speed_mean_ms": spec.speed_mean_ms,
-        "speed_std_ms": spec.speed_std_ms,
-    }
-
-
 def checkpoint_text(ac, env_cfg, ppo_cfg) -> str:
     """A version-3 checkpoint: both configs and the base64 of every parameter as a
     little-endian float64, policy first, layer by layer."""

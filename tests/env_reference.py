@@ -8,8 +8,8 @@ and prices each cycle with the scalar ``power_with_misalignment`` of
 ``power_reference``, whose float forms wrap its angles. ``cycle_wind``
 aggregates one cycle at a time, ``trace_from_records`` builds a
 ``CycleTrace`` from per-cycle dicts, and ``concat_traces`` joins traces that
-continue one another. ``run_constant_action`` plays one action through the
-library env.
+continue one another. ``play`` runs a fixed action sequence through the
+library env, and ``run_constant_action`` one action repeated.
 ``RawTableYawEnv`` is the library env as it was before its ``observation``
 property: beside the encoded table it wrote a raw table, a row per step,
 and ``reset`` and ``step`` returned a copy of its newest j rows. The
@@ -44,10 +44,19 @@ def trace_from_records(records: list[dict]) -> CycleTrace:
     return CycleTrace(**{name: np.array([rec[name] for rec in records]) for name in TRACE_COLUMNS})
 
 
+def play(env, actions, start_cycle, theta=None) -> CycleTrace:
+    """Reset the library ``env`` and play ``actions`` until they or the episode end."""
+    env.reset(start_cycle, theta)
+    for a in actions:
+        if env.step(a)[1]:
+            break
+    return env.trace()
+
+
 def run_constant_action(env, action, n_steps=None, **reset_kwargs) -> CycleTrace:
-    """Reset ``env`` and repeat one action until done (or for ``n_steps``)."""
+    """Reset the library ``env`` and repeat one action until done (or for ``n_steps``)."""
     limit = env.cfg.episode_len if n_steps is None else whole_number("n_steps", n_steps)
-    return yawbench.env.run_actions(env, [action] * limit, **reset_kwargs)
+    return play(env, [action] * limit, **reset_kwargs)
 
 
 def concat_traces(traces: list[CycleTrace]) -> CycleTrace:
@@ -88,13 +97,10 @@ class YawEnv:
     def max_start_cycle(self) -> int:
         return self._n_cycles - self.cfg.episode_len - 1
 
-    def reset(self, start_cycle=None, init_theta="align", align_offset_deg=0.0, rng=None) -> np.ndarray:
-        if start_cycle is None:
-            start_cycle = int(rng.integers(0, self.max_start_cycle + 1))
+    def reset(self, start_cycle, theta=None) -> np.ndarray:
         if not (0 <= start_cycle <= self.max_start_cycle):
             raise ValueError(f"start_cycle {start_cycle} out of range 0..{self.max_start_cycle}")
-        theta = self._phi_c[start_cycle] if init_theta == "align" else float(init_theta)
-        self._theta = wrap_to_360(theta + align_offset_deg)
+        self._theta = wrap_to_360(float(self._phi_c[start_cycle] if theta is None else theta))
         self._cycle = start_cycle
         self._pending = Action.STAY
         self._stay_streak = self.cfg.j  # warm-up rows count as issued Stays
@@ -174,8 +180,8 @@ class RawTableYawEnv(yawbench.env.YawEnv):
         super().__init__(series, cfg)
         self._raw = np.zeros((cfg.episode_len + cfg.j, 4))
 
-    def reset(self, start_cycle=None, init_theta="align", align_offset_deg=0.0, rng=None) -> np.ndarray:
-        super().reset(start_cycle, init_theta, align_offset_deg, rng)  # writes the warm-up rows through _write_row
+    def reset(self, start_cycle, theta=None) -> np.ndarray:
+        super().reset(start_cycle, theta)  # writes the warm-up rows through _write_row
         return self._raw[self._row :].copy()
 
     def _write_row(self, row, action, gamma, c) -> None:

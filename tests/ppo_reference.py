@@ -172,7 +172,8 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
 
     def fresh_episode() -> np.ndarray:
         offset = rng.uniform(-cfg.init_offset_deg, cfg.init_offset_deg) if cfg.init_offset_deg > 0 else 0.0
-        return env.reset(rng=rng, init_theta="align", align_offset_deg=offset)
+        start = int(rng.integers(0, env.max_start_cycle + 1))
+        return env.reset(start, env._phi_c[start] + offset)
 
     obs = fresh_episode()
     curve: list[dict] = []
@@ -216,7 +217,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
 def evaluate(ac, env) -> CycleTrace:
     """Greedy roll-out from cycle 0, nacelle aligned, through the reference forward."""
     env = env_reference.YawEnv(env.series, env.cfg)
-    obs = env.reset(start_cycle=0, init_theta="align")
+    obs = env.reset(0)
     records = []
     for _ in range(env.cfg.episode_len):
         probs, _ = policy_forward(ac, obs)

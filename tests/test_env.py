@@ -1,9 +1,13 @@
+import ast
+import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from yawbench import env as env_module
 from yawbench import (
     Action,
     CycleTrace,
@@ -13,12 +17,10 @@ from yawbench import (
     YawEnv,
     eval_env_config,
     generate_synthetic,
-    indifference_misalignment,
-    run_actions,
     steady_preset,
     wrap_to_360,
 )
-from env_reference import concat_traces, cycle_wind, run_constant_action
+from env_reference import concat_traces, cycle_wind, play, run_constant_action
 
 
 def flat_series(n_s, phi=34.1, v=8.0):
@@ -78,6 +80,14 @@ class TestConfig:
         assert (cfg.j, cfg.k, cfg.episode_len) == (3, 2, 8) and type(cfg.j) is int
         assert cfg == EnvConfig(standardizer=Standardizer(8.0), j=3, k=2, episode_len=8)
 
+    @pytest.mark.parametrize("samples, episode_len", [(30, 256), (40, 4), (19, 1)])
+    def test_series_too_short_for_an_episode_rejected_at_construction(self, samples, episode_len):
+        # 3 cycles under episode_len=256 built an env with max_start_cycle -254; reset failed later
+        cycles = samples // 10
+        match = rf"^series holds {cycles} cycles: too short for an episode of {episode_len} cycles plus"
+        with pytest.raises(ValueError, match=match):
+            YawEnv(flat_series(samples), cfg_for(episode_len=episode_len))
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_cycle_period_named(self, bad):
         # inf raised OverflowError, nan a nameless "cannot convert float NaN to integer"
@@ -109,40 +119,84 @@ class TestCycleWind:
 class TestReset:
     def test_align_gives_zero_gamma(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
-        obs = env.reset(start_cycle=0, init_theta="align")
+        obs = env.reset(0)
         assert obs[0, 1] == 0.0
         assert obs.shape == (2, 4)
 
     def test_offset_init(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
-        obs = env.reset(start_cycle=0, init_theta=34.1 + 10.0)
+        obs = env.reset(0, 34.1 + 10.0)
         assert obs[0, 1] == pytest.approx(-10.0, abs=1e-12)
 
     def test_start_too_near_end(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
         # 10 cycles total; valid starts are 0..5
-        env.reset(start_cycle=5, init_theta="align")
+        env.reset(5)
         with pytest.raises(ValueError):
-            env.reset(start_cycle=6, init_theta="align")
+            env.reset(6)
 
-    @pytest.mark.parametrize("bad", [1.5, 2.0, -1, 6, "1"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, -1, 6, "1", True, False, np.True_])
     def test_start_cycle_not_a_whole_number_in_range_named(self, bad):
+        # 1.5 was a bare TypeError; True and False were stored as the episode start
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
         match = rf"^start_cycle must be a whole number in 0\.\.5, leaving episode_len=4 cycles, got {bad}$"
-        with pytest.raises(ValueError, match=match):  # 1.5 was a bare TypeError
-            env.reset(start_cycle=bad)
         with pytest.raises(ValueError, match=match):
-            run_actions(env, [1], start_cycle=bad)
+            env.reset(bad)
 
     @pytest.mark.parametrize("good", [np.int64(3), np.uint8(3)])
     def test_numpy_integer_start_cycle_accepted(self, good):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
-        assert run_actions(env, [2], start_cycle=good).equals(run_actions(env, [2], start_cycle=3))
+        assert play(env, [2], good).equals(play(env, [2], 3))
 
-    def test_reset_requires_rng_or_start(self):
-        env = YawEnv(flat_series(100), cfg_for())
-        with pytest.raises(ValueError):
+    def test_reset_takes_a_start_cycle_and_a_heading(self):
+        params = inspect.signature(YawEnv.reset).parameters
+        assert list(params) == ["self", "start_cycle", "theta"] and params["theta"].default is None
+        env = YawEnv(flat_series(100), cfg_for(episode_len=4))
+        with pytest.raises(TypeError):
             env.reset()
+
+    def test_env_module_draws_no_random_numbers(self):
+        tree = ast.parse(Path(env_module.__file__).read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+        assert names.isdisjoint({"rng", "random", "Generator", "default_rng"})
+
+    @pytest.mark.parametrize(
+        "theta, wrapped",
+        [(-720.0, 0.0), (-30.0, 330.0), (-1e-14, 0.0), (0.0, 0.0), (359.9, 359.9), (360.0, 0.0), (750.0, 30.0)],
+    )
+    def test_numeric_theta_is_an_absolute_heading_wrapped(self, theta, wrapped):
+        # -1e-14 % 360 rounds up to 360.0, which must wrap to 0.0
+        phi = np.concatenate([np.full(40, 30.0), np.full(160, 70.0)])
+        env = YawEnv(WindSeries(np.arange(200), phi, np.full(200, 8.0)), cfg_for(episode_len=4))
+        for start in (2, 6):  # wind at 30 and at 70 degrees: the heading ignores it
+            env.reset(start, theta)
+            env.step(Action.STAY)
+            assert env.trace().theta[0] == wrapped
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.True_, "10", b"10"], ids=["True", "False", "np.True_", "str", "bytes"]
+    )
+    def test_theta_not_a_real_number_rejected(self, bad):
+        # float() took each of these: "10" started at 10 degrees and True at 1
+        env = YawEnv(flat_series(100), cfg_for(episode_len=4))
+        match = rf"^theta must be None or a real number of degrees, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=match):
+            env.reset(0, bad)
+
+    @pytest.mark.parametrize("good", [10, np.int64(10), np.float32(10.0), np.float64(10.0)])
+    def test_numpy_and_integer_theta_accepted(self, good):
+        env = YawEnv(flat_series(100), cfg_for(episode_len=4))
+        assert play(env, [2], 0, good).equals(play(env, [2], 0, 10.0))
+
+    def test_theta_none_aligns_with_the_start_cycle(self):
+        phi = np.concatenate([np.full(40, 30.0), np.full(160, 70.0)])
+        env = YawEnv(WindSeries(np.arange(200), phi, np.full(200, 8.0)), cfg_for(episode_len=4))
+        assert np.array_equal(env.reset(6), env.reset(6, env.cycle_direction(6)))
+        assert env.observation[0, 1] == 0.0 and env.observation[-1, 1] == 0.0  # cycles 6 and 5: 70 deg
+        assert env.reset(2)[0, 1] == 0.0 and env.reset(6, 30.0)[0, 1] == 40.0
+        assert env.reset(6, 30.0 - 720.0)[0, 1] == 40.0  # an absolute heading, wrapped
 
     def test_history_prefilled_from_earlier_wind(self):
         n = 200
@@ -150,7 +204,7 @@ class TestReset:
         phi[30:40] = 50.0  # cycle 3
         s = WindSeries(np.arange(n), phi, np.full(n, 8.0))
         env = YawEnv(s, cfg_for(episode_len=4, j=3))
-        obs = env.reset(start_cycle=4, init_theta="align")
+        obs = env.reset(4)
         # rows newest first: cycles 4, 3, 2
         assert obs[0, 2] == pytest.approx(30.0, abs=1e-9)
         assert obs[1, 2] == pytest.approx(50.0, abs=1e-9)
@@ -163,7 +217,7 @@ class TestStep:
         phi = np.array([34.1] * 10 + [37.1] * 30)
         s = WindSeries(np.arange(40), phi, np.full(40, 8.0))
         env = YawEnv(s, cfg_for(episode_len=2, j=2, k=2, w=40.0))
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         reward, _ = env.step(Action.STAY)
         trace = env.trace()
         assert trace.gamma[0] == pytest.approx(3.0, abs=1e-9)
@@ -174,7 +228,7 @@ class TestStep:
 
     def test_pending_action_applies_one_cycle_late(self):
         env = YawEnv(flat_series(200, phi=0.0), cfg_for(episode_len=4))
-        env.reset(start_cycle=0, init_theta=10.0)
+        env.reset(0, 10.0)
         env.step(Action.COUNTER_CLOCKWISE)
         env.step(Action.STAY)
         trace = env.trace()
@@ -183,7 +237,7 @@ class TestStep:
 
     def test_stay_leaves_theta_bit_identical(self):
         env = YawEnv(flat_series(200), cfg_for(episode_len=8))
-        env.reset(start_cycle=0, init_theta=123.456)
+        env.reset(0, 123.456)
         for _ in range(8):
             env.step(Action.STAY)
         thetas = env.trace().theta
@@ -191,7 +245,7 @@ class TestStep:
 
     def test_exact_step_sizes(self):
         env = YawEnv(flat_series(400, phi=0.0), cfg_for(episode_len=30))
-        env.reset(start_cycle=0, init_theta=355.0)
+        env.reset(0, 355.0)
         rng = np.random.default_rng(0)
         for _ in range(30):
             env.step(int(rng.integers(0, 3)))
@@ -203,14 +257,14 @@ class TestStep:
 
     def test_step_after_done_raises(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=1))
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         env.step(Action.STAY)
         with pytest.raises(RuntimeError, match="done"):
             env.step(Action.STAY)
 
     def test_invalid_action_rejected(self):
         env = YawEnv(flat_series(100), cfg_for())
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         with pytest.raises(ValueError):
             env.step(5)
 
@@ -218,7 +272,7 @@ class TestStep:
     def test_non_integer_action_rejected_by_value(self, bad):
         # 1.5 used to issue Stay, 0.7 Clockwise, and "2" was accepted: Action(int(action)) truncated
         env = YawEnv(flat_series(100), cfg_for())
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         with pytest.raises(ValueError, match=rf"^action must be 0, 1 or 2, got {re.escape(repr(bad))}$"):
             env.step(bad)
 
@@ -226,7 +280,7 @@ class TestStep:
     def test_bool_action_rejected(self, bad):
         # bool is an int subclass: True was taken as Stay and False as Clockwise
         env = YawEnv(flat_series(100), cfg_for())
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         with pytest.raises(ValueError, match=rf"^action must be 0, 1 or 2, got {re.escape(repr(bad))}$"):
             env.step(bad)
         env.step(Action.STAY)  # the rejected call recorded no step
@@ -236,20 +290,22 @@ class TestStep:
         "init_theta, offset", [(math.inf, 0.0), (math.nan, 0.0), (10.0, -math.inf), ("align", math.nan)]
     )
     def test_non_finite_initial_heading_rejected(self, init_theta, offset):
+        # the heading train passes: a start cycle's direction plus an offset
         env = YawEnv(flat_series(100), cfg_for())
+        theta = (env.cycle_direction(0) if init_theta == "align" else init_theta) + offset
         with pytest.raises(ValueError, match="initial heading must be finite"):
-            env.reset(start_cycle=0, init_theta=init_theta, align_offset_deg=offset)
+            env.reset(0, theta)
 
     @pytest.mark.parametrize("good", [0, 1, 2, Action.STAY, np.int64(2), np.uint8(0)])
     def test_integer_actions_accepted(self, good):
         env = YawEnv(flat_series(100), cfg_for())
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         env.step(good)
         assert env.trace().action_issued[0] == int(good)
 
     def test_streak_rule_counts_issued_actions(self):
         env = YawEnv(flat_series(400), cfg_for(episode_len=6, k=2, w=40.0))
-        env.reset(start_cycle=0, init_theta="align")
+        env.reset(0)
         for a in [Action.STAY, Action.CLOCKWISE, Action.STAY, Action.STAY, Action.STAY, Action.CLOCKWISE]:
             env.step(a)
         r2 = list(env.trace().r2)
@@ -258,7 +314,7 @@ class TestStep:
 
     def test_observation_shifts_newest_first(self):
         env = YawEnv(flat_series(400), cfg_for(episode_len=4, j=3))
-        obs0 = env.reset(start_cycle=0, init_theta="align")
+        obs0 = env.reset(0)
         env.step(Action.CLOCKWISE)
         obs1 = env.observation
         assert obs1[0, 0] == float(Action.CLOCKWISE)
@@ -272,21 +328,15 @@ class TestProperties:
         series = generate_synthetic(steady_preset(length_s=3000), seed=11)
         cfg = cfg_for(episode_len=20, j=4)
         actions = np.random.default_rng(3).integers(0, 3, size=20)
-        t1 = run_actions(YawEnv(series, cfg), list(actions), start_cycle=5, init_theta="align")
-        t2 = run_actions(YawEnv(series, cfg), list(actions), start_cycle=5, init_theta="align")
+        t1 = play(YawEnv(series, cfg), list(actions), 5)
+        t2 = play(YawEnv(series, cfg), list(actions), 5)
         assert t1.equals(t2)
 
     def test_delay_law_shifts_theta_by_one_cycle(self):
         series = generate_synthetic(steady_preset(length_s=3000), seed=12)
         actions = list(np.random.default_rng(4).integers(0, 3, size=30))
-        delayed = run_actions(
-            YawEnv(series, cfg_for(episode_len=30, comm_delay=10.0)),
-            actions, start_cycle=0, init_theta=100.0,
-        )
-        immediate = run_actions(
-            YawEnv(series, cfg_for(episode_len=30, comm_delay=0.0)),
-            actions, start_cycle=0, init_theta=100.0,
-        )
+        delayed = play(YawEnv(series, cfg_for(episode_len=30, comm_delay=10.0)), actions, 0, 100.0)
+        immediate = play(YawEnv(series, cfg_for(episode_len=30, comm_delay=0.0)), actions, 0, 100.0)
         assert np.array_equal(immediate.theta[:-1], delayed.theta[1:])
         # identical wind stream in both runs
         assert np.array_equal(immediate.phi, delayed.phi)
@@ -295,7 +345,7 @@ class TestProperties:
     def test_reward_decomposition(self):
         series = generate_synthetic(steady_preset(length_s=4000), seed=13)
         env = YawEnv(series, cfg_for(episode_len=50, j=3))
-        env.reset(start_cycle=2, init_theta="align", rng=None)
+        env.reset(2)
         rng = np.random.default_rng(5)
         rewards = [env.step(int(rng.integers(0, 3)))[0] for _ in range(50)]
         trace = env.trace()
@@ -314,40 +364,20 @@ class TestProperties:
         other = WindSeries(base.t.copy(), phi2, v2)
         cfg = cfg_for(episode_len=10, j=4)
         e1, e2 = YawEnv(base, cfg), YawEnv(other, cfg)
-        o1 = e1.reset(start_cycle=20, init_theta="align")
-        o2 = e2.reset(start_cycle=20, init_theta="align")
+        o1 = e1.reset(20)
+        o2 = e2.reset(20)
         assert np.array_equal(o1, o2)
         steps = [(e1.step(Action.STAY), e1.observation, e2.step(Action.STAY), e2.observation) for _ in range(10)]
         for ((r1, _), o1, (r2, _), o2), cycle in zip(steps, e1.trace().cycle):
             if cycle < 50:
                 assert np.array_equal(o1, o2) and r1 == r2
 
-    def test_indifference_examples(self):
-        cfg = cfg_for(w=40.0)
-        assert indifference_misalignment(cfg, 1.0, 3.0) == pytest.approx(49.0 / 6.0, abs=1e-12)
-        assert indifference_misalignment(cfg, 2.0, 3.0) == pytest.approx(14.0 / 6.0, abs=1e-12)
-        assert indifference_misalignment(cfg_for(w=0.0), 1.0, 3.0) == 1.5
-
-    def test_indifference_strictly_decreasing_in_wind(self):
-        cfg = cfg_for(w=40.0)
-        vts = np.linspace(0.3, 3.0, 40)
-        vals = [indifference_misalignment(cfg, vt, 3.0) for vt in vts]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_indifference_errors(self):
-        cfg = cfg_for()
-        for bad in (0.0, -0.0, -2.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="correction must be finite and positive"):
-                indifference_misalignment(cfg, 1.0, bad)
-            with pytest.raises(ValueError, match="v_tilde must be finite and positive"):
-                indifference_misalignment(cfg, bad, 3.0)
-
 
 class TestTrace:
     def test_csv_roundtrip_lossless(self, tmp_path):
         series = generate_synthetic(steady_preset(length_s=2000), seed=15)
         env = YawEnv(series, cfg_for(episode_len=12, j=3))
-        trace = run_constant_action(env, Action.STAY, start_cycle=0, init_theta="align")
+        trace = run_constant_action(env, Action.STAY, start_cycle=0)
         p = tmp_path / "trace.csv"
         trace.to_csv(p)
         back = CycleTrace.from_csv(p)
@@ -395,7 +425,7 @@ class TestTrace:
     def _ten_cycles():
         series = generate_synthetic(steady_preset(length_s=2000), seed=16)
         env = YawEnv(series, cfg_for(episode_len=10, j=2))
-        return run_constant_action(env, Action.STAY, start_cycle=0, init_theta="align")
+        return run_constant_action(env, Action.STAY, start_cycle=0)
 
     def test_concat_and_slice(self):
         trace = self._ten_cycles()
@@ -424,6 +454,6 @@ class TestTrace:
         full = eval_env_config(series, cfg)
         assert full.episode_len == 199
         env = YawEnv(series, full)
-        trace = run_constant_action(env, Action.STAY, start_cycle=0, init_theta="align")
+        trace = run_constant_action(env, Action.STAY, start_cycle=0)
         assert len(trace) == 199
         assert trace.cycle[0] == 1 and trace.cycle[-1] == 199

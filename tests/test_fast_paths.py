@@ -43,7 +43,6 @@ from yawbench import (
     load_series,
     n_cycles,
     replay_cyca_l,
-    run_actions,
     run_cyca_s,
     power_ideal,
     power_with_misalignment,
@@ -164,7 +163,7 @@ class TestCycleStats:
 
     @given(series=wind_series(min_len=20, max_len=300))
     def test_env_aggregates_equal_cycle_wind(self, series):
-        cfg = EnvConfig(standardizer=Standardizer(7.5))
+        cfg = eval_env_config(series, EnvConfig(standardizer=Standardizer(7.5)))  # an episode the series holds
         env = YawEnv(series, cfg)
         for c in range(n_cycles(series, cfg)):
             phi, v = cycle_wind(series, c, cfg)
@@ -201,8 +200,7 @@ def env_runs(draw):
     max_start = len(series) // p - episode_len - 1
     reset = {
         "start_cycle": draw(st.integers(0, max_start)),
-        "init_theta": draw(st.one_of(st.just("align"), st.floats(-720.0, 720.0), st.sampled_from([0.0, 359.9]))),
-        "align_offset_deg": draw(st.one_of(st.just(0.0), st.floats(-200.0, 200.0))),
+        "theta": draw(st.one_of(st.none(), st.floats(-720.0, 720.0), st.sampled_from([0.0, 359.9]))),
     }
     codes = st.one_of(st.integers(0, 2), st.sampled_from(list(Action)), st.integers(0, 2).map(np.int64))
     return series, cfg, reset, draw(st.lists(codes, min_size=episode_len, max_size=episode_len))
@@ -238,11 +236,11 @@ class TestYawEnv:
         cfg = eval_env_config(series, EnvConfig(standardizer=Standardizer(8.0)))
         env, ref_env = YawEnv(series, cfg), env_reference.YawEnv(series, cfg)
         actions = rng.integers(0, 3, cfg.episode_len).tolist()
-        env.reset(start_cycle=0, init_theta=350.0)
+        env.reset(0, 350.0)
         for a in actions:
             env.step(a)
             assert same_bits(env.encoded_observation, encode_observation(env.observation))
-        ref_trace = env_reference.run_actions(ref_env, actions, start_cycle=0, init_theta=350.0)
+        ref_trace = env_reference.run_actions(ref_env, actions, start_cycle=0, theta=350.0)
         assert _trace_equal(env.trace(), ref_trace)
 
     @settings(max_examples=100)
@@ -267,8 +265,8 @@ class TestYawEnv:
     def test_observation_of_an_episode_shorter_than_the_lag(self):
         series, cfg = wind_series_of(np.linspace(0.0, 300.0, 200)), EnvConfig(Standardizer(8.0), j=6, episode_len=3)
         env, ref_env = YawEnv(series, cfg), env_reference.RawTableYawEnv(series, cfg)
-        env.reset(start_cycle=10, init_theta=5.0)
-        ref_env.reset(start_cycle=10, init_theta=5.0)
+        env.reset(10, 5.0)
+        ref_env.reset(10, 5.0)
         for a in (0, 2, 1):
             env.step(a)
             ref_obs = ref_env.step(a)[0]
@@ -277,7 +275,7 @@ class TestYawEnv:
     @given(run=env_runs())
     def test_one_cycle_delay_law(self, run):
         series, cfg, reset, actions = run
-        trace = run_actions(YawEnv(series, cfg), actions, **reset)
+        trace = env_reference.play(YawEnv(series, cfg), actions, **reset)
         assert list(trace.action_issued) == [int(a) for a in actions]
         if cfg.comm_delay == 0.0:
             assert np.array_equal(trace.action_applied, trace.action_issued)
@@ -288,14 +286,14 @@ class TestYawEnv:
     def test_returned_trace_survives_later_steps_and_reset(self):
         series = wind_series_of(np.linspace(350.0, 370.0, 400) % 360.0)
         env = YawEnv(series, EnvConfig(standardizer=Standardizer(8.0), j=3, episode_len=12))
-        env.reset(start_cycle=2, init_theta=100.0)
+        env.reset(2, 100.0)
         for a in (0, 2, 2, 1):
             env.step(a)
         trace = env.trace()
         kept = {name: getattr(trace, name).copy() for name in TRACE_COLUMNS}
         for a in (0, 0, 0):
             env.step(a)
-        env.reset(start_cycle=9, init_theta=300.0)
+        env.reset(9, 300.0)
         for a in (2, 2, 2, 2, 0):
             env.step(a)
         assert all(same_bits(getattr(trace, name), col) for name, col in kept.items())
@@ -460,7 +458,7 @@ class TestStepWrapSeams:
                         episode_len=len(actions))
         phi_c = cycle_stats(series, p)[0].tolist()
         env = YawEnv(series, cfg)
-        obs = env.reset(start_cycle=0, init_theta=init_theta, align_offset_deg=offset)
+        obs = env.reset(0, init_theta + offset)
         theta = power_reference.wrap_to_360(init_theta + offset)
         assert _same_float(float(obs[0, 1]), power_reference.yaw_error(phi_c[0], theta))
         pending = 1
@@ -784,7 +782,7 @@ class TestTraceFromCsv:
         # A tightening: the former reader accepted nan/inf in the float columns.
         series = WindSeries(np.arange(40), np.full(40, 20.0), np.full(40, 8.0))
         env = YawEnv(series, EnvConfig(Standardizer(8.0), episode_len=2, j=1))
-        trace = run_actions(env, [1, 1], start_cycle=0)
+        trace = env_reference.play(env, [1, 1], 0)
         p = tmp_path / "trace.csv"
         trace.to_csv(p)
         lines = p.read_text().splitlines()

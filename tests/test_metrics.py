@@ -104,7 +104,7 @@ class TestComputeMetrics:
     def test_additivity_at_idle_seam(self, tp, cfg):
         series = generate_synthetic(steady_preset(length_s=4000), seed=30)
         env_cfg = EnvConfig(standardizer=Standardizer(8.0), episode_len=100, j=2)
-        trace = run_constant_action(YawEnv(series, env_cfg), Action.STAY, start_cycle=0, init_theta="align")
+        trace = run_constant_action(YawEnv(series, env_cfg), Action.STAY, start_cycle=0)
         a, b = trace.slice(0, 40), trace.slice(40, 100)
         whole = compute_metrics(trace, tp, cfg)
         ma, mb = compute_metrics(a, tp, cfg), compute_metrics(b, tp, cfg)
@@ -134,10 +134,6 @@ class TestComputeMetrics:
             compute_metrics(trace, tp, fast)
         assert compute_metrics(trace, tp, cfg).horizon_s == 4000.0
         assert compute_metrics(trace.slice(3, 4), tp, fast).horizon_s == 5.0  # one cycle shows no step
-
-    def test_report_dict_roundtrip(self, tp, cfg):
-        m = compute_metrics(trace_from_theta(np.full(10, 1.0)), tp, cfg)
-        assert MetricsReport.from_dict(m.to_dict()) == m
 
 
 @given(

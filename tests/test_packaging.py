@@ -1,5 +1,6 @@
-"""Every entry point that ``pyproject.toml`` declares must import, and no
-module of the package or of the tests imports a name it never uses."""
+"""Every entry point that ``pyproject.toml`` declares must import, no
+module of the package or of the tests imports a name it never uses, and
+every public function and class of the package has a caller in a program."""
 
 import ast
 import importlib
@@ -12,9 +13,8 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 # The package's __init__ imports only to re-export.
-CHECKED_MODULES = sorted(
-    p for p in [*(ROOT / "src" / "yawbench").glob("*.py"), *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py"
-)
+PACKAGE_MODULES = sorted(p for p in (ROOT / "src" / "yawbench").glob("*.py") if p.name != "__init__.py")
+CHECKED_MODULES = sorted([*PACKAGE_MODULES, *(ROOT / "tests").glob("*.py")])
 
 
 def declared_entry_points(project: dict) -> list[str]:
@@ -80,3 +80,55 @@ def test_an_unused_import_is_caught():
         "def f(a: 'Kept') -> int:\n    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["os", "inf", "missing"]
+
+
+def unreferenced_definitions(source: str, programs: list[str], entry_points: list[str] = ()) -> list[str]:
+    """Public top-level functions and classes of ``source`` that nothing reads.
+
+    A definition counts as read where ``source`` or one of ``programs`` names
+    it outside its own body: as a name, an attribute, a dotted string (the
+    bench's trace targets, such as ``"YawEnv.step"``), or an attribute of an
+    entry point's ``module:attr`` target.
+    """
+    tree = ast.parse(source)
+    defined = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    inside = {id(n): name for name, node in defined.items() for n in ast.walk(node)}
+    read = {part for target in entry_points for part in target.partition(":")[2].split(".")}
+    for i, text in enumerate([source, *programs]):
+        for node in ast.walk(tree if i == 0 else ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split(".") if node.value.replace(".", "_").isidentifier() else []
+            else:
+                continue
+            read.update(name for name in names if i > 0 or inside.get(id(node)) != name)
+    return [name for name in defined if name not in read]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_public_definition_has_a_caller(path):
+    programs = [p.read_text() for p in [*PACKAGE_MODULES, *sorted((ROOT / "bench").rglob("*.py"))] if p != path]
+    entry_points = declared_entry_points(tomllib.loads(PYPROJECT.read_text())["project"])
+    assert unreferenced_definitions(path.read_text(), programs, entry_points) == []
+
+
+def test_an_unreferenced_definition_is_caught():
+    source = (
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Traced:\n    def step(self): return Traced()\n"
+        "class Unused: pass\n"
+        "def _private(): pass\n"
+        "def main(): pass\n"
+    )
+    programs = ["import m\nm.used()\nTARGETS = ('Traced.step',)\n"]
+    assert unreferenced_definitions(source, programs) == ["recursive", "Unused", "main"]
+    assert unreferenced_definitions(source, programs, ["m:main"]) == ["recursive", "Unused"]

@@ -422,14 +422,18 @@ class TestUpdateAndTrain:
         ac = ActorCritic.create(env.cfg.j, (16, 16), rng)
         before = [p.copy() for p in ac.parameters]
         cfg = small_cfg()
-        obs = env.reset(rng=rng)
+
+        def fresh_episode():
+            return env.reset(int(rng.integers(0, env.max_start_cycle + 1)))
+
+        obs = fresh_episode()
         rows = []
         for _ in range(cfg.n_steps):
             probs, value = policy_forward(ac, obs)
             a, logp = sample_action(probs, rng)
             r, done = env.step(a)
             rows.append((encode_observation(obs), int(a), logp, r, done, value))
-            obs = env.reset(rng=rng) if done else env.observation
+            obs = fresh_episode() if done else env.observation
         obs_enc, actions, logp_old, rewards, dones, values = map(np.array, zip(*rows))
         advantages, returns = compute_gae(rewards, values, dones, 0.0, cfg.discount, cfg.gae_lambda)
         adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)

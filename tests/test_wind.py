@@ -12,7 +12,6 @@ from yawbench import (
     Standardizer,
     WindDataError,
     WindSeries,
-    constant_preset,
     fit_standardizer,
     generate_synthetic,
     load_series,
@@ -23,6 +22,7 @@ from yawbench import (
 )
 from yawbench.env import TRACE_COLUMNS
 from yawbench.wind import write_csv_columns
+from wind_reference import constant_preset
 
 
 def make_series(n=20, phi=34.1, v=8.0):
@@ -388,7 +388,3 @@ class TestGenerator:
         )
         with pytest.raises(WindDataError, match="variance"):
             generate_synthetic(spec, seed=0)
-
-    def test_spec_dict_roundtrip(self):
-        spec = variable_preset()
-        assert GeneratorSpec.from_dict(spec.to_dict()) == spec
