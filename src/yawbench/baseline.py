@@ -48,14 +48,14 @@ NACELLE_HEADER = ("t", "theta_deg")
 @dataclass(frozen=True)
 class CycaConfig:
     threshold: float = 900.0      # deg*s of accumulated |yaw error| that triggers a turn
-    target_window: float = 30.0   # seconds of trailing wind-direction averaging
+    target_window: int = 30       # seconds of trailing wind-direction averaging
     stop_deadband: float = 1.0    # deg; stop turning once within this of the target
 
     def __post_init__(self):
         for name, x in vars(self).items():
-            if not math.isfinite(x):
+            if not -math.inf < x < math.inf:  # math.isfinite overflows on an int beyond float range
                 raise ValueError(f"{name} must be finite, got {x}")
-        whole_number("target_window", self.target_window, "seconds")
+        object.__setattr__(self, "target_window", whole_number("target_window", self.target_window, "seconds"))
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.stop_deadband < 0:
@@ -89,7 +89,7 @@ def _simulate(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, theta0: fl
     phi, n = series.phi, len(series)
     if not np.isfinite(phi).all():  # the caller may have written into the array since construction
         raise ValueError("wind direction must be finite")
-    window, thr, step_max = int(cfg.target_window), cfg.threshold, tp.yaw_rate_deg_s
+    window, thr, step_max = cfg.target_window, cfg.threshold, tp.yaw_rate_deg_s
     stop_at = max(cfg.stop_deadband, _STOP_FLOOR_DEG)
 
     theta_sec = np.empty(n)

@@ -24,6 +24,8 @@ import numpy as np
 ALPHA_MIN = 1.7
 ALPHA_MAX = 5.1
 
+_INT64_MAX = 2**63 - 1
+
 
 def from_fields(cls, d: dict, **given):
     """``cls`` built from ``given`` and a dict ``d`` holding exactly its other fields.
@@ -39,8 +41,9 @@ def from_fields(cls, d: dict, **given):
 
 
 def whole_number(name: str, x, unit: str = "") -> int:
-    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number (of ``unit``)."""
-    if not (math.isfinite(x) and x > 0 and x == int(x)):
+    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number (of ``unit``)
+    that fits an int64. A bool is refused; nan and inf fail the range check before ``%`` runs."""
+    if isinstance(x, (bool, np.bool_)) or not (0 < x < math.inf and x % 1 == 0 and int(x) <= _INT64_MAX):
         raise ValueError(f"{name} must be a positive whole number{unit and ' of ' + unit}, got {x}")
     return int(x)
 

@@ -4,17 +4,18 @@ Two separate tanh MLPs (two hidden layers of 64 by default) map the flattened
 lagged state to action logits and to a state value. Updates use the clipped
 surrogate objective over shuffled minibatches with advantages from generalized
 advantage estimation, driven by an adaptive-moment first-order optimizer.
-Everything is float64 numpy; a fixed seed reproduces training bit for bit.
 
-The networks take the observation as ``env.encode_batch`` encodes it, five
-features per lagged row. They are small, so a call costs numpy overhead, not
-arithmetic. The rollout and greedy evaluation pass the env's encoded row, 1-D,
-to ``Mlp.forward``: for a row, ``dot`` and ``@`` make the vector-matrix BLAS
-call of a ``(1, k)`` row, so this is the batched forward's row, bit for bit.
-Scalar work (the softmax's max and sum, the sampler, the greedy pick, GAE)
-runs on Python floats, which round as float64 does; the softmax keeps
-``np.exp``, as ``math.exp`` differs in the last bit. Each fast path keeps the
-operations and their order, so results are bit-identical to the per-call forms.
+The networks and Adam run in float32, as the usual PPO stacks do (weights are
+drawn in float64 and rounded, so a seed consumes the same random stream); the
+env, rewards, GAE and the sampler stay float64. A fixed seed reproduces
+training bit for bit. The networks take ``env.encode_batch``'s five features
+per lagged row and are small, so a call costs numpy overhead, not arithmetic.
+The rollout and greedy evaluation pass one float32 row, 1-D, to
+``Mlp.forward``, whose ``dot`` makes the vector-matrix BLAS call of a
+``(1, k)`` row: the batched forward's row, bit for bit. Scalar work (softmax
+max and sum, sampler, greedy pick, GAE) runs on Python floats, which round as
+float64 does; the softmax keeps ``np.exp``, as ``math.exp`` differs in the
+last bit. Each fast path keeps the per-call form's operations in order, and so its bits.
 
 ``Mlp.forward_rows`` takes the state values GAE needs after the rollout with
 the same per-row call. Both networks' parameters live in one flat vector and
@@ -23,9 +24,9 @@ the gradient views and Adam updates the parameter vector in one pass. Loss
 reductions are ``np.mean``'s arithmetic (a sum, then a division by the count)
 without its call overhead; three-column sums follow ``np.sum``'s order.
 
-A version-3 checkpoint is one JSON object: ``format``, ``version``, the ``env``
+A version-4 checkpoint is one JSON object: ``format``, ``version``, the ``env``
 and ``ppo`` config records, and ``params``, the base64 of ``flat_params`` as
-``<f8`` bytes. No network shape is stored; ``env.j`` and ``ppo.hidden`` decide them.
+``<f4`` bytes. No network shape is stored; ``env.j`` and ``ppo.hidden`` decide them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, en
 from .power import from_fields, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class PpoConfig:
     def __post_init__(self):
         for name in ("n_steps", "batch_size", "epochs", "total_steps"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if not (math.isfinite(self.seed) and self.seed >= 0 and self.seed == int(self.seed)):
+        if isinstance(self.seed, (bool, np.bool_)) or not (0 <= self.seed < math.inf and self.seed % 1 == 0):
             raise ValueError(f"seed must be a non-negative whole number, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         if not self.hidden:
@@ -135,7 +136,7 @@ class Mlp:
         """The output for each row of ``x``, bit-identical to ``forward`` of that row alone: a
         ``(n, 1, k) @ (k, m)`` stack makes each row's vector-matrix BLAS call, where a flat ``(n, k)``
         batch calls another routine. ``chunk`` rows at a time bound the memory."""
-        out = np.empty((len(x), self.sizes[-1]))
+        out = np.empty((len(x), self.sizes[-1]), dtype=self.weights[-1].dtype)
         for lo in range(0, len(x), chunk):
             out[lo : lo + chunk] = self.forward_cached(x[lo : lo + chunk, None, :])[0][:, 0]
         return out
@@ -164,7 +165,7 @@ class Mlp:
 class ActorCritic:
     """Policy network (3 logits) and value network (scalar) over ``j`` lagged rows, hidden widths ``hidden``.
 
-    Every parameter of both networks lives in one float64 vector,
+    Every parameter of both networks lives in one float32 vector,
     ``flat_params``, in ``parameters`` order (policy first); their gradients
     live in ``flat_grads``, laid out alike.
     """
@@ -172,7 +173,7 @@ class ActorCritic:
     def __init__(self, j: int, hidden: tuple[int, ...]):
         policy_sizes, value_sizes = self.layer_sizes(j, hidden)
         n_policy = Mlp.param_count(policy_sizes)
-        self.flat_params = np.zeros(n_policy + Mlp.param_count(value_sizes))
+        self.flat_params = np.zeros(n_policy + Mlp.param_count(value_sizes), dtype=np.float32)
         self.flat_grads = np.zeros_like(self.flat_params)
         self.policy = Mlp(policy_sizes, self.flat_params[:n_policy], self.flat_grads[:n_policy])
         self.value = Mlp(value_sizes, self.flat_params[n_policy:], self.flat_grads[n_policy:])
@@ -187,7 +188,7 @@ class ActorCritic:
 
     @classmethod
     def create(cls, j: int, hidden: tuple[int, ...], rng: np.random.Generator) -> "ActorCritic":
-        """Both networks with N(0, 1/fan_in) weights, policy first, and zero biases."""
+        """Both networks with N(0, 1/fan_in) weights, drawn in float64, policy first, and zero biases."""
         ac = cls(j, hidden)
         for w in ac.policy.weights + ac.value.weights:
             w[...] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
@@ -206,28 +207,27 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    m = np.maximum.reduce(z, axis=-1, keepdims=True)
-    shifted = z - m
+    shifted = z - np.maximum(np.maximum(z[:, 0], z[:, 1]), z[:, 2])[:, None]
     return shifted - np.log(_row_sums(np.exp(shifted)))[:, None]
 
 
 def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
-    """Action probabilities for one encoded row ``x``, passed 1-D to ``Mlp.forward``."""
+    """Action probabilities, normalized in float64, for one float32 row ``x`` passed 1-D to ``Mlp.forward``."""
     logits = ac.policy.forward(x)
     # exp maps either zero of a +-0.0 tie for the max to 1.0, and e holds no -0.0
-    e = np.exp(logits - max(logits.tolist()))
+    e = np.exp(np.subtract(logits, max(logits.tolist()), dtype=np.float64))
     e0, e1, e2 = e.tolist()
     return e / ((e0 + e1) + e2)
 
 
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
     """Action probabilities and state value for one raw j x 4 observation."""
-    x = encode_observation(np.asarray(obs, dtype=np.float64))
+    x = encode_observation(np.asarray(obs, dtype=np.float64)).astype(np.float32)
     return _policy_probs(ac, x), float(ac.value.forward(x)[0])
 
 
 _ACTIONS = tuple(Action)
-_ONE_HOT = np.eye(len(_ACTIONS))
+_ONE_HOT = np.eye(len(_ACTIONS), dtype=np.float32)
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[Action, float]:
@@ -308,14 +308,14 @@ def ppo_loss_and_grads(
     unclipped = ratio * advantages
     clipped = np.minimum(np.maximum(ratio, 1.0 - clip_eps), 1.0 + clip_eps) * advantages
     surrogate = np.minimum(unclipped, clipped)
-    policy_loss = -float(np.add.reduce(surrogate)) / n
+    policy_loss = -float(np.add.reduce(surrogate) / n)
     entropy_rows = -_row_sums(probs * logp_all)
-    entropy = float(np.add.reduce(entropy_rows)) / n
+    entropy = float(np.add.reduce(entropy_rows) / n)
 
     v_out, v_acts = ac.value.forward_cached(obs_enc)
     v = v_out[:, 0]
     diff = v - returns
-    value_loss = float(np.add.reduce(diff * diff)) / n
+    value_loss = float(np.add.reduce(diff * diff) / n)
 
     total = policy_loss + value_coef * value_loss - entropy_coef * entropy
     if not math.isfinite(total):
@@ -324,7 +324,7 @@ def ppo_loss_and_grads(
         )
 
     # d(policy_loss)/d(logp_new): only where the unclipped branch is active.
-    active = (unclipped <= clipped).astype(np.float64)
+    active = (unclipped <= clipped).astype(np.float32)
     d_lp = -(advantages * ratio * active) / n
     d_logits = d_lp[:, None] * (_ONE_HOT[actions] - probs)
     # -entropy_coef * mean(H): dH/dz_j = -p_j (logp_j + H).
@@ -351,16 +351,17 @@ class Adam:
     ``step`` updates ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= lr*(m/b1c) / (sqrt(v/b2c) + eps)`` elementwise with the fixed
     ``b1, b2, eps = BETA1, BETA2, EPS``, in the operand order of the
-    per-array form, so the result is the same to the bit.
+    per-array form, so the result is the same to the bit. An ``m`` below ``TINY``
+    is set to 0, as long spells of exactly zero gradient leave it in the slow subnormals.
     """
 
-    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    BETA1, BETA2, EPS, TINY = 0.9, 0.999, 1e-8, 2.0**-126  # TINY: float32's smallest normal
 
     def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m, self.v = np.zeros(size), np.zeros(size)
-        self._step, self._denom = np.empty(size), np.empty(size)  # scratch
+        self.m, self.v = np.zeros(size, dtype=np.float32), np.zeros(size, dtype=np.float32)
+        self._step, self._denom = np.empty_like(self.m), np.empty_like(self.m)  # scratch
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update the flat vector ``params`` in place from its gradient vector ``grads``."""
@@ -370,6 +371,7 @@ class Adam:
         m, v, step, denom = self.m, self.v, self._step, self._denom
         m *= self.BETA1
         m += np.multiply(1.0 - self.BETA1, grads, out=step)
+        m[np.abs(m, out=denom) < self.TINY] = 0.0
         v *= self.BETA2
         np.multiply(1.0 - self.BETA2, grads, out=step)
         v += np.multiply(step, grads, out=step)
@@ -397,16 +399,17 @@ def ppo_update(
 
     Row ``t`` of each array belongs to step ``t`` of the rollout; an array
     that does not hold ``cfg.n_steps`` rows raises ValueError naming it.
-    Advantages are normalized to mean 0 / std 1 once per update. Raises
-    FloatingPointError (leaving parameters at their last finite state) if a
-    minibatch loss turns non-finite.
+    Advantages are normalized to mean 0 / std 1 in float64, and every array but
+    ``actions`` rounded to float32, once per update. Raises FloatingPointError
+    (leaving parameters at their last finite state) if a minibatch loss turns non-finite.
     """
     n = cfg.n_steps
     names = ("obs_enc", "actions", "logp_old", "advantages", "returns")
     for name, a in zip(names, (obs_enc, actions, logp_old, advantages, returns)):
         if np.shape(a)[:1] != (n,):
             raise ValueError(f"{name} must hold n_steps={n} rows, got shape {np.shape(a)}")
-    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    adv = ((advantages - advantages.mean()) / (advantages.std() + 1e-8)).astype(np.float32)
+    obs_enc, logp_old, returns = (np.asarray(a, dtype=np.float32) for a in (obs_enc, logp_old, returns))
     agg = {"total": 0.0, "policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_fraction": 0.0}
     batches = 0
     for _ in range(cfg.epochs):
@@ -438,7 +441,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     ac = ActorCritic.create(env.cfg.j, cfg.hidden, rng)
     adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)
     n = cfg.n_steps
-    obs, actions = np.empty((n, env.cfg.j * OBS_FEATURES_PER_ROW)), np.empty(n, dtype=np.int64)
+    obs, actions = np.empty((n, env.cfg.j * OBS_FEATURES_PER_ROW), dtype=np.float32), np.empty(n, dtype=np.int64)
     logp, rewards, dones = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
     def fresh_episode() -> None:
@@ -452,8 +455,8 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
     for update_idx in range(1, -(-cfg.total_steps // n) + 1):  # ceil: a partial last rollout runs in full
         episode_returns: list[float] = []
         for t in range(n):
-            x = obs[t] = env.encoded_observation
-            action, logp[t] = sample_action(_policy_probs(ac, x), rng)
+            obs[t] = env.encoded_observation
+            action, logp[t] = sample_action(_policy_probs(ac, obs[t]), rng)
             reward, done = env.step(action)
             actions[t], rewards[t], dones[t] = action, reward, done
             ep_return += reward
@@ -462,7 +465,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
                 ep_return = 0.0
                 fresh_episode()
         values = ac.value.forward_rows(obs, cfg.batch_size)[:, 0]
-        bootstrap = float(ac.value.forward(env.encoded_observation)[0])
+        bootstrap = float(ac.value.forward(env.encoded_observation.astype(np.float32))[0])
         advantages, returns = compute_gae(rewards, values, dones, bootstrap, cfg.discount, cfg.gae_lambda)
         stats = ppo_update(ac, obs, actions, logp, advantages, returns, cfg, adam, rng)
         curve.append(
@@ -487,7 +490,7 @@ def evaluate(ac: ActorCritic, env: YawEnv) -> CycleTrace:
     """
     env.reset(0)
     for _ in range(env.cfg.episode_len):  # the last step ends the episode
-        env.step(_greedy_action(_policy_probs(ac, env.encoded_observation)))
+        env.step(_greedy_action(_policy_probs(ac, env.encoded_observation.astype(np.float32))))
     return env.trace()
 
 
@@ -497,7 +500,7 @@ def _check_finite(path, params: np.ndarray) -> None:
 
 
 def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfig) -> None:
-    """Checkpoint carrying the networks, as exact float64 bytes, and the environment settings
+    """Checkpoint carrying the networks, as exact float32 bytes, and the environment settings
     they were trained with, so evaluation is self-contained. Raises ValueError, writing nothing,
     unless ``env_cfg.j`` and ``ppo_cfg.hidden`` give ``ac``'s layer sizes and every parameter is finite."""
     sizes = (ac.policy.sizes, ac.value.sizes)
@@ -510,7 +513,7 @@ def save_checkpoint(path, ac: ActorCritic, env_cfg: EnvConfig, ppo_cfg: PpoConfi
         "version": CHECKPOINT_VERSION,
         "env": env_cfg.to_dict(),
         "ppo": ppo_cfg.to_dict(),
-        "params": base64.b64encode(ac.flat_params.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        "params": base64.b64encode(ac.flat_params.astype("<f4", copy=False).tobytes()).decode("ascii"),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
@@ -528,8 +531,8 @@ def _load_config(path: Path, payload: dict, name: str, cls):
 
 def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     """Read a ``save_checkpoint`` file; raises ValueError naming the file and the
-    field unless it is a version-3 JSON object with every key present and known
-    and ``params`` is the base64 of as many finite float64s as the configs' networks have."""
+    field unless it is a version-4 JSON object with every key present and known
+    and ``params`` is the base64 of as many finite float32s as the configs' networks have."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -547,13 +550,13 @@ def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     ppo_cfg = _load_config(path, payload, "ppo", PpoConfig)
     # counted before the networks are allocated, so a tampered hidden cannot request a huge array
     n = sum(map(Mlp.param_count, ActorCritic.layer_sizes(env_cfg.j, ppo_cfg.hidden)))
-    text, chars = payload["params"], 4 * -(-8 * n // 3)
+    text, chars = payload["params"], 4 * -(-4 * n // 3)
     got = len(text) if isinstance(text, str) else type(text).__name__
     if got != chars:
-        raise ValueError(f"{path}: params: expected {chars} base64 characters ({n} float64s) for "
+        raise ValueError(f"{path}: params: expected {chars} base64 characters ({n} float32s) for "
                          f"j={env_cfg.j} and hidden={ppo_cfg.hidden}, got {got}")
-    try:  # that many characters decode to 8n - 2 to 8n bytes, of which only 8n fill whole floats
-        params = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+    try:  # that many characters decode to 4n - 2 to 4n + 2 bytes, of which only 4n fill whole floats
+        params = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f4")
     except ValueError as exc:  # a binascii.Error, a non-ASCII character or a partial float
         raise ValueError(f"{path}: params: {exc}") from exc
     _check_finite(path, params)

@@ -77,12 +77,12 @@ def comparison_to_dict(c) -> dict:
 
 
 def checkpoint_text(ac, env_cfg, ppo_cfg) -> str:
-    """A version-3 checkpoint: both configs and the base64 of every parameter as a
-    little-endian float64, policy first, layer by layer."""
-    raw = b"".join(struct.pack("<d", x) for p in ac.parameters for x in p.ravel().tolist())
+    """A version-4 checkpoint: both configs and the base64 of every parameter as a
+    little-endian float32, policy first, layer by layer."""
+    raw = b"".join(struct.pack("<f", x) for p in ac.parameters for x in p.ravel().tolist())
     payload = {
         "format": "yawbench-checkpoint",
-        "version": 3,
+        "version": 4,
         "env": env_to_dict(env_cfg),
         "ppo": ppo_to_dict(ppo_cfg),
         "params": base64.b64encode(raw).decode("ascii"),

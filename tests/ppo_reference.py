@@ -17,7 +17,10 @@ runs ``forward_cached`` on that row too.
 ``np.sum`` and ``np.mean`` reductions, ``np.clip``, a one-hot written by
 fancy indexing, and gradients in freshly allocated arrays; its loss alone,
 ``ppo_loss``, is what the analytic gradients are checked against by finite
-differences. The library's outputs must equal theirs bit for bit.
+differences. Each reference runs at the network's dtype: the networks'
+inputs are rounded to it and ``Adam``'s moments take it (float32 by default),
+while the softmax before the sampler normalizes in float64, as the library
+does. The library's outputs must equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -53,14 +56,14 @@ def encode_batch(obs: np.ndarray) -> np.ndarray:
 
 
 def create_parameters(lag_depth, hidden, rng) -> list[np.ndarray]:
-    """The parameters of both networks as separate arrays, in the draw order
-    of ``ActorCritic.create``: N(0, 1/fan_in) weights, zero biases, policy first."""
+    """The parameters of both networks as separate float32 arrays, in the draw order
+    of ``ActorCritic.create``: N(0, 1/fan_in) weights drawn in float64, zero biases, policy first."""
     in_dim = lag_depth * OBS_FEATURES_PER_ROW
     out = []
     for sizes in ((in_dim, *hidden, 3), (in_dim, *hidden, 1)):
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             out += [rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in), np.zeros(fan_out)]
-    return out
+    return [p.astype(np.float32) for p in out]
 
 
 def encode_observation(obs: np.ndarray) -> np.ndarray:
@@ -79,15 +82,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    x = encode_observation(np.asarray(obs, dtype=np.float64))[None]
-    probs = softmax(ac.policy.forward_cached(x)[0])[0]
+    x = encode_observation(np.asarray(obs, dtype=np.float64))[None].astype(ac.flat_params.dtype)
+    probs = softmax(ac.policy.forward_cached(x)[0].astype(np.float64))[0]
     value = float(ac.value.forward_cached(x)[0][0, 0])
     return probs, value
 
 
 def policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
-    """The rollout's batch-of-one softmax on the ``(1, k)`` row ``x[None]``, through ``forward_cached``."""
-    logits = ac.policy.forward_cached(x[None])[0][0]
+    """The rollout's batch-of-one softmax, in float64, on the ``(1, k)`` row ``x[None]``, through ``forward_cached``."""
+    logits = ac.policy.forward_cached(x[None])[0][0].astype(np.float64)
     e = np.exp(logits - max(logits.tolist()))
     e0, e1, e2 = e.tolist()
     return e / ((e0 + e1) + e2)
@@ -135,18 +138,19 @@ class Adam:
     """Adaptive-moment optimizer with one moment array per parameter array.
 
     ``step`` takes the flat parameter and gradient vectors of the library's
-    ``Adam`` and updates each array of ``shapes`` on its own view.
+    ``Adam`` and updates each array of ``shapes`` on its own view; the moments
+    are ``dtype``, the parameters', and a subnormal first moment is set to zero.
     """
 
-    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8, dtype=np.float32):
         self.shapes = shapes
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros(s, dtype=dtype) for s in shapes]
+        self.v = [np.zeros(s, dtype=dtype) for s in shapes]
 
     def step(self, params, grads) -> None:
         params, grads = split(params, self.shapes), split(grads, self.shapes)
@@ -156,6 +160,7 @@ class Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
+            m[np.abs(m) < np.finfo(m.dtype).smallest_normal] = 0.0
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
@@ -257,7 +262,7 @@ def ppo_loss_and_grads(ac, obs_enc, actions, logp_old, advantages, returns, clip
     diff = v_out[:, 0] - returns
     value_loss = float(np.mean(diff**2))
     total = policy_loss + value_coef * value_loss - entropy_coef * entropy
-    active = (unclipped <= clipped).astype(np.float64)
+    active = (unclipped <= clipped).astype(probs.dtype)
     d_lp = -(advantages * ratio * active) / n
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), actions] = 1.0

@@ -51,17 +51,23 @@ class TestCycaConfig:
             CycaConfig(target_window=1.5)
 
     @pytest.mark.parametrize("field", ["threshold", "target_window", "stop_deadband"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("inf")])
     def test_non_finite_rejected_by_name(self, field, bad):
         # a nan threshold never triggers and a nan deadband never ends a turn
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CycaConfig(**{field: bad})
 
     @pytest.mark.parametrize("field", ["target_window"])
-    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, True, np.True_, 2**63, 10**400])
     def test_whole_seconds_named(self, field, bad):
+        # True was kept as given, and 10**400 raised a bare OverflowError
         with pytest.raises(ValueError, match=f"^{field} must be a positive whole number of seconds"):
             CycaConfig(**{field: bad})
+
+    def test_whole_float_target_window_stored_as_int(self):
+        cfg = CycaConfig(target_window=30.0)
+        assert cfg.target_window == 30 and type(cfg.target_window) is int
+        assert cfg == CycaConfig(target_window=30)
 
 
 class TestRunCycaS:

@@ -69,9 +69,10 @@ class TestConfig:
             EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
 
     @pytest.mark.parametrize("field", ["j", "k", "episode_len"])
-    @pytest.mark.parametrize("bad", [2.5, float("inf"), -3.0])
+    @pytest.mark.parametrize("bad", [2.5, float("inf"), np.float64("inf"), -3.0, True, np.True_, 2**63, 10**400])
     def test_fractional_count_rejected_by_name(self, field, bad):
-        # 2.5 was accepted, and YawEnv then died with a bare TypeError
+        # 2.5 was accepted, and YawEnv then died with a bare TypeError; True was stored
+        # as 1, and 10**400 raised a bare OverflowError
         with pytest.raises(ValueError, match=rf"^{field} must be a positive whole number, got {bad}"):
             EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
 

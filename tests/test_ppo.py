@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from yawbench import (
     ActorCritic,
     Adam,
     EnvConfig,
+    Mlp,
     PpoConfig,
     Standardizer,
     YawEnv,
@@ -35,23 +37,37 @@ from yawbench import (
 from yawbench.ppo import OBS_FEATURES_PER_ROW, log_softmax
 
 from ppo_reference import create_parameters, ppo_loss, softmax
+from ppo_reference import ppo_loss_and_grads as reference_loss_and_grads
 
 
 def tiny_ac(seed=0, j=2, hidden=(8, 8)):
     return ActorCritic.create(j, hidden, np.random.default_rng(seed))
 
 
+def float64_twin(ac):
+    """``ac``'s two networks on a float64 copy of its parameters, the same values exactly:
+    the reference loss runs at the network's dtype, so on this twin it runs in float64."""
+    params = ac.flat_params.astype(np.float64)
+    grads, n = np.zeros_like(params), Mlp.param_count(ac.policy.sizes)
+    policy, value = Mlp(ac.policy.sizes, params[:n], grads[:n]), Mlp(ac.value.sizes, params[n:], grads[n:])
+    return SimpleNamespace(policy=policy, value=value, parameters=policy.parameters + value.parameters)
+
+
+def to_float64(arrays) -> list:
+    return [a.astype(np.float64) if a.dtype == np.float32 else a for a in arrays]
+
+
 def random_batch(seed, ac, n=16, near_old=False):
-    """Random minibatch with old log-probs detached from the current policy."""
+    """Random minibatch, at the networks' dtype, with old log-probs detached from the current policy."""
     rng = np.random.default_rng(seed)
-    d = ac.policy.sizes[0]
-    obs = rng.normal(size=(n, d))
+    d, dtype = ac.policy.sizes[0], ac.policy.weights[0].dtype
+    obs = rng.normal(size=(n, d)).astype(dtype)
     actions = rng.integers(0, 3, size=n)
     lp_now = log_softmax(ac.policy.forward(obs))[np.arange(n), actions]
     jitter = 0.0 if near_old else rng.normal(scale=0.3, size=n)
-    logp_old = lp_now + jitter
-    advantages = rng.normal(size=n)
-    returns = rng.normal(size=n)
+    logp_old = (lp_now + jitter).astype(dtype)
+    advantages = rng.normal(size=n).astype(dtype)
+    returns = rng.normal(size=n).astype(dtype)
     return obs, actions, logp_old, advantages, returns
 
 
@@ -69,12 +85,12 @@ def hexes(ac) -> list[str]:
 
 
 def decode_params(text: str) -> np.ndarray:
-    """The float64 values of a checkpoint's base64 ``params``."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+    """The float32 values of a checkpoint's base64 ``params``."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f4").copy()
 
 
-def encode_params(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def encode_params(values, dtype="<f4") -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
 def set_param(i, x):
@@ -88,9 +104,11 @@ def set_param(i, x):
     return edit
 
 
-FINITE_FLOATS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+F32 = np.finfo(np.float32)
+FINITE_FLOAT32S = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, float(F32.smallest_subnormal), -3 * float(F32.smallest_subnormal),
+                     float(F32.smallest_normal), float(F32.max), -float(F32.max)]),
 )
 
 
@@ -278,15 +296,16 @@ class TestGae:
 
 
 class TestLossArithmetic:
+    # the loss arithmetic, pinned to 1e-12, is checked on float64 twins of the networks
     def test_identity_ratio_gives_mean_advantage(self):
-        ac = tiny_ac(11)
+        ac = float64_twin(tiny_ac(11))
         obs, actions, _, adv, rets = random_batch(12, ac, near_old=True)
         lp_now = log_softmax(ac.policy.forward(obs))[np.arange(len(actions)), actions]
         stats = ppo_loss(ac, obs, actions, lp_now, adv, rets, 0.2, 0.5, 0.0)
         assert stats["policy_loss"] == pytest.approx(-float(np.mean(adv)), abs=1e-12)
 
     def test_clip_rule_arithmetic(self):
-        ac = tiny_ac(13)
+        ac = float64_twin(tiny_ac(13))
         n = 4
         rng = np.random.default_rng(14)
         obs = rng.normal(size=(n, ac.policy.sizes[0]))
@@ -301,6 +320,21 @@ class TestLossArithmetic:
         stats_wide = ppo_loss(ac, obs, actions, logp_old, adv, np.zeros(n), 1e9, 0.0, 0.0)
         assert stats_wide["policy_loss"] == pytest.approx(-1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("j, hidden, n", [(2, (8, 8), 16), (12, (64, 64), 64)])
+    def test_float32_loss_within_float32_rounding_of_float64(self, seed, j, hidden, n):
+        # the same parameter and input values through the float64 twin: the float32 loss and
+        # gradients may differ only by float32 rounding, bounded from its epsilon
+        ac = tiny_ac(seed, j, hidden)
+        batch = random_batch(seed, ac, n=n)
+        stats, grads = ppo_loss_and_grads(ac, *batch, 0.2, 0.5, 0.01)
+        stats64, grads64 = reference_loss_and_grads(float64_twin(ac), *to_float64(batch), 0.2, 0.5, 0.01)
+        tol = 1000 * float(np.finfo(np.float32).eps)
+        for key in ("policy_loss", "value_loss", "entropy"):
+            assert stats[key] == pytest.approx(stats64[key], rel=tol, abs=tol)
+        for g, g64 in zip(grads, grads64):
+            assert np.max(np.abs(g - g64)) <= tol * max(1.0, float(np.max(np.abs(g64))))
+
     def test_surrogate_never_exceeds_branches(self):
         ac = tiny_ac(15)
         obs, actions, logp_old, adv, rets = random_batch(16, ac)
@@ -313,14 +347,16 @@ class TestLossArithmetic:
         assert np.all(surr <= np.maximum(unclipped, clipped) + 1e-15)
 
     def test_gradients_match_finite_differences(self):
-        # 20 random instances of a small network and minibatch, central differences
+        # 20 random instances of a small network and minibatch, central differences of the
+        # reference loss on the float64 twin, at the same parameter and input values
         h = 1e-5
         for case in range(20):
             ac = tiny_ac(seed=100 + case)
-            obs, actions, logp_old, adv, rets = random_batch(200 + case, ac)
-            args = (obs, actions, logp_old, adv, rets, 0.2, 0.7, 0.05)
-            _, grads = ppo_loss_and_grads(ac, *args)
-            params = ac.parameters
+            twin = float64_twin(ac)
+            batch = random_batch(200 + case, ac)
+            _, grads = ppo_loss_and_grads(ac, *batch, 0.2, 0.7, 0.05)
+            args = (*to_float64(batch), 0.2, 0.7, 0.05)
+            params = twin.parameters
             assert len(grads) == len(params)
             for p, g in zip(params, grads):
                 flat_p = p.ravel()
@@ -328,9 +364,9 @@ class TestLossArithmetic:
                 for i in range(flat_p.size):
                     orig = flat_p[i]
                     flat_p[i] = orig + h
-                    f_plus = ppo_loss(ac, *args)["total"]
+                    f_plus = ppo_loss(twin, *args)["total"]
                     flat_p[i] = orig - h
-                    f_minus = ppo_loss(ac, *args)["total"]
+                    f_minus = ppo_loss(twin, *args)["total"]
                     flat_p[i] = orig
                     fd = (f_plus - f_minus) / (2 * h)
                     assert np.isclose(flat_g[i], fd, rtol=1e-4, atol=1e-7), (
@@ -346,8 +382,9 @@ class TestFlatStorage:
         offset = 0
         for p, g in zip(ac.parameters, ac.gradients):
             assert p.base is ac.flat_params and g.base is ac.flat_grads and p.shape == g.shape
-            assert p.ctypes.data == ac.flat_params.ctypes.data + 8 * offset
-            assert g.ctypes.data == ac.flat_grads.ctypes.data + 8 * offset
+            assert p.dtype == g.dtype == np.float32
+            assert p.ctypes.data == ac.flat_params.ctypes.data + 4 * offset
+            assert g.ctypes.data == ac.flat_grads.ctypes.data + 4 * offset
             offset += p.size
         assert offset == ac.flat_params.size == ac.flat_grads.size
 
@@ -480,6 +517,11 @@ class TestUpdateAndTrain:
             ("hidden", (0, 8)),  # was accepted and trained a zero-width network
             ("hidden", (8, -2)),
             ("hidden", ()),
+            ("hidden", (True,)),  # a bool was a width of 1
+            ("hidden", (8, np.True_)),
+            ("hidden", (10**400,)),  # was a bare OverflowError naming no field
+            ("batch_size", True),
+            ("epochs", 2**63),  # beyond int64
         ],
     )
     def test_config_rejects_bad_field_by_name(self, field, value):
@@ -515,6 +557,12 @@ class TestUpdateAndTrain:
             ("seed", 1.5, {}),
             ("seed", -1, {}),
             ("seed", float("nan"), {}),
+            ("seed", float("inf"), {}),
+            ("seed", np.float64("inf"), {}),  # inf % 1 warns on a numpy float
+            ("total_steps", np.float64("inf"), {}),
+            ("seed", True, {}),  # was stored as 1
+            ("seed", np.False_, {}),
+            ("total_steps", 10**400, {}),  # was a bare OverflowError naming no field
             ("batch_size", 32.5, {"n_steps": 65}),  # 65 % 32.5 == 0, so it passed the divisibility check
             ("n_steps", 64.5, {}),
         ],
@@ -522,6 +570,12 @@ class TestUpdateAndTrain:
     def test_fractional_or_non_finite_count_named(self, field, value, given):
         with pytest.raises(ValueError, match=rf"^{field} must be a (positive|non-negative) whole number, got {value}"):
             PpoConfig(**{field: value, **given})
+
+    @pytest.mark.parametrize("seed", [2**63, 10**400])
+    def test_any_seed_the_generator_takes_is_kept(self, seed):
+        # 10**400 was a bare OverflowError
+        assert PpoConfig(seed=seed).seed == seed
+        np.random.default_rng(seed)
 
     def test_whole_float_counts_stored_as_int(self):
         cfg = PpoConfig(n_steps=64.0, batch_size=32.0, epochs=2.0, total_steps=128.0, seed=3.0)
@@ -555,6 +609,47 @@ class TestUpdateAndTrain:
         train(make_env(), cfg)
         # the rollout and each update's bootstrap value read the env's encoded observation
         assert len(calls) == 0
+
+
+class TestFloat32:
+    """The networks, their gradients, Adam's moments and every activation are float32, and the
+    rollout, the bootstrap value and greedy evaluation give the networks float32 rows."""
+
+    def test_update_keeps_everything_float32(self, monkeypatch):
+        outputs = []
+        real = Mlp.forward_cached
+
+        def recording(net, x):
+            out, acts = real(net, x)
+            outputs.extend([out, *acts])
+            return out, acts
+
+        monkeypatch.setattr(Mlp, "forward_cached", recording)
+        ac = tiny_ac(4)
+        adam = Adam(ac.flat_params.size, 0.01)
+        cfg = small_cfg(n_steps=32, batch_size=16, epochs=1, total_steps=32)
+        ppo_update(ac, *random_rollout(5, ac, 32), cfg, adam, np.random.default_rng(6))
+        arrays = [ac.flat_params, ac.flat_grads, adam.m, adam.v, *outputs]
+        assert len(outputs) == 2 * 2 * 4  # two minibatches, two networks: the output, the input, two hidden layers
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+
+    def test_rollout_and_evaluation_give_float32_rows(self, monkeypatch):
+        rows = []
+        real = Mlp.forward
+
+        def recording(net, x):
+            rows.append(x.dtype)
+            out = real(net, x)
+            assert out.dtype == np.float32
+            return out
+
+        monkeypatch.setattr(Mlp, "forward", recording)
+        env = make_env()
+        ac, _ = train(env, small_cfg(n_steps=32, batch_size=16, epochs=1, total_steps=32))
+        assert len(rows) == 32 + 1  # one policy forward per step, and the bootstrap value
+        evaluate(ac, env)
+        assert len(rows) == 33 + env.cfg.episode_len
+        assert rows == [np.float32] * len(rows)
 
 
 class TestEvaluate:
@@ -627,8 +722,9 @@ class TestCheckpoint:
         data=st.data(),
     )
     def test_any_finite_parameters_round_trip_bit_equal(self, j, hidden, data):
+        # any finite float32 bits: -0.0, subnormals and +-finfo(float32).max among them
         ac = ActorCritic(j, hidden)
-        ac.flat_params[...] = data.draw(hnp.arrays(np.float64, ac.flat_params.size, elements=FINITE_FLOATS))
+        ac.flat_params[...] = data.draw(hnp.arrays(np.float32, ac.flat_params.size, elements=FINITE_FLOAT32S))
         env_cfg = EnvConfig(standardizer=Standardizer(8.2), j=j)
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/ck.json"
@@ -670,33 +766,36 @@ class TestCheckpoint:
         p.write_text(json.dumps(payload))
         return p
 
-    # j=2 and hidden=(4, 3) give 134 parameters: 1072 bytes, 1432 base64 characters
+    # j=2 and hidden=(4, 3) give 134 parameters: 536 bytes, 716 base64 characters
     @pytest.mark.parametrize(
         "edit, field",
         [
             (lambda payload: payload.update(params=decode_params(payload["params"]).tolist()),
-             r"params: expected 1432 base64 characters \(134 float64s\) for j=2 and hidden=\(4, 3\), got list$"),
-            (lambda payload: payload.update(params=0.5), r"params: expected 1432 base64 characters .* got float$"),
-            (lambda payload: payload.update(params=None), r"params: expected 1432 base64 characters .* got NoneType$"),
+             r"params: expected 716 base64 characters \(134 float32s\) for j=2 and hidden=\(4, 3\), got list$"),
+            (lambda payload: payload.update(params=0.5), r"params: expected 716 base64 characters .* got float$"),
+            (lambda payload: payload.update(params=None), r"params: expected 716 base64 characters .* got NoneType$"),
             (lambda payload: payload.update(params="!" + payload["params"][1:]), r"params: Only base64 data is allowed"),
             (lambda payload: payload.update(params=payload["params"][:8] + "=" + payload["params"][9:]),
              r"params: Discontinuous padding not allowed"),
             (lambda payload: payload.update(params="\u00e9" + payload["params"][1:]), r"params: .*only ASCII characters"),
             (lambda payload: payload.update(params=encode_params(decode_params(payload["params"])[:-1])),
-             r"params: expected 1432 base64 characters \(134 float64s\) .* got 1420$"),
+             r"params: expected 716 base64 characters \(134 float32s\) .* got 712$"),
             (lambda payload: payload.update(params=encode_params([*decode_params(payload["params"]), 0.0])),
-             r"params: expected 1432 base64 characters .* got 1440$"),
-            # the right length, but 1074 bytes: no padding where the encoder wrote two
+             r"params: expected 716 base64 characters .* got 720$"),
+            # the right length, but 537 bytes: no padding where the encoder wrote one
             (lambda payload: payload.update(params=payload["params"][:-4] + "AAAA"),
              r"params: buffer size must be a multiple of element size"),
-            (lambda payload: payload["ppo"].update(hidden=[4, 4]), r"params: expected 1580 base64 characters \(148 float64s\)"),
+            # the float64 bytes of 89 values: 712 bytes, the length of 178 float32s, none of 134
+            (lambda payload: payload.update(params=encode_params(decode_params(payload["params"])[:89], "<f8")),
+             r"params: expected 716 base64 characters .* got 952$"),
+            (lambda payload: payload["ppo"].update(hidden=[4, 4]), r"params: expected 792 base64 characters \(148 float32s\)"),
             (lambda payload: payload["ppo"].update(hidden=[10**9]), r"params: expected \d+ base64 characters \(26000000004 "),
-            (lambda payload: payload["env"].update(j=3), r"params: expected 1856 base64 characters \(174 float64s\) for j=3"),
+            (lambda payload: payload["env"].update(j=3), r"params: expected 928 base64 characters \(174 float32s\) for j=3"),
             (set_param(5, float("nan")), r"params\[5\] is nan, not finite"),
             (set_param(7, float("inf")), r"params\[7\] is inf, not finite"),
             (set_param(0, -float("inf")), r"params\[0\] is -inf, not finite"),
-            # a NaN with a payload, as raw bytes: 0x7ff0000000000001 little-endian
-            (set_param(133, np.frombuffer(bytes.fromhex("010000000000f07f"), "<f8")[0]), r"params\[133\] is nan"),
+            # a NaN with a payload, as raw bytes: 0x7f800001 little-endian
+            (set_param(133, np.frombuffer(bytes.fromhex("0100807f"), "<f4")[0]), r"params\[133\] is nan"),
         ],
     )
     def test_bad_params_rejected_naming_file_and_field(self, tmp_path, edit, field):
@@ -731,13 +830,18 @@ class TestCheckpoint:
             lambda payload: json.dumps(
                 payload | {"version": 2, "params": decode_params(payload["params"]).tolist()}, sort_keys=True
             ) + "\n",
+            # a valid version-3 file: the same configs, params as float64 bytes
+            lambda payload: json.dumps(
+                payload | {"version": 3, "params": encode_params(decode_params(payload["params"]), "<f8")},
+                sort_keys=True,
+            ) + "\n",
         ],
-        ids=["list", "number", "version-1", "version-2"],
+        ids=["list", "number", "version-1", "version-2", "version-3"],
     )
-    def test_not_a_version_3_checkpoint_named(self, tmp_path, text):
+    def test_not_a_version_4_checkpoint_named(self, tmp_path, text):
         p = self._tampered(tmp_path, lambda payload: None)
         p.write_text(text(json.loads(p.read_text())))
-        with pytest.raises(ValueError, match=r"not a version-3 yawbench-checkpoint file") as err:
+        with pytest.raises(ValueError, match=r"not a version-4 yawbench-checkpoint file") as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
 

@@ -6,7 +6,8 @@ batch-of-one softmax and sampler, GAE on Python floats), the loss and its
 gradients (three-column sums, no ``np.clip``, in-place bias and tanh, ufunc
 reductions, on 1- to 3-layer networks), evaluation (greedy by Python comparisons), the
 encoder and the sampler must reproduce ``ppo_reference`` bit for bit, not
-merely to a tolerance.
+merely to a tolerance. The networks are float32, so their inputs here are
+float32 rows, and the references run at that dtype.
 """
 
 import math
@@ -147,12 +148,12 @@ class TestEvaluate:
 
 
 def grads_for(rng, shapes):
-    """Gradients of either sign from 1e-8 to 1e3 in magnitude, about a fifth of them exactly zero."""
+    """float32 gradients of either sign from 1e-8 to 1e3 in magnitude, about a fifth of them exactly zero."""
     out = []
     for s in shapes:
         g = rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(-8, 3, size=s)
         g[rng.random(s) < 0.2] = 0.0
-        out.append(g)
+        out.append(g.astype(np.float32))
     return out
 
 
@@ -170,7 +171,7 @@ class TestAdam:
     def test_parameters_match_per_array_reference(self, shapes, lr, steps, seed):
         rng = np.random.default_rng(seed)
         size = sum(math.prod(s) for s in shapes)
-        params = rng.normal(size=size)
+        params = rng.normal(size=size).astype(np.float32)
         params_ref = params.copy()
         opt, opt_ref = Adam(size, lr), ref.Adam(shapes, lr)
         for _ in range(steps):
@@ -182,6 +183,23 @@ class TestAdam:
         assert same_bits(params, params_ref)
         assert same_bits(opt.m, np.concatenate([m.ravel() for m in opt_ref.m]))
         assert same_bits(opt.v, np.concatenate([v.ravel() for v in opt_ref.v]))
+
+    def test_first_moment_decaying_below_the_float32_normals_is_zeroed(self):
+        # gradients that stay exactly zero take m through the subnormals (0.9**t from about 0.1
+        # crosses 2**-126 near t = 810), where it would stick at four times the smallest one
+        rng = np.random.default_rng(4)
+        shapes = [(5, 3), (3,)]
+        params = rng.normal(size=18).astype(np.float32)
+        params_ref = params.copy()
+        opt, opt_ref = Adam(18, 0.003), ref.Adam(shapes, 0.003)
+        grads = rng.normal(size=18).astype(np.float32)
+        for t in range(1200):
+            opt.step(params, grads)
+            opt_ref.step(params_ref, grads)
+            grads[:9] = 0.0
+        assert same_bits(params, params_ref)
+        assert same_bits(opt.m, np.concatenate([m.ravel() for m in opt_ref.m]))
+        assert np.all(opt.m[:9] == 0.0) and np.all(opt.m[9:] != 0.0)
 
     def test_network_shapes_over_many_steps(self):
         rng = np.random.default_rng(11)
@@ -209,7 +227,7 @@ class TestStackedValues:
     def test_each_row_matches_a_batch_of_one_forward(self, j, hidden, n, chunk, seed):
         rng = np.random.default_rng(seed)
         ac = ActorCritic.create(j, hidden, rng)
-        x = rng.normal(size=(n, j * 5))
+        x = rng.normal(size=(n, j * 5)).astype(np.float32)
         for net in (ac.policy, ac.value):
             rows = np.concatenate([net.forward(row[None]) for row in x])
             assert same_bits(net.forward_rows(x, chunk), rows)
@@ -230,7 +248,7 @@ class TestInferenceForward:
     def test_row_equals_batch_of_one_and_stacked_rows(self, j, hidden, n, scale, seed):
         rng = np.random.default_rng(seed)
         ac = ActorCritic.create(j, hidden, rng)
-        x = rng.normal(scale=scale, size=(n, j * 5))
+        x = rng.normal(scale=scale, size=(n, j * 5)).astype(np.float32)
         for net in (ac.policy, ac.value):
             rows = np.stack([net.forward(row) for row in x])
             cached = np.concatenate([net.forward_cached(row[None])[0] for row in x])
@@ -244,8 +262,9 @@ class TestInferenceForward:
         env = make_env(3, 12)
         env.reset(start_cycle=0)
         ac = ActorCritic.create(12, (64, 64), np.random.default_rng(3))
-        x = env.encoded_observation
-        assert not x.flags.writeable
+        assert not env.encoded_observation.flags.writeable
+        x = env.encoded_observation.astype(np.float32)
+        x.flags.writeable = False
         assert same_bits(ac.value.forward(x), ac.value.forward_cached(x[None])[0][0])
         assert same_bits(_policy_probs(ac, x), ref.policy_probs(ac, np.array(x)))
 
@@ -272,13 +291,31 @@ class TestGae:
 
 
 class TestLogSoftmax:
+    """The row max taken column by column must give the bits of ``np.max``'s ``keepdims`` reduction."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(
         n=st.integers(1, 80),
         scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 800.0]),  # ties, ordinary, exp underflow
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_keepdims_reference(self, n, scale, seed):
-        z = np.random.default_rng(seed).normal(scale=scale, size=(n, 3))
+    def test_equals_keepdims_reference(self, dtype, n, scale, seed):
+        z = np.random.default_rng(seed).normal(scale=scale, size=(n, 3)).astype(dtype)
+        assert same_bits(log_softmax(z), ref.log_softmax(z))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, -200.0, 3e4]), st.floats(-60.0, 60.0)),
+                     min_size=3, max_size=3),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @example(rows=[[0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, -200.0], [-0.0, 0.0, -200.0], [1.5, 1.5, 1.5]])
+    def test_ties_and_signed_zeros_equal_keepdims_reference(self, dtype, rows):
+        # rows with a +-0.0 tie or a repeated value for the max, and maxima far apart
+        z = np.array(rows, dtype=dtype)
         assert same_bits(log_softmax(z), ref.log_softmax(z))
 
     def test_signed_zeros_and_a_huge_gap(self):
@@ -308,11 +345,11 @@ class TestLossAndGrads:
         rng = np.random.default_rng(seed)
         ac = ActorCritic.create(j, hidden, rng)
         args = (
-            rng.normal(size=(n, j * 5)),
+            rng.normal(size=(n, j * 5)).astype(np.float32),
             rng.integers(0, 3, n),
-            rng.normal(-1.1, 0.3, n),
-            rng.normal(size=n),
-            rng.normal(size=n),
+            rng.normal(-1.1, 0.3, n).astype(np.float32),
+            rng.normal(size=n).astype(np.float32),
+            rng.normal(size=n).astype(np.float32),
             clip_eps,
             value_coef,
             entropy_coef,
