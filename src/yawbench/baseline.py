@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import CycleTrace, cycle_stats
+from .env import CYCLE_PERIOD_S, CycleTrace, cycle_stats
 from .metrics import cycle_deltas
-from .power import TurbineParams, power_with_misalignment, whole_number, wrap_angle, wrap_to_360, yaw_error
+from .power import TurbineParams, power_with_misalignment, real_number, whole_number, wrap_angle, wrap_to_360, yaw_error
 from .wind import WindSeries, check_log, read_log_csv, set_columns, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
@@ -52,9 +52,8 @@ class CycaConfig:
     stop_deadband: float = 1.0    # deg; stop turning once within this of the target
 
     def __post_init__(self):
-        for name, x in vars(self).items():
-            if not -math.inf < x < math.inf:  # math.isfinite overflows on an int beyond float range
-                raise ValueError(f"{name} must be finite, got {x}")
+        for name in ("threshold", "stop_deadband"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         object.__setattr__(self, "target_window", whole_number("target_window", self.target_window, "seconds"))
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
@@ -63,16 +62,15 @@ class CycaConfig:
 
 
 def run_cyca_s(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, init_theta: float,
-               cycle_period: float = 10.0, return_inner: bool = False):
+               return_inner: bool = False):
     """Simulate the threshold controller over ``series``.
 
     Returns the per-cycle trace; with ``return_inner=True`` also a dict of
     per-second arrays (theta, accumulator, yawing flag) for inspection.
     """
-    p = whole_number("cycle_period", cycle_period, "seconds")
-    theta0 = wrap_to_360(float(init_theta))
+    theta0 = wrap_to_360(real_number("init_theta", init_theta))
     theta_sec, acc_sec, yawing_sec = _simulate(series, cfg, tp, theta0)
-    trace = _resample_to_cycles(series, theta_sec, tp, p, theta_prev=theta0)
+    trace = _resample_to_cycles(series, theta_sec, tp, theta_prev=theta0)
     if return_inner:
         return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
     return trace
@@ -138,30 +136,31 @@ def _simulate(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, theta0: fl
     return theta_sec, acc_sec, yawing_sec
 
 
-def _cycle_ends(theta_sec: np.ndarray, p: int) -> np.ndarray:
-    """The end-of-cycle headings of a per-second trajectory, one per full ``p`` s cycle (a view)."""
+def _cycle_ends(theta_sec: np.ndarray) -> np.ndarray:
+    """The end-of-cycle headings of a per-second trajectory, one per full control cycle (a view)."""
+    p = CYCLE_PERIOD_S
     count = len(theta_sec) // p
     if count == 0:
         raise ValueError(f"series of {len(theta_sec)} samples holds no full {p} s cycle")
     return theta_sec[p - 1 : count * p : p]
 
 
-def _resample_to_cycles(series: WindSeries, theta_sec: np.ndarray, tp: TurbineParams, p: int,
+def _resample_to_cycles(series: WindSeries, theta_sec: np.ndarray, tp: TurbineParams,
                         theta_prev: float) -> CycleTrace:
     """Collapse a per-second nacelle trajectory onto the control-cycle grid.
 
     The nacelle position reported for a cycle is its end-of-cycle value; the
     applied action is derived from the net rotation over the cycle.
     """
-    theta = _cycle_ends(theta_sec, p).copy()
+    theta = _cycle_ends(theta_sec).copy()
     count = len(theta)
-    phi, v = cycle_stats(series, p)
+    phi, v = cycle_stats(series)
     gamma = yaw_error(phi, theta)
     delta = wrap_angle(np.diff(theta, prepend=theta_prev))
     action = np.where(delta > 1e-12, 2, np.where(delta < -1e-12, 0, 1))
     return CycleTrace(
         cycle=np.arange(count),
-        t_s=series.t[: count * p : p],
+        t_s=series.t[: count * CYCLE_PERIOD_S : CYCLE_PERIOD_S],
         phi=phi,
         v=v,
         theta=theta,
@@ -199,8 +198,7 @@ def save_nacelle_log(log: NacelleLog, path) -> None:
     write_csv_columns(path, NACELLE_HEADER, log.t, log.theta)
 
 
-def replay_cyca_l(series: WindSeries, log: NacelleLog, tp: TurbineParams,
-                  cycle_period: float = 10.0) -> CycleTrace:
+def replay_cyca_l(series: WindSeries, log: NacelleLog, tp: TurbineParams) -> CycleTrace:
     """Reconstruct a per-cycle trace from recorded nacelle positions.
 
     The log must cover exactly the same 1 s time range as the wind series.
@@ -213,12 +211,11 @@ def replay_cyca_l(series: WindSeries, log: NacelleLog, tp: TurbineParams,
             f"time-range mismatch between wind series ({len(series)} samples from t={series.t[0]}) "
             f"and nacelle log ({len(log)} samples from t={log.t[0]})"
         )
-    p = whole_number("cycle_period", cycle_period, "seconds")
-    return _resample_to_cycles(series, log.theta, tp, p, theta_prev=float(log.theta[0]))
+    return _resample_to_cycles(series, log.theta, tp, theta_prev=float(log.theta[0]))
 
 
 def calibrate_threshold(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, init_theta: float, thresholds,
-                        target_pct: float = 2.0, cycle_period: float = 10.0) -> tuple[float, list[float]]:
+                        target_pct: float = 2.0) -> tuple[float, list[float]]:
     """Grid-search the accumulator threshold for a time-spent-yawing target.
 
     Returns the threshold whose usage lands closest to ``target_pct`` (ties go
@@ -230,14 +227,13 @@ def calibrate_threshold(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, 
     """
     if not 0.0 <= target_pct <= 100.0:  # False for NaN too
         raise ValueError(f"target_pct must be a finite percentage in [0, 100], got {target_pct}")
-    grid = [float(x) for x in thresholds]
+    grid = [real_number(f"thresholds[{i}]", x) for i, x in enumerate(thresholds)]
     if not grid:
         raise ValueError("empty calibration grid")
-    p = whole_number("cycle_period", cycle_period, "seconds")
-    theta0 = wrap_to_360(float(init_theta))
+    theta0 = wrap_to_360(real_number("init_theta", init_theta))
     usages = []
     for thr in grid:
         theta_sec = _simulate(series, replace(cfg, threshold=thr), tp, theta0)[0]
-        usages.append(float(100.0 * np.mean(cycle_deltas(_cycle_ends(theta_sec, p)) > 0.0)))
+        usages.append(float(100.0 * np.mean(cycle_deltas(_cycle_ends(theta_sec)) > 0.0)))
     best = min(range(len(grid)), key=lambda i: (abs(usages[i] - target_pct), grid[i]))
     return grid[best], usages

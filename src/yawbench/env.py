@@ -1,11 +1,11 @@
 """Discrete-time yaw-control environment.
 
-One control cycle lasts ``cycle_period`` seconds. During cycle t the controller
-observes the lagged state matrix and issues an action; with the one-cycle
-communication delay the action reaches the yaw drive only while cycle t+1
-runs. A step therefore (1) rotates the nacelle by the action issued one cycle
-earlier, (2) advances the wind by one cycle, and only then (3) measures the
-new misalignment, reward, and power.
+The loop's timing is fixed: a cycle lasts ``CYCLE_PERIOD_S`` (10) seconds, and
+with the one-cycle communication delay an action issued during cycle t reaches
+the yaw drive only while cycle t+1 runs. A step therefore (1) rotates the
+nacelle by the action issued one cycle earlier (3 degrees at 0.3 deg/s), (2)
+advances the wind by one cycle, and only then (3) measures the new
+misalignment, reward, and power.
 
 Reward: r1 = -gamma^2 * v_tilde^3 penalizes misalignment weighted by the cubed
 standardized wind speed; r2 pays ``w`` whenever the last ``k`` issued actions
@@ -39,10 +39,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .power import TurbineParams, from_fields, power_with_misalignment, whole_number, wrap_to_360
+from .power import TurbineParams, from_fields, power_with_misalignment, real_number, whole_number, wrap_to_360
 from .wind import Standardizer, WindSeries, read_log_csv, set_columns, write_csv_columns
 
 OBS_FEATURES_PER_ROW = 5
+CYCLE_PERIOD_S = 10  # seconds per control cycle, so also its count of 1 s wind samples
 
 
 class Action(enum.IntEnum):
@@ -57,25 +58,21 @@ class EnvConfig:
 
     standardizer: Standardizer
     turbine: TurbineParams = field(default_factory=TurbineParams)
-    cycle_period: float = 10.0  # seconds per control cycle (integer-valued)
-    comm_delay: float = 10.0    # 0 or one cycle_period
     k: int = 2                  # consecutive Stay actions needed for the r2 bonus
     j: int = 12                 # lagged rows in the observation
     w: float = 40.0             # r2 bonus weight
     episode_len: int = 256      # cycles per episode
 
     def __post_init__(self):
-        p = whole_number("cycle_period", self.cycle_period, "seconds")
-        if self.comm_delay not in (0.0, float(p)):
-            raise ValueError(f"comm_delay must be 0 or one cycle_period ({p}), got {self.comm_delay}")
         for name in ("k", "j", "episode_len"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if not 0.0 <= self.w < math.inf:
+        object.__setattr__(self, "w", real_number("w", self.w))
+        if self.w < 0.0:
             raise ValueError(f"w must be finite and >= 0, got {self.w}")
 
     @property
     def p_samples(self) -> int:
-        return int(self.cycle_period)
+        return CYCLE_PERIOD_S
 
     def to_dict(self) -> dict:
         d = asdict(self)  # the turbine becomes a nested dict
@@ -88,13 +85,13 @@ class EnvConfig:
         return from_fields(cls, d, standardizer=Standardizer(scale), turbine=turbine)
 
 
-def n_cycles(series: WindSeries, cfg: EnvConfig) -> int:
+def n_cycles(series: WindSeries) -> int:
     """Whole control cycles contained in the series."""
-    return len(series) // cfg.p_samples
+    return len(series) // CYCLE_PERIOD_S
 
 
-def cycle_stats(series: WindSeries, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean direction and mean speed of every whole ``p``-second cycle.
+def cycle_stats(series: WindSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Mean direction and mean speed of every whole control cycle.
 
     Directions are averaged on the unit circle (an arithmetic mean is wrong
     across the 0/360 seam), speeds arithmetically. Equal bit for bit to
@@ -103,6 +100,7 @@ def cycle_stats(series: WindSeries, p: int) -> tuple[np.ndarray, np.ndarray]:
     atan2 runs per row in ``math.atan2``; ``np.arctan2`` on an array can
     differ from it in the last ulp.
     """
+    p = CYCLE_PERIOD_S
     count = len(series) // p
     rad = np.deg2rad(series.phi[: count * p]).reshape(count, p)
     sin_m, cos_m = np.sin(rad).mean(axis=1).tolist(), np.cos(rad).mean(axis=1).tolist()
@@ -190,13 +188,13 @@ class YawEnv:
     def __init__(self, series: WindSeries, cfg: EnvConfig):
         self.series = series
         self.cfg = cfg
-        self._n_cycles = n_cycles(series, cfg)
+        self._n_cycles = n_cycles(series)
         if self._n_cycles < cfg.episode_len + 1:
             raise ValueError(
                 f"series holds {self._n_cycles} cycles: too short for an episode of "
                 f"{cfg.episode_len} cycles plus the one-cycle lookahead"
             )
-        self._phi_c, self._v_c = cycle_stats(series, cfg.p_samples)
+        self._phi_c, self._v_c = cycle_stats(series)
         self._vt_c = cfg.standardizer.standardize(self._v_c)
         # Python floats index faster than numpy scalars. One encode_batch call
         # gives sin phi, cos phi and v~ of every cycle and checks them for finiteness.
@@ -204,7 +202,7 @@ class YawEnv:
         cycles = np.zeros((1, self._n_cycles, 4))
         cycles[0, :, 2], cycles[0, :, 3] = self._phi_c, self._vt_c
         self._wind_features = encode_batch(cycles).reshape(-1, OBS_FEATURES_PER_ROW)[:, 2:].tolist()
-        self._delta = [cfg.cycle_period * (a - 1) * cfg.turbine.yaw_rate_deg_s for a in range(3)]
+        self._delta = [CYCLE_PERIOD_S * (a - 1) * cfg.turbine.yaw_rate_deg_s for a in range(3)]
         n, j = cfg.episode_len, cfg.j
         self._warmup = np.zeros((j, 4))  # the observation at reset
         self._enc = np.zeros((n + j) * OBS_FEATURES_PER_ROW)
@@ -250,13 +248,7 @@ class YawEnv:
                 f"start_cycle must be a whole number in 0..{self.max_start_cycle}, leaving "
                 f"episode_len={self.cfg.episode_len} cycles, got {start_cycle}"
             )
-        if theta is None:
-            theta = self._phi[start_cycle]
-        elif not isinstance(theta, (int, float, np.integer, np.floating)) or theta.__class__ is bool:
-            raise ValueError(f"theta must be None or a real number of degrees, got {theta!r}")
-        theta = float(theta)
-        if not math.isfinite(theta):
-            raise ValueError(f"the initial heading must be finite, got {theta!r}")
+        theta = self._phi[start_cycle] if theta is None else real_number("theta", theta)
         self._theta = theta = 0.0 if (w := theta % 360.0) >= 360.0 else w  # wrapped as step wraps it
         self._start = self._cycle = start_cycle
         self._pending = int(Action.STAY)
@@ -299,7 +291,7 @@ class YawEnv:
             raise ValueError(f"action must be 0, 1 or 2, got {action!r}")
         cfg = self.cfg
 
-        applied = a if cfg.comm_delay == 0.0 else self._pending
+        applied = self._pending  # the action issued one cycle earlier
         delta_theta = self._delta[applied]
         if delta_theta != 0.0:  # wrap into [0, 360) as wrap_to_360 does: % can round a tiny negative up to 360
             self._theta = 0.0 if (w := (self._theta + delta_theta) % 360.0) >= 360.0 else w
@@ -330,14 +322,14 @@ class YawEnv:
         cycle = np.arange(self._start + 1, self._start + 1 + n)
         theta, gamma, r1, r2 = self._floats[:, :n].copy()
         issued, applied = self._actions[:, :n].copy()
-        t_s, phi, v = self.series.t[cycle * self.cfg.p_samples], self._phi_c[cycle], self._v_c[cycle]
+        t_s, phi, v = self.series.t[cycle * CYCLE_PERIOD_S], self._phi_c[cycle], self._v_c[cycle]
         power_kw = power_with_misalignment(v, gamma, self.cfg.turbine)
         return CycleTrace(cycle, t_s, phi, v, theta, gamma, issued, applied, power_kw, r1, r2)
 
 
 def eval_env_config(series: WindSeries, cfg: EnvConfig) -> EnvConfig:
     """Config whose episode spans every cycle of ``series`` after cycle 0."""
-    length = n_cycles(series, cfg) - 1
+    length = n_cycles(series) - 1
     if length < 1:
         raise ValueError("series too short for a full-span evaluation episode")
     return replace(cfg, episode_len=length)

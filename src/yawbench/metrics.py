@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .env import CycleTrace, EnvConfig
+from .env import CYCLE_PERIOD_S, CycleTrace, EnvConfig
 from .power import TurbineParams, wrap_angle
 
 
@@ -45,16 +45,16 @@ def _drive_kwh(rotation_deg, tp: TurbineParams):
 
 
 def compute_metrics(trace: CycleTrace, tp: TurbineParams, cfg: EnvConfig) -> MetricsReport:
-    """Aggregate one trace into the benchmark metrics; ``tp`` must equal
-    ``cfg.turbine`` and the trace's cycles must be ``cfg.cycle_period`` apart."""
+    """Aggregate one trace into the benchmark metrics; ``tp`` must equal ``cfg.turbine``
+    and the trace's cycles must be ``CYCLE_PERIOD_S`` apart (a CSV trace may not be)."""
     if tp != cfg.turbine:
         raise ValueError(f"turbine parameters {tp} differ from the env config's {cfg.turbine}")
     if len(trace) == 0:
         raise ValueError("cannot compute metrics over an empty trace")
-    p = cfg.cycle_period
+    p = CYCLE_PERIOD_S
     steps = np.diff(trace.t_s)
     if np.any(steps != p):
-        raise ValueError(f"trace cycles are {steps[steps != p][0]:g} s apart but cycle_period is {p:g} s")
+        raise ValueError(f"trace cycles are {steps[steps != p][0]:g} s apart but the control cycle is {p} s")
     deltas = cycle_deltas(trace.theta)
     moving = deltas > 0.0
     starts = int(np.sum(np.diff(np.concatenate([[0], moving.astype(np.int64)])) == 1))

@@ -48,6 +48,20 @@ def whole_number(name: str, x, unit: str = "") -> int:
     return int(x)
 
 
+def real_number(name: str, x) -> float:
+    """``x`` as a float; ValueError naming ``name`` unless it is a finite int or float (numpy's
+    too). A bool, str, bytes or None is refused, not read as 1.0 or parsed."""
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        f = float(x)
+    except OverflowError:  # an int past the float range
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return f
+
+
 def wrap_angle(x):
     """Wrap an angle (degrees) into (-180, 180].
 
@@ -107,6 +121,8 @@ class TurbineParams:
     p_yaw_drive_kw: float = 18.0  # kW drawn by the yaw drive while running
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, real_number(f.name, getattr(self, f.name)))
         if not (0.0 < self.v_cut_in < self.v_rated < self.v_cut_out):
             raise ValueError(
                 "need 0 < v_cut_in < v_rated < v_cut_out, got "
@@ -115,9 +131,9 @@ class TurbineParams:
         if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
             raise ValueError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {self.alpha}")
         for name in ("rho", "rotor_diameter", "p_rated_kw", "yaw_rate_deg_s"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0.0 <= self.p_yaw_drive_kw < math.inf:
+        if self.p_yaw_drive_kw < 0.0:
             raise ValueError(f"p_yaw_drive_kw must be finite and >= 0, got {self.p_yaw_drive_kw}")
 
     @property

@@ -24,7 +24,7 @@ the gradient views and Adam updates the parameter vector in one pass. Loss
 reductions are ``np.mean``'s arithmetic (a sum, then a division by the count)
 without its call overhead; three-column sums follow ``np.sum``'s order.
 
-A version-4 checkpoint is one JSON object: ``format``, ``version``, the ``env``
+A version-5 checkpoint is one JSON object: ``format``, ``version``, the ``env``
 and ``ppo`` config records, and ``params``, the base64 of ``flat_params`` as
 ``<f4`` bytes. No network shape is stored; ``env.j`` and ``ppo.hidden`` decide them.
 """
@@ -40,10 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, encode_batch
-from .power import from_fields, whole_number
+from .power import from_fields, real_number, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,16 @@ class PpoConfig:
         if not self.hidden:
             raise ValueError("hidden layer widths must be positive, got ()")
         object.__setattr__(self, "hidden", tuple(whole_number("hidden layer width", h) for h in self.hidden))
+        for name in ("learning_rate", "discount", "gae_lambda", "clip_eps", "value_coef", "entropy_coef",
+                     "init_offset_deg"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not (0.0 < self.discount <= 1.0):
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if not (0.0 <= self.gae_lambda <= 1.0):
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
         for name in ("learning_rate", "clip_eps", "value_coef", "entropy_coef", "init_offset_deg"):
             x, positive = getattr(self, name), name in ("learning_rate", "clip_eps")
-            if not math.isfinite(x) or x < 0 or (positive and x == 0):
+            if x < 0 or (positive and x == 0):
                 raise ValueError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {x}")
         if self.n_steps % self.batch_size != 0:
             raise ValueError(
@@ -531,7 +534,7 @@ def _load_config(path: Path, payload: dict, name: str, cls):
 
 def load_checkpoint(path) -> tuple[ActorCritic, EnvConfig, PpoConfig]:
     """Read a ``save_checkpoint`` file; raises ValueError naming the file and the
-    field unless it is a version-4 JSON object with every key present and known
+    field unless it is a version-5 JSON object with every key present and known
     and ``params`` is the base64 of as many finite float32s as the configs' networks have."""
     path = Path(path)
     if not path.exists():

@@ -28,7 +28,7 @@ from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .power import wrap_to_360
+from .power import real_number, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
 _SERIES_DTYPES = {"t": np.int64, "phi": np.float64, "v": np.float64}
@@ -87,8 +87,6 @@ class WindSeries:
     t: np.ndarray
     phi: np.ndarray
     v: np.ndarray
-    source: str = "synthetic"  # "real" | "synthetic"
-    label: str = ""
 
     def __post_init__(self):
         set_columns(self, _SERIES_DTYPES)
@@ -244,7 +242,7 @@ def _block_cells(col: np.ndarray):
 def load_series(path) -> WindSeries:
     """Read a wind log CSV with header ``t,phi_deg,v_ms`` at uniform 1 s spacing.
 
-    Directions are normalized into [0, 360); the label is the file stem.
+    Directions are normalized into [0, 360).
     Raises WindDataError with the offending line number on malformed rows, on
     negative speeds, and on non-uniform timestamps.
     """
@@ -252,7 +250,7 @@ def load_series(path) -> WindSeries:
     t, (phi, v) = read_log_csv(path, CSV_HEADER, nonnegative=("v_ms", "wind speed v"))
     if len(t) < 2:
         raise WindDataError(f"{path}: series too short: {len(t)} samples")
-    return WindSeries(t, wrap_to_360(phi), v, source="real", label=path.stem)
+    return WindSeries(t, wrap_to_360(phi), v)
 
 
 def save_series(series: WindSeries, path) -> None:
@@ -277,7 +275,8 @@ class Standardizer:
     scale: float
 
     def __post_init__(self):
-        if not math.isfinite(self.scale) or self.scale <= 0:
+        object.__setattr__(self, "scale", real_number("standardizer scale", self.scale))
+        if self.scale <= 0:
             raise WindDataError(f"standardizer scale must be positive, got {self.scale}")
 
     def standardize(self, v):
@@ -406,7 +405,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> WindSeries:
         sdev = np.zeros(n)
     v = np.clip(spec.speed_mean_ms + spec.speed_std_ms * sdev, 0.0, None)
 
-    return WindSeries(t, phi, v, source="synthetic")
+    return WindSeries(t, phi, v)
 
 
 def steady_preset(length_s: int = 21000) -> GeneratorSpec:

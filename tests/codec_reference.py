@@ -27,8 +27,6 @@ def env_to_dict(cfg) -> dict:
     return {
         "standardizer_scale": cfg.standardizer.scale,
         "turbine": turbine_to_dict(cfg.turbine),
-        "cycle_period": cfg.cycle_period,
-        "comm_delay": cfg.comm_delay,
         "k": cfg.k,
         "j": cfg.j,
         "w": cfg.w,
@@ -77,12 +75,12 @@ def comparison_to_dict(c) -> dict:
 
 
 def checkpoint_text(ac, env_cfg, ppo_cfg) -> str:
-    """A version-4 checkpoint: both configs and the base64 of every parameter as a
+    """A version-5 checkpoint: both configs and the base64 of every parameter as a
     little-endian float32, policy first, layer by layer."""
     raw = b"".join(struct.pack("<f", x) for p in ac.parameters for x in p.ravel().tolist())
     payload = {
         "format": "yawbench-checkpoint",
-        "version": 4,
+        "version": 5,
         "env": env_to_dict(env_cfg),
         "ppo": ppo_to_dict(ppo_cfg),
         "params": base64.b64encode(raw).decode("ascii"),

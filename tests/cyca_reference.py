@@ -20,14 +20,14 @@ import yawbench
 from env_reference import trace_from_records
 from power_reference import power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
 from yawbench import circular_mean_deg, run_cyca_s as run_cyca_s_lib
+from yawbench.env import CYCLE_PERIOD_S
 
 _STOP_FLOOR_DEG = 1e-9
 
 
-def run_cyca_s(series, cfg, tp, init_theta, cycle_period=10.0, return_inner=False):
+def run_cyca_s(series, cfg, tp, init_theta, return_inner=False):
     """Per-tick simulation of the cumulative-error threshold controller."""
     n = len(series)
-    p = int(cycle_period)
     window = int(cfg.target_window)
     rate = tp.yaw_rate_deg_s
     theta = wrap_to_360(float(init_theta))
@@ -62,14 +62,15 @@ def run_cyca_s(series, cfg, tp, init_theta, cycle_period=10.0, return_inner=Fals
         acc_sec[tick] = acc
         yawing_sec[tick] = yawing
 
-    trace = resample_to_cycles(series, theta_sec, tp, p, theta_prev=wrap_to_360(float(init_theta)))
+    trace = resample_to_cycles(series, theta_sec, tp, theta_prev=wrap_to_360(float(init_theta)))
     if return_inner:
         return trace, {"t": series.t.copy(), "theta": theta_sec, "acc": acc_sec, "yawing": yawing_sec}
     return trace
 
 
-def resample_to_cycles(series, theta_sec, tp, p, theta_prev):
+def resample_to_cycles(series, theta_sec, tp, theta_prev):
     """Per-cycle collapse of a per-second nacelle trajectory onto the cycle grid."""
+    p = CYCLE_PERIOD_S
     count = len(series) // p
     records = []
     for c in range(count):
@@ -104,19 +105,19 @@ def resample_to_cycles(series, theta_sec, tp, p, theta_prev):
     return trace_from_records(records)
 
 
-def replay_cyca_l(series, log, tp, cycle_period=10.0):
+def replay_cyca_l(series, log, tp):
     """Reference replay: the per-cycle resample of the recorded headings."""
-    return resample_to_cycles(series, log.theta, tp, int(cycle_period), theta_prev=float(log.theta[0]))
+    return resample_to_cycles(series, log.theta, tp, theta_prev=float(log.theta[0]))
 
 
-def calibrate_threshold(series, cfg, tp, init_theta, thresholds, target_pct=2.0, cycle_period=10.0):
+def calibrate_threshold(series, cfg, tp, init_theta, thresholds, target_pct=2.0):
     """Grid search that scores each threshold from the full cycle trace of
     ``yawbench.run_cyca_s``: its share of cycles that moved, and ties going to
     the smaller threshold."""
     grid = [float(x) for x in thresholds]
     usages = []
     for thr in grid:
-        trace = run_cyca_s_lib(series, replace(cfg, threshold=thr), tp, init_theta, cycle_period)
+        trace = run_cyca_s_lib(series, replace(cfg, threshold=thr), tp, init_theta)
         moving = np.concatenate([[False], np.abs(yawbench.wrap_angle(np.diff(trace.theta))) > 0])
         usages.append(float(100.0 * np.mean(moving)))
     best = 0

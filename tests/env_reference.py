@@ -25,13 +25,13 @@ import numpy as np
 import yawbench.env
 from power_reference import power_with_misalignment, wrap_to_360, yaw_error
 from yawbench import Action, CycleTrace, circular_mean_deg
-from yawbench.env import OBS_FEATURES_PER_ROW, TRACE_COLUMNS, n_cycles
+from yawbench.env import CYCLE_PERIOD_S, OBS_FEATURES_PER_ROW, TRACE_COLUMNS, n_cycles
 from yawbench.power import whole_number
 
 
-def cycle_wind(series, cycle: int, cfg) -> tuple[float, float]:
+def cycle_wind(series, cycle: int) -> tuple[float, float]:
     """Circular mean direction and arithmetic mean speed of one control cycle."""
-    p = cfg.p_samples
+    p = CYCLE_PERIOD_S
     if cycle < 0 or (cycle + 1) * p > len(series):
         raise ValueError(f"cycle {cycle} out of range for a series of {len(series)} samples")
     lo, hi = cycle * p, (cycle + 1) * p
@@ -83,10 +83,10 @@ class YawEnv:
     def __init__(self, series, cfg):
         self.series = series
         self.cfg = cfg
-        self._n_cycles = n_cycles(series, cfg)
+        self._n_cycles = n_cycles(series)
         if self._n_cycles < 2:
             raise ValueError(f"series of {len(series)} samples holds {self._n_cycles} cycles; need at least 2")
-        winds = [cycle_wind(series, c, cfg) for c in range(self._n_cycles)]
+        winds = [cycle_wind(series, c) for c in range(self._n_cycles)]
         self._phi_c = np.array([phi for phi, _ in winds])
         self._v_c = np.array([v for _, v in winds])
         self._vt_c = cfg.standardizer.standardize(self._v_c)
@@ -121,8 +121,8 @@ class YawEnv:
         cfg = self.cfg
         tp = cfg.turbine
 
-        applied = act if cfg.comm_delay == 0.0 else self._pending
-        delta_theta = cfg.cycle_period * (int(applied) - 1) * tp.yaw_rate_deg_s
+        applied = self._pending  # one cycle of communication delay
+        delta_theta = CYCLE_PERIOD_S * (int(applied) - 1) * tp.yaw_rate_deg_s
         if delta_theta != 0.0:
             self._theta = wrap_to_360(self._theta + delta_theta)
 
@@ -145,7 +145,7 @@ class YawEnv:
 
         info = {
             "cycle": self._cycle,
-            "t_s": float(self.series.t[self._cycle * cfg.p_samples]),
+            "t_s": float(self.series.t[self._cycle * CYCLE_PERIOD_S]),
             "phi": phi,
             "v": v,
             "v_tilde": vt,
@@ -199,7 +199,7 @@ class RawTableYawEnv(yawbench.env.YawEnv):
         if a not in (0, 1, 2):
             raise ValueError(f"action must be 0, 1 or 2, got {action!r}")
         cfg = self.cfg
-        applied = a if cfg.comm_delay == 0.0 else self._pending
+        applied = self._pending
         delta_theta = self._delta[applied]
         if delta_theta != 0.0:
             self._theta = wrap_to_360(self._theta + delta_theta)

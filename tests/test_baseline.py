@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,15 +51,15 @@ class TestCycaConfig:
         with pytest.raises(ValueError, match="target_window"):
             CycaConfig(target_window=1.5)
 
-    @pytest.mark.parametrize("field", ["threshold", "target_window", "stop_deadband"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("inf")])
+    @pytest.mark.parametrize("field", ["threshold", "stop_deadband"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("inf"), 10**400])
     def test_non_finite_rejected_by_name(self, field, bad):
-        # a nan threshold never triggers and a nan deadband never ends a turn
+        # a nan threshold never triggers and a nan deadband never ends a turn; 10**400 was kept as given
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CycaConfig(**{field: bad})
 
     @pytest.mark.parametrize("field", ["target_window"])
-    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, True, np.True_, 2**63, 10**400])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, True, np.True_, 2**63, 10**400, math.nan, math.inf])
     def test_whole_seconds_named(self, field, bad):
         # True was kept as given, and 10**400 raised a bare OverflowError
         with pytest.raises(ValueError, match=f"^{field} must be a positive whole number of seconds"):
@@ -71,12 +72,6 @@ class TestCycaConfig:
 
 
 class TestRunCycaS:
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    def test_non_finite_cycle_period_named(self, tp, bad):
-        # inf raised OverflowError, nan a nameless "cannot convert float NaN to integer"
-        with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds"):
-            run_cyca_s(flat_series(300), CycaConfig(), tp, init_theta=40.0, cycle_period=bad)
-
     @pytest.mark.parametrize("at, bad", [(0, math.nan), (57, math.nan), (99, math.inf)])
     def test_non_finite_direction_written_after_construction(self, tp, at, bad):
         # the series holds a read-only view of the caller's array, which stays writable
@@ -204,13 +199,6 @@ class TestReplay:
         with pytest.raises(ValueError, match="time-range mismatch"):
             replay_cyca_l(series, shifted, tp)
 
-    def test_fractional_cycle_period_rejected(self, tp):
-        # was truncated to 10 s: 300 cycles on a 3000 s series
-        series = flat_series(3000)
-        log = NacelleLog(np.arange(3000), np.full(3000, 50.0))
-        with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds, got 10.5"):
-            replay_cyca_l(series, log, tp, cycle_period=10.5)
-
     def test_series_shorter_than_one_cycle_rejected(self, tp):
         series = flat_series(5)
         with pytest.raises(ValueError, match="^series of 5 samples holds no full 10 s cycle$"):  # was an empty trace
@@ -258,6 +246,29 @@ class TestCalibration:
         series = generate_synthetic(steady_preset(length_s=3000), seed=24)
         best, _ = calibrate_threshold(series, CycaConfig(), tp, 34.1, [300.0, 20000.0], target_pct=target_pct)
         assert best in (300.0, 20000.0)
+
+    @pytest.mark.parametrize(
+        "name, init_theta, grid",
+        [
+            ("init_theta", "10", [300.0]),  # started at 10 deg
+            ("init_theta", True, [300.0]),  # started at 1 deg
+            ("init_theta", np.True_, [300.0]),
+            ("init_theta", None, [300.0]),
+            ("init_theta", math.nan, [300.0]),
+            ("thresholds[0]", 50.0, ["50", True]),  # calibrated to 1.0
+            ("thresholds[1]", 50.0, [300.0, True]),
+            ("thresholds[1]", 50.0, [300.0, b"1"]),
+            ("thresholds[0]", 50.0, [math.inf]),
+        ],
+    )
+    def test_heading_and_grid_not_real_numbers_named(self, tp, name, init_theta, grid):
+        series = flat_series(300)
+        match = rf"^{re.escape(name)} must be (a real number|finite), got "
+        with pytest.raises(ValueError, match=match):
+            calibrate_threshold(series, CycaConfig(), tp, init_theta, grid)
+        if name == "init_theta":
+            with pytest.raises(ValueError, match=match):
+                run_cyca_s(series, CycaConfig(), tp, init_theta)
 
     def test_empty_grid_rejected(self, tp):
         series = flat_series(100)

@@ -68,12 +68,9 @@ comparisons = st.builds(
 
 @st.composite
 def env_configs(draw):
-    p = draw(st.sampled_from([1, 10, 10.0, 3.0, 600.0]))
     return EnvConfig(
         standardizer=Standardizer(draw(st.floats(1e-9, 1e9))),
         turbine=draw(turbines()),
-        cycle_period=p,
-        comm_delay=draw(st.sampled_from([0.0, p])),
         k=draw(st.integers(1, 50)),
         j=draw(st.integers(1, 20)),
         w=draw(nonnegative),

@@ -7,7 +7,7 @@ bits, so any change that moves a bit fails here and not only in the
 benchmark's output digests. The weight, learning-curve and checkpoint pins
 are those of the float32 networks and Adam; the series, greedy-trace and
 CYCA-S pins did not move with them. The toy run's checkpoint file is pinned
-as the version-4 codec writes it, and so are the
+as the version-5 codec writes it, and so are the
 threshold baseline's calibration usages and per-second simulation on seeded
 variable wind. A short run of the default network (64, 64 hidden, j = 12)
 pins the BLAS calls at the shapes the benchmark trains, which the (16, 16)
@@ -44,7 +44,7 @@ SERIES_SHA256 = "45c7c2f8f9e847c9298e14d566b570db64ab9d74fabc492696cced62deda10e
 WEIGHTS_SHA256 = "6093ea054d2581c30aebc87a880a5721f315abc64a06ed51d9762908fa658b16"
 CURVE_SHA256 = "c99518a6125c7d0d3f3119e322ccbf0f8f56d594a440eb0c7d40443f0f67b662"
 GREEDY_TRACE_SHA256 = "b26861d8c912f6ded62850e2d39d4a9ffea527d0f2e668b9046d452b3926a3bc"
-CHECKPOINT_SHA256 = "41a472dc8f53be2eb4df810258db6095c67e6a7943de028ec536a4f77e80b0ac"
+CHECKPOINT_SHA256 = "946ac9e0d1dd399948435106382f830871b0edf53f91698ce67faa20cb63a4ee"
 PROD_WEIGHTS_SHA256 = "91e5839aba22e7eeb98a75eeea9cd9540f60af8edf1d70d3c96ef4d5998b5cbe"
 PROD_CURVE_SHA256 = "a91633c49fc591073346af2c61020041c35410abf122580d57d6796eddd9c1e6"
 PROD_GREEDY_TRACE_SHA256 = "3d19d174590321f78e180eba53e14496a9faed531563ff9ecf2b14c2bf42427f"

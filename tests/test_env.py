@@ -27,11 +27,9 @@ def flat_series(n_s, phi=34.1, v=8.0):
     return WindSeries(np.arange(n_s), np.full(n_s, phi), np.full(n_s, v))
 
 
-def cfg_for(episode_len=4, j=2, k=2, w=40.0, comm_delay=10.0, scale=8.0):
+def cfg_for(episode_len=4, j=2, k=2, w=40.0, scale=8.0):
     return EnvConfig(
         standardizer=Standardizer(scale),
-        cycle_period=10.0,
-        comm_delay=comm_delay,
         k=k,
         j=j,
         w=w,
@@ -40,11 +38,6 @@ def cfg_for(episode_len=4, j=2, k=2, w=40.0, comm_delay=10.0, scale=8.0):
 
 
 class TestConfig:
-    def test_comm_delay_must_be_zero_or_one_cycle(self):
-        with pytest.raises(ValueError):
-            cfg_for(comm_delay=5.0)
-        cfg_for(comm_delay=0.0)
-
     def test_basic_validation(self):
         with pytest.raises(ValueError):
             EnvConfig(standardizer=Standardizer(8.0), k=0)
@@ -52,8 +45,6 @@ class TestConfig:
             EnvConfig(standardizer=Standardizer(8.0), j=0)
         with pytest.raises(ValueError):
             EnvConfig(standardizer=Standardizer(8.0), w=-1.0)
-        with pytest.raises(ValueError):
-            EnvConfig(standardizer=Standardizer(8.0), cycle_period=2.5)
 
     def test_dict_roundtrip(self):
         cfg = cfg_for()
@@ -89,32 +80,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             YawEnv(flat_series(samples), cfg_for(episode_len=episode_len))
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    def test_non_finite_cycle_period_named(self, bad):
-        # inf raised OverflowError, nan a nameless "cannot convert float NaN to integer"
-        with pytest.raises(ValueError, match="^cycle_period must be a positive whole number of seconds"):
-            EnvConfig(standardizer=Standardizer(8.0), cycle_period=bad, comm_delay=0.0)
-
 
 class TestCycleWind:
     def test_constant_direction(self):
         s = flat_series(30)
-        assert cycle_wind(s, 0, cfg_for())[0] == pytest.approx(34.1, abs=1e-12)
+        assert cycle_wind(s, 0)[0] == pytest.approx(34.1, abs=1e-12)
 
     def test_mean_across_seam(self):
         phi = np.array([350.0] * 5 + [10.0] * 5 + [0.0] * 10)
         s = WindSeries(np.arange(20), phi, np.full(20, 8.0))
-        mean_dir, _ = cycle_wind(s, 0, cfg_for())
+        mean_dir, _ = cycle_wind(s, 0)
         assert mean_dir == pytest.approx(0.0, abs=1e-9) or mean_dir == pytest.approx(360.0, abs=1e-9)
 
     def test_speed_arithmetic_mean(self):
         v = np.tile([6.0, 8.0], 10)
         s = WindSeries(np.arange(20), np.full(20, 10.0), v)
-        assert cycle_wind(s, 0, cfg_for())[1] == 7.0
+        assert cycle_wind(s, 0)[1] == 7.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            cycle_wind(flat_series(30), 3, cfg_for())
+            cycle_wind(flat_series(30), 3)
 
 
 class TestReset:
@@ -182,7 +167,7 @@ class TestReset:
     def test_theta_not_a_real_number_rejected(self, bad):
         # float() took each of these: "10" started at 10 degrees and True at 1
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
-        match = rf"^theta must be None or a real number of degrees, got {re.escape(repr(bad))}$"
+        match = rf"^theta must be a real number, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=match):
             env.reset(0, bad)
 
@@ -294,7 +279,7 @@ class TestStep:
         # the heading train passes: a start cycle's direction plus an offset
         env = YawEnv(flat_series(100), cfg_for())
         theta = (env.cycle_direction(0) if init_theta == "align" else init_theta) + offset
-        with pytest.raises(ValueError, match="initial heading must be finite"):
+        with pytest.raises(ValueError, match="^theta must be finite, got "):
             env.reset(0, theta)
 
     @pytest.mark.parametrize("good", [0, 1, 2, Action.STAY, np.int64(2), np.uint8(0)])
@@ -333,15 +318,15 @@ class TestProperties:
         t2 = play(YawEnv(series, cfg), list(actions), 5)
         assert t1.equals(t2)
 
-    def test_delay_law_shifts_theta_by_one_cycle(self):
+    def test_delay_law_moves_theta_by_the_action_of_the_cycle_before(self):
+        # each action lands one cycle late: 3 deg (10 s at 0.3 deg/s) per move
         series = generate_synthetic(steady_preset(length_s=3000), seed=12)
         actions = list(np.random.default_rng(4).integers(0, 3, size=30))
-        delayed = play(YawEnv(series, cfg_for(episode_len=30, comm_delay=10.0)), actions, 0, 100.0)
-        immediate = play(YawEnv(series, cfg_for(episode_len=30, comm_delay=0.0)), actions, 0, 100.0)
-        assert np.array_equal(immediate.theta[:-1], delayed.theta[1:])
-        # identical wind stream in both runs
-        assert np.array_equal(immediate.phi, delayed.phi)
-        assert np.array_equal(immediate.v, delayed.v)
+        trace = play(YawEnv(series, cfg_for(episode_len=30)), actions, 0, 100.0)
+        applied = [int(Action.STAY)] + actions[:-1]
+        assert list(trace.action_applied) == applied
+        heading = wrap_to_360(100.0 + np.cumsum([3.0 * (a - 1) for a in applied]))
+        assert np.array_equal(trace.theta, heading)  # whole degrees: every sum is exact
 
     def test_reward_decomposition(self):
         series = generate_synthetic(steady_preset(length_s=4000), seed=13)

@@ -101,12 +101,11 @@ class TestRunCycaS:
         cfg=cyca_configs(),
         init_theta=st.one_of(finite, st.integers(-720, 720).map(float)),
         rate=st.floats(0.05, 20.0),
-        p=st.sampled_from([1, 3, 10]),
     )
-    def test_equals_per_tick_reference(self, series, cfg, init_theta, rate, p):
+    def test_equals_per_tick_reference(self, series, cfg, init_theta, rate):
         tp = TurbineParams(yaw_rate_deg_s=rate)
-        trace, inner = run_cyca_s(series, cfg, tp, init_theta, cycle_period=p, return_inner=True)
-        ref_trace, ref_inner = ref.run_cyca_s(series, cfg, tp, init_theta, cycle_period=p, return_inner=True)
+        trace, inner = run_cyca_s(series, cfg, tp, init_theta, return_inner=True)
+        ref_trace, ref_inner = ref.run_cyca_s(series, cfg, tp, init_theta, return_inner=True)
         assert trace.equals(ref_trace)
         assert inner.keys() == ref_inner.keys()
         for key, want in ref_inner.items():
@@ -151,22 +150,21 @@ class TestRunCycaS:
 
 
 class TestCycleStats:
-    @given(series=wind_series(), p=st.integers(1, 30))
-    def test_equals_cycle_wind_on_every_cycle(self, series, p):
-        cfg = EnvConfig(standardizer=Standardizer(8.0), cycle_period=float(p), comm_delay=float(p))
-        phi, v = cycle_stats(series, p)
-        count = len(series) // p
+    @given(series=wind_series())
+    def test_equals_cycle_wind_on_every_cycle(self, series):
+        phi, v = cycle_stats(series)
+        count = len(series) // 10
         assert len(phi) == len(v) == count
         for c in range(count):
-            want_phi, want_v = cycle_wind(series, c, cfg)
+            want_phi, want_v = cycle_wind(series, c)
             assert phi[c] == want_phi and v[c] == want_v
 
     @given(series=wind_series(min_len=20, max_len=300))
     def test_env_aggregates_equal_cycle_wind(self, series):
         cfg = eval_env_config(series, EnvConfig(standardizer=Standardizer(7.5)))  # an episode the series holds
         env = YawEnv(series, cfg)
-        for c in range(n_cycles(series, cfg)):
-            phi, v = cycle_wind(series, c, cfg)
+        for c in range(n_cycles(series)):
+            phi, v = cycle_wind(series, c)
             assert env._phi_c[c] == phi
             assert env._v_c[c] == v
             assert env._vt_c[c] == cfg.standardizer.standardize(v)
@@ -183,21 +181,20 @@ def wind_series_of(phi):
 
 @st.composite
 def env_runs(draw):
-    """An env config, a series holding at least one episode, reset arguments and an action sequence."""
-    p = draw(st.sampled_from([1, 3, 10]))
+    """An env config, a series holding at least one episode, reset arguments and an action sequence.
+
+    The yaw rates make 3, 17, 180 and 360 deg moves per 10 s cycle."""
     episode_len = draw(st.integers(1, 25))
-    series = draw(wind_series(min_len=(episode_len + 2) * p, max_len=max(400, (episode_len + 8) * p)))
+    series = draw(wind_series(min_len=(episode_len + 2) * 10, max_len=max(400, (episode_len + 8) * 10)))
     cfg = EnvConfig(
         standardizer=Standardizer(draw(st.sampled_from([1.0, 7.5, 8.2]))),
-        turbine=TurbineParams(yaw_rate_deg_s=draw(st.sampled_from([0.3, 1.7, 36.0]))),
-        cycle_period=float(p),
-        comm_delay=draw(st.sampled_from([0.0, float(p)])),
+        turbine=TurbineParams(yaw_rate_deg_s=draw(st.sampled_from([0.3, 1.7, 18.0, 36.0]))),
         k=draw(st.integers(1, 4)),
         j=draw(st.integers(1, 6)),
         w=draw(st.sampled_from([0.0, 40.0, 1e3])),
         episode_len=episode_len,
     )
-    max_start = len(series) // p - episode_len - 1
+    max_start = len(series) // 10 - episode_len - 1
     reset = {
         "start_cycle": draw(st.integers(0, max_start)),
         "theta": draw(st.one_of(st.none(), st.floats(-720.0, 720.0), st.sampled_from([0.0, 359.9]))),
@@ -277,11 +274,8 @@ class TestYawEnv:
         series, cfg, reset, actions = run
         trace = env_reference.play(YawEnv(series, cfg), actions, **reset)
         assert list(trace.action_issued) == [int(a) for a in actions]
-        if cfg.comm_delay == 0.0:
-            assert np.array_equal(trace.action_applied, trace.action_issued)
-        else:
-            assert trace.action_applied[0] == int(Action.STAY)
-            assert np.array_equal(trace.action_applied[1:], trace.action_issued[:-1])
+        assert trace.action_applied[0] == int(Action.STAY)
+        assert np.array_equal(trace.action_applied[1:], trace.action_issued[:-1])
 
     def test_returned_trace_survives_later_steps_and_reset(self):
         series = wind_series_of(np.linspace(350.0, 370.0, 400) % 360.0)
@@ -335,12 +329,11 @@ class TestCalibrateThreshold:
         init_theta=st.one_of(finite, st.integers(-720, 720).map(float)),
         grid=st.lists(thresholds, min_size=1, max_size=5),
         target_pct=st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 2.0, 50.0, 100.0])),
-        p=st.sampled_from([5, 10, 30]),
     )
-    def test_equals_trace_scored_reference(self, series, cfg, init_theta, grid, target_pct, p):
+    def test_equals_trace_scored_reference(self, series, cfg, init_theta, grid, target_pct):
         tp = TurbineParams()
-        args = (series, cfg, tp, init_theta, grid, target_pct, p)
-        if len(series) < p:
+        args = (series, cfg, tp, init_theta, grid, target_pct)
+        if len(series) < 10:
             with pytest.raises(ValueError) as want:
                 ref.calibrate_threshold(*args)
             with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
@@ -365,14 +358,14 @@ class TestCalibrateThreshold:
 
 
 class TestReplay:
-    @given(series=wind_series(min_len=10), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1, 4, 10]))
-    def test_equals_per_cycle_reference(self, series, seed, p):
+    @given(series=wind_series(min_len=10), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_cycle_reference(self, series, seed):
         n = len(series)
         rng = np.random.default_rng(seed)
         theta = wrap_to_360(rng.uniform(0.0, 360.0) + np.cumsum(rng.choice([-0.3, 0.0, 0.0, 0.3], n)))
         log = NacelleLog(series.t, theta)
         tp = TurbineParams()
-        assert replay_cyca_l(series, log, tp, p).equals(ref.replay_cyca_l(series, log, tp, p))
+        assert replay_cyca_l(series, log, tp).equals(ref.replay_cyca_l(series, log, tp))
 
 
 def _same_float(a, b):
@@ -442,21 +435,18 @@ class TestStepWrapSeams:
         phi=st.one_of(st.sampled_from([0.0, 90.0, 180.0, 359.0]), st.floats(0.0, 360.0, exclude_max=True)),
         init_theta=st.one_of(st.sampled_from(seam_headings), st.floats(-720.0, 720.0)),
         offset=st.one_of(st.just(0.0), st.sampled_from(seam_headings)),
-        move=st.sampled_from([(10, 0.3), (12, 0.25), (1, 180.0)]),  # (cycle_period, yaw rate): 3 deg and 180 deg moves
-        delay=st.booleans(),
+        rate=st.sampled_from([0.3, 1.7, 18.0, 36.0]),  # 3, 17, 180 and 360 deg moves per 10 s cycle
         actions=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=12),
     )
-    @example(phi=0.0, init_theta=math.nextafter(3.0, 0.0), offset=0.0, move=(12, 0.25), delay=False, actions=[0])
-    @example(phi=0.0, init_theta=5e-324, offset=0.0, move=(10, 0.3), delay=True, actions=[1])
-    @example(phi=0.0, init_theta=-1e-300, offset=0.0, move=(10, 0.3), delay=True, actions=[2, 0, 0])
-    def test_headings_and_errors_equal_float_reference(self, phi, init_theta, offset, move, delay, actions):
-        p, rate = move
-        series = WindSeries(np.arange((len(actions) + 2) * p), np.full((len(actions) + 2) * p, phi),
-                            np.full((len(actions) + 2) * p, 8.0))
-        cfg = EnvConfig(standardizer=Standardizer(8.0), turbine=TurbineParams(yaw_rate_deg_s=rate),
-                        cycle_period=float(p), comm_delay=float(p) if delay else 0.0, j=2,
+    @example(phi=0.0, init_theta=math.nextafter(3.0, 0.0), offset=0.0, rate=0.3, actions=[0, 0])
+    @example(phi=0.0, init_theta=5e-324, offset=0.0, rate=0.3, actions=[1])
+    @example(phi=0.0, init_theta=-1e-300, offset=0.0, rate=0.3, actions=[2, 0, 0])
+    def test_headings_and_errors_equal_float_reference(self, phi, init_theta, offset, rate, actions):
+        n = (len(actions) + 2) * 10
+        series = WindSeries(np.arange(n), np.full(n, phi), np.full(n, 8.0))
+        cfg = EnvConfig(standardizer=Standardizer(8.0), turbine=TurbineParams(yaw_rate_deg_s=rate), j=2,
                         episode_len=len(actions))
-        phi_c = cycle_stats(series, p)[0].tolist()
+        phi_c = cycle_stats(series)[0].tolist()
         env = YawEnv(series, cfg)
         obs = env.reset(0, init_theta + offset)
         theta = power_reference.wrap_to_360(init_theta + offset)
@@ -464,8 +454,7 @@ class TestStepWrapSeams:
         pending = 1
         for t, a in enumerate(actions):
             env.step(a)
-            applied = pending if delay else a
-            delta = cfg.cycle_period * (applied - 1) * rate
+            delta = 10 * (pending - 1) * rate
             if delta != 0.0:
                 theta = power_reference.wrap_to_360(theta + delta)
             trace = env.trace()

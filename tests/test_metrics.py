@@ -18,7 +18,6 @@ from yawbench import (
     align_traces,
     compare,
     compute_metrics,
-    eval_env_config,
     generate_synthetic,
     run_cyca_s,
     steady_preset,
@@ -42,6 +41,15 @@ def tp():
 @pytest.fixture
 def cfg():
     return EnvConfig(standardizer=Standardizer(8.0))
+
+
+def five_second_trace(tmp_path, n=20) -> CycleTrace:
+    """A trace read from a hand-written CSV whose cycles are 5 s apart, as a log
+    from another controller or tool may be."""
+    path = tmp_path / "trace_5s.csv"
+    rows = "".join(f"{c},{5.0 * c},30.0,8.0,30.0,0.0,1,1,300.0,0.0,0.0\n" for c in range(n))
+    path.write_text("cycle,t_s,phi,v,theta,gamma,action_issued,action_applied,power_kw,r1,r2\n" + rows)
+    return CycleTrace.from_csv(path)
 
 
 def trace_from_theta(theta, power=300.0, gamma=2.0):
@@ -125,15 +133,15 @@ class TestComputeMetrics:
             compute_metrics(tr, other, cfg)
         assert compute_metrics(tr, other, replace(cfg, turbine=other)).yaw_consumption_kwh > 0
 
-    def test_trace_on_another_cycle_period_rejected(self, tp, cfg):
-        # a 10 s CYCA-S trace read with cycle_period 5 reported half its energy over half its horizon
+    def test_trace_on_another_cycle_period_rejected(self, tp, cfg, tmp_path):
+        # a 5 s trace priced per 10 s cycle would report twice its energy over twice its horizon
+        fast = five_second_trace(tmp_path)
+        with pytest.raises(ValueError, match=r"^trace cycles are 5 s apart but the control cycle is 10 s$"):
+            compute_metrics(fast, tp, cfg)
+        assert compute_metrics(fast.slice(3, 4), tp, cfg).horizon_s == 10.0  # one cycle shows no step
         series = generate_synthetic(steady_preset(length_s=4000), seed=32)
         trace = run_cyca_s(series, CycaConfig(), tp, init_theta=float(series.phi[0]))
-        fast = EnvConfig(standardizer=Standardizer(8.0), cycle_period=5.0, comm_delay=5.0)
-        with pytest.raises(ValueError, match=r"^trace cycles are 10 s apart but cycle_period is 5 s$"):
-            compute_metrics(trace, tp, fast)
         assert compute_metrics(trace, tp, cfg).horizon_s == 4000.0
-        assert compute_metrics(trace.slice(3, 4), tp, fast).horizon_s == 5.0  # one cycle shows no step
 
 
 @given(
@@ -164,7 +172,7 @@ def test_metrics_additive_over_concat(theta_a, theta_b, power):
     na, nb = len(theta_a), len(theta_b)
     a = trace_from_theta(theta_a, power=np.array(power[:na]))
     b = trace_from_theta(theta_b, power=np.array(power[na : na + nb]))
-    b = replace(b, cycle=b.cycle + na, t_s=b.t_s + na * cfg.cycle_period)  # b follows a on the cycle grid
+    b = replace(b, cycle=b.cycle + na, t_s=b.t_s + na * 10.0)  # b follows a on the cycle grid
     whole = compute_metrics(concat_traces([a, b]), tp, cfg)
     ma, mb = compute_metrics(a, tp, cfg), compute_metrics(b, tp, cfg)
     assert whole.n_cycles == ma.n_cycles + mb.n_cycles == na + nb
@@ -278,12 +286,11 @@ class TestAlignAndTables:
         with pytest.raises(ValueError):
             align_traces(a, b)
 
-    def test_align_different_time_grids_rejected(self, tp):
-        # a 5 s control cycle against the 10 s CYCA-S grid: the cycle numbers
+    def test_align_different_time_grids_rejected(self, tp, tmp_path):
+        # a 5 s trace read from CSV against the 10 s CYCA-S grid: the cycle numbers
         # overlap, so the two traces were aligned and compared period for period
         series = generate_synthetic(steady_preset(length_s=3000), seed=31)
-        env_cfg = EnvConfig(standardizer=Standardizer(8.0), cycle_period=5.0, comm_delay=5.0)
-        fast = run_constant_action(YawEnv(series, eval_env_config(series, env_cfg)), Action.STAY, start_cycle=0)
+        fast = five_second_trace(tmp_path)
         slow = run_cyca_s(series, CycaConfig(), tp, init_theta=float(series.phi[0]))
         with pytest.raises(ValueError, match=r"^traces are on different time grids: cycle 1 at t_s 5\.0 and 10\.0$"):
             align_traces(fast, slow)

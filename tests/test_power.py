@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from yawbench import (
+    CycaConfig,
+    EnvConfig,
+    PpoConfig,
+    Standardizer,
     TurbineParams,
     circular_mean_deg,
     power_ideal,
@@ -212,3 +218,36 @@ class TestTurbineParams:
         # nan was accepted: every check was a comparison, and nan <= 0 is false
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             TurbineParams(**{field: bad})
+
+
+# Every real-valued config field, as (class, field).
+REAL_FIELDS = [
+    (EnvConfig, "w"),
+    (Standardizer, "scale"),
+    (CycaConfig, "threshold"),
+    (CycaConfig, "stop_deadband"),
+    *((TurbineParams, f.name) for f in fields(TurbineParams)),
+    *((PpoConfig, name) for name in ("learning_rate", "discount", "gae_lambda", "clip_eps", "value_coef",
+                                     "entropy_coef", "init_offset_deg")),
+]
+
+
+class TestRealFields:
+    @pytest.mark.parametrize("cls, field", REAL_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in REAL_FIELDS])
+    @pytest.mark.parametrize(
+        "bad", [True, np.True_, "1", b"1", None, 1j], ids=["True", "np.True_", "str", "bytes", "None", "complex"]
+    )
+    def test_bool_and_text_refused_by_name(self, cls, field, bad):
+        # a bool was stored as given (CycaConfig(threshold=True) ran at 1); "1", None and 1j raised TypeError
+        given = {"standardizer": Standardizer(8.0)} if cls is EnvConfig else {}
+        name = "standardizer scale" if cls is Standardizer else field
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+            cls(**given, **{field: bad})
+
+    def test_numpy_and_int_values_stored_as_float(self):
+        tp = TurbineParams(rho=np.float32(1.25), p_rated_kw=2000)
+        env_cfg = EnvConfig(Standardizer(np.int64(8)), w=40)
+        values = (tp.rho, tp.p_rated_kw, env_cfg.w, env_cfg.standardizer.scale,
+                  CycaConfig(threshold=np.int64(900)).threshold, PpoConfig(discount=np.float64(0.9)).discount)
+        assert values == (1.25, 2000.0, 40.0, 8.0, 900.0, 0.9)
+        assert all(type(x) is float for x in values)

@@ -420,7 +420,7 @@ class TestFlatStorage:
 def make_env(length=3000, episode_len=16, j=2, seed=40):
     series = generate_synthetic(steady_preset(length_s=length), seed=seed)
     cfg = EnvConfig(
-        standardizer=Standardizer(8.2), cycle_period=10.0, comm_delay=10.0,
+        standardizer=Standardizer(8.2),
         k=2, j=j, w=40.0, episode_len=episode_len,
     )
     return YawEnv(series, cfg)
@@ -835,13 +835,18 @@ class TestCheckpoint:
                 payload | {"version": 3, "params": encode_params(decode_params(payload["params"]), "<f8")},
                 sort_keys=True,
             ) + "\n",
+            # a valid version-4 file: the env record also holds the cycle period and the delay
+            lambda payload: json.dumps(
+                payload | {"version": 4, "env": payload["env"] | {"cycle_period": 10.0, "comm_delay": 10.0}},
+                sort_keys=True,
+            ) + "\n",
         ],
-        ids=["list", "number", "version-1", "version-2", "version-3"],
+        ids=["list", "number", "version-1", "version-2", "version-3", "version-4"],
     )
-    def test_not_a_version_4_checkpoint_named(self, tmp_path, text):
+    def test_not_a_version_5_checkpoint_named(self, tmp_path, text):
         p = self._tampered(tmp_path, lambda payload: None)
         p.write_text(text(json.loads(p.read_text())))
-        with pytest.raises(ValueError, match=r"not a version-4 yawbench-checkpoint file") as err:
+        with pytest.raises(ValueError, match=r"not a version-5 yawbench-checkpoint file") as err:
             load_checkpoint(p)
         assert str(p) in str(err.value)
 

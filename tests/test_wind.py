@@ -36,7 +36,7 @@ class TestLoadSeries:
         s = load_series(p)
         assert (s.t[0], s.phi[0], s.v[0]) == (0, 34.1, 7.2)
         assert len(s) == 2
-        assert (s.source, s.label) == ("real", "w")
+        assert list(vars(s)) == ["t", "phi", "v"]  # no source or label: the bench digest hashes vars(series)
 
     def test_negative_direction_normalized(self, tmp_path):
         p = tmp_path / "w.csv"
