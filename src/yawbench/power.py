@@ -40,10 +40,15 @@ def from_fields(cls, d: dict, **given):
     return cls(**{name: d[name] for name in names}, **given)
 
 
+def is_real(x) -> bool:
+    """Whether ``x`` is an int or a float (numpy's too); a bool, str, bytes, None or complex is not."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def whole_number(name: str, x, unit: str = "") -> int:
     """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number (of ``unit``)
-    that fits an int64. A bool is refused; nan and inf fail the range check before ``%`` runs."""
-    if isinstance(x, (bool, np.bool_)) or not (0 < x < math.inf and x % 1 == 0 and int(x) <= _INT64_MAX):
+    that fits an int64. Only an ``is_real`` value passes; nan and inf fail the range check before ``%`` runs."""
+    if not is_real(x) or not (0 < x < math.inf and x % 1 == 0 and int(x) <= _INT64_MAX):
         raise ValueError(f"{name} must be a positive whole number{unit and ' of ' + unit}, got {x}")
     return int(x)
 
@@ -51,7 +56,7 @@ def whole_number(name: str, x, unit: str = "") -> int:
 def real_number(name: str, x) -> float:
     """``x`` as a float; ValueError naming ``name`` unless it is a finite int or float (numpy's
     too). A bool, str, bytes or None is refused, not read as 1.0 or parsed."""
-    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+    if not is_real(x):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     try:
         f = float(x)

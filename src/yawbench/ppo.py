@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, encode_batch
-from .power import from_fields, real_number, whole_number
+from .power import from_fields, is_real, real_number, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
 CHECKPOINT_VERSION = 5
@@ -65,7 +65,7 @@ class PpoConfig:
     def __post_init__(self):
         for name in ("n_steps", "batch_size", "epochs", "total_steps"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if isinstance(self.seed, (bool, np.bool_)) or not (0 <= self.seed < math.inf and self.seed % 1 == 0):
+        if not is_real(self.seed) or not (0 <= self.seed < math.inf and self.seed % 1 == 0):
             raise ValueError(f"seed must be a non-negative whole number, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         if not self.hidden:

@@ -28,7 +28,7 @@ from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .power import real_number, wrap_to_360
+from .power import real_number, whole_number, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
 _SERIES_DTYPES = {"t": np.int64, "phi": np.float64, "v": np.float64}
@@ -317,22 +317,22 @@ class GeneratorSpec:
     speed_std_ms: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.length_s) and self.length_s >= 2 and self.length_s == int(self.length_s)):
-            raise WindDataError(f"length_s must be a whole number of at least 2, got {self.length_s}")
-        object.__setattr__(self, "length_s", int(self.length_s))
-        if not math.isfinite(self.dir_mean_deg):
-            raise WindDataError(f"dir_mean_deg must be finite, got {self.dir_mean_deg}")
-        for name in ("dir_std_deg", "speed_std_ms", "speed_mean_ms"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise WindDataError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        try:  # the field checks raise a plain ValueError
+            object.__setattr__(self, "length_s", whole_number("length_s", self.length_s))
+            for name in ("dir_mean_deg", "dir_std_deg", "reversion_rate", "speed_mean_ms", "speed_std_ms"):
+                object.__setattr__(self, name, real_number(name, getattr(self, name)))
+            ramps = tuple(Ramp._make(real_number(f"ramp {i} {f}", x) for f, x in zip(Ramp._fields, Ramp(*r)))
+                          for i, r in enumerate(self.ramps))
+        except ValueError as e:
+            raise WindDataError(*e.args) from None
+        for name, least in (("length_s", 2), ("dir_std_deg", 0), ("speed_std_ms", 0), ("speed_mean_ms", 0)):
+            if getattr(self, name) < least:
+                raise WindDataError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0.0 < self.reversion_rate <= 1.0):
             raise WindDataError(f"reversion_rate must be in (0, 1], got {self.reversion_rate}")
-        ramps = tuple(Ramp(*r) for r in self.ramps)
         for i, r in enumerate(ramps):
             if not (0 <= r.start_s < r.end_s <= self.length_s):
                 raise WindDataError(f"ramp {i} outside the series or empty: {r}")
-            if not math.isfinite(r.magnitude_deg):
-                raise WindDataError(f"ramp {i} magnitude_deg must be finite, got {r.magnitude_deg}")
         object.__setattr__(self, "ramps", ramps)
 
 

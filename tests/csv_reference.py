@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from yawbench import CycleTrace, WindDataError
-from yawbench.env import TRACE_COLUMNS
+from yawbench.env import TRACE_COLUMNS, CycleTrace
+from yawbench.wind import WindDataError
 
 _TRACE_INT_COLUMNS = {"cycle", "action_issued", "action_applied"}
 

@@ -16,11 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-import yawbench
 from env_reference import trace_from_records
 from power_reference import power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
-from yawbench import circular_mean_deg, run_cyca_s as run_cyca_s_lib
+from yawbench.baseline import run_cyca_s as run_cyca_s_lib
 from yawbench.env import CYCLE_PERIOD_S
+from yawbench.power import circular_mean_deg, wrap_angle as wrap_angle_lib
 
 _STOP_FLOOR_DEG = 1e-9
 
@@ -112,13 +112,13 @@ def replay_cyca_l(series, log, tp):
 
 def calibrate_threshold(series, cfg, tp, init_theta, thresholds, target_pct=2.0):
     """Grid search that scores each threshold from the full cycle trace of
-    ``yawbench.run_cyca_s``: its share of cycles that moved, and ties going to
+    ``yawbench.baseline.run_cyca_s``: its share of cycles that moved, and ties going to
     the smaller threshold."""
     grid = [float(x) for x in thresholds]
     usages = []
     for thr in grid:
         trace = run_cyca_s_lib(series, replace(cfg, threshold=thr), tp, init_theta)
-        moving = np.concatenate([[False], np.abs(yawbench.wrap_angle(np.diff(trace.theta))) > 0])
+        moving = np.concatenate([[False], np.abs(wrap_angle_lib(np.diff(trace.theta))) > 0])
         usages.append(float(100.0 * np.mean(moving)))
     best = 0
     for i in range(1, len(grid)):

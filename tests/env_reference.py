@@ -24,9 +24,8 @@ import numpy as np
 
 import yawbench.env
 from power_reference import power_with_misalignment, wrap_to_360, yaw_error
-from yawbench import Action, CycleTrace, circular_mean_deg
-from yawbench.env import CYCLE_PERIOD_S, OBS_FEATURES_PER_ROW, TRACE_COLUMNS, n_cycles
-from yawbench.power import whole_number
+from yawbench.env import CYCLE_PERIOD_S, OBS_FEATURES_PER_ROW, TRACE_COLUMNS, Action, CycleTrace, n_cycles
+from yawbench.power import circular_mean_deg, whole_number
 
 
 def cycle_wind(series, cycle: int) -> tuple[float, float]:

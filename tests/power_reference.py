@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 
-from yawbench import TurbineParams
+from yawbench.power import TurbineParams
 
 
 class PowerRegion(enum.IntEnum):

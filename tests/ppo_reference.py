@@ -30,8 +30,8 @@ import math
 import numpy as np
 
 import env_reference
-from yawbench import Action, ActorCritic, CycleTrace, PpoConfig, YawEnv, ppo_update
-from yawbench.ppo import OBS_FEATURES_PER_ROW
+from yawbench.env import OBS_FEATURES_PER_ROW, Action, CycleTrace, YawEnv
+from yawbench.ppo import ActorCritic, PpoConfig, ppo_update
 
 
 def encode_batch(obs: np.ndarray) -> np.ndarray:

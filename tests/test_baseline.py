@@ -4,24 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from yawbench import (
+from yawbench.baseline import (
     CycaConfig,
-    EnvConfig,
     NacelleLog,
-    Standardizer,
-    TurbineParams,
-    WindDataError,
-    WindSeries,
     calibrate_threshold,
-    compute_metrics,
-    generate_synthetic,
     load_nacelle_log,
     replay_cyca_l,
     run_cyca_s,
     save_nacelle_log,
-    steady_preset,
-    wrap_angle,
 )
+from yawbench.env import EnvConfig
+from yawbench.metrics import compute_metrics
+from yawbench.power import TurbineParams, wrap_angle
+from yawbench.wind import Standardizer, WindDataError, WindSeries, generate_synthetic, steady_preset
 
 
 @pytest.fixture

@@ -20,24 +20,18 @@ from hypothesis import strategies as st
 
 import codec_reference as ref
 import table_reference
-from yawbench import (
-    ActorCritic,
-    Comparison,
-    EnvConfig,
-    MetricsReport,
-    PpoConfig,
-    Standardizer,
-    TurbineParams,
-    load_checkpoint,
-    save_checkpoint,
-)
+from yawbench.env import EnvConfig
 from yawbench.metrics import (
+    Comparison,
+    MetricsReport,
     comparison_table_csv,
     metrics_table_csv,
     render_comparison_table,
     render_metrics_table,
 )
-from yawbench.power import ALPHA_MAX, ALPHA_MIN
+from yawbench.power import ALPHA_MAX, ALPHA_MIN, TurbineParams
+from yawbench.ppo import ActorCritic, PpoConfig, load_checkpoint, save_checkpoint
+from yawbench.wind import Standardizer
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.one_of(st.integers(1, 10**6), st.floats(1e-9, 1e9))

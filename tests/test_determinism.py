@@ -20,25 +20,11 @@ import json
 import numpy as np
 import pytest
 
-from yawbench import (
-    CycaConfig,
-    EnvConfig,
-    PpoConfig,
-    TurbineParams,
-    YawEnv,
-    calibrate_threshold,
-    eval_env_config,
-    evaluate,
-    fit_standardizer,
-    generate_synthetic,
-    run_cyca_s,
-    save_checkpoint,
-    split_train_test,
-    steady_preset,
-    train,
-    variable_preset,
-)
-from yawbench.env import TRACE_COLUMNS
+from yawbench.baseline import CycaConfig, calibrate_threshold, run_cyca_s
+from yawbench.env import TRACE_COLUMNS, EnvConfig, YawEnv, eval_env_config
+from yawbench.power import TurbineParams
+from yawbench.ppo import PpoConfig, evaluate, save_checkpoint, train
+from yawbench.wind import fit_standardizer, generate_synthetic, split_train_test, steady_preset, variable_preset
 
 SERIES_SHA256 = "45c7c2f8f9e847c9298e14d566b570db64ab9d74fabc492696cced62deda10e1"
 WEIGHTS_SHA256 = "6093ea054d2581c30aebc87a880a5721f315abc64a06ed51d9762908fa658b16"

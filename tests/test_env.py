@@ -8,18 +8,9 @@ import numpy as np
 import pytest
 
 from yawbench import env as env_module
-from yawbench import (
-    Action,
-    CycleTrace,
-    EnvConfig,
-    Standardizer,
-    WindSeries,
-    YawEnv,
-    eval_env_config,
-    generate_synthetic,
-    steady_preset,
-    wrap_to_360,
-)
+from yawbench.env import Action, CycleTrace, EnvConfig, YawEnv, eval_env_config
+from yawbench.power import wrap_to_360
+from yawbench.wind import Standardizer, WindSeries, generate_synthetic, steady_preset
 from env_reference import concat_traces, cycle_wind, play, run_constant_action
 
 

@@ -23,38 +23,31 @@ import env_reference
 import power_reference
 import wind_reference
 from env_reference import cycle_wind
-from yawbench import (
-    Action,
+from yawbench.baseline import (
     CycaConfig,
-    CycleTrace,
-    EnvConfig,
     NacelleLog,
-    Standardizer,
-    TurbineParams,
-    WindSeries,
-    WindDataError,
-    YawEnv,
     calibrate_threshold,
-    cycle_stats,
-    encode_observation,
-    eval_env_config,
-    generate_synthetic,
     load_nacelle_log,
-    load_series,
-    n_cycles,
     replay_cyca_l,
     run_cyca_s,
-    power_ideal,
-    power_with_misalignment,
     save_nacelle_log,
+)
+from yawbench.env import TRACE_COLUMNS, Action, CycleTrace, EnvConfig, YawEnv, cycle_stats, eval_env_config, n_cycles
+from yawbench.power import TurbineParams, power_ideal, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
+from yawbench.ppo import encode_observation
+from yawbench.wind import (
+    CSV_HEADER,
+    Standardizer,
+    WindDataError,
+    WindSeries,
+    _matched_ar1,
+    generate_synthetic,
+    load_series,
+    read_log_csv,
     save_series,
     variable_preset,
-    wrap_angle,
-    wrap_to_360,
-    yaw_error,
+    write_csv_columns,
 )
-from yawbench.env import TRACE_COLUMNS
-from yawbench.wind import CSV_HEADER, _matched_ar1, read_log_csv, write_csv_columns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -6,31 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from env_reference import concat_traces, run_constant_action
-from yawbench import (
-    Action,
-    CycaConfig,
-    CycleTrace,
-    EnvConfig,
+from yawbench.baseline import CycaConfig, run_cyca_s
+from yawbench.env import Action, CycleTrace, EnvConfig, YawEnv
+from yawbench.metrics import (
     MetricsReport,
-    Standardizer,
-    TurbineParams,
-    YawEnv,
     align_traces,
     compare,
-    compute_metrics,
-    generate_synthetic,
-    run_cyca_s,
-    steady_preset,
-    wrap_angle,
-    yaw_consumption_delta,
-)
-from yawbench.metrics import (
-    cycle_deltas,
     comparison_table_csv,
+    compute_metrics,
+    cycle_deltas,
     metrics_table_csv,
     render_comparison_table,
     render_metrics_table,
+    yaw_consumption_delta,
 )
+from yawbench.power import TurbineParams, wrap_angle
+from yawbench.wind import Standardizer, generate_synthetic, steady_preset
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Every entry point that ``pyproject.toml`` declares must import, no
-module of the package or of the tests imports a name it never uses, and
-every public function and class of the package has a caller in a program."""
+module of the package, the tests or the bench imports a name it never uses,
+every public function and class of the package has a caller in a program,
+and each name of the package has one import path: the module defining it."""
 
 import ast
 import importlib
@@ -12,9 +13,12 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
-# The package's __init__ imports only to re-export.
-PACKAGE_MODULES = sorted(p for p in (ROOT / "src" / "yawbench").glob("*.py") if p.name != "__init__.py")
-CHECKED_MODULES = sorted([*PACKAGE_MODULES, *(ROOT / "tests").glob("*.py")])
+PACKAGE_INIT = ROOT / "src" / "yawbench" / "__init__.py"
+# The package's __init__ imports its modules only to load them, so it reads none of them.
+PACKAGE_MODULES = sorted(p for p in PACKAGE_INIT.parent.glob("*.py") if p != PACKAGE_INIT)
+MODULE_NAMES = [p.stem for p in PACKAGE_MODULES]
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
+CHECKED_MODULES = sorted([*PACKAGE_MODULES, *TEST_MODULES, *(ROOT / "bench").rglob("*.py")])
 
 
 def declared_entry_points(project: dict) -> list[str]:
@@ -132,3 +136,81 @@ def test_an_unreferenced_definition_is_caught():
     programs = ["import m\nm.used()\nTARGETS = ('Traced.step',)\n"]
     assert unreferenced_definitions(source, programs) == ["recursive", "Unused", "main"]
     assert unreferenced_definitions(source, programs, ["m:main"]) == ["recursive", "Unused"]
+
+
+def top_level_definitions(source: str) -> set[str]:
+    """Names a module defines at its top level: functions, classes and assigned names, not imports."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defined
+
+
+def root_bindings(source: str) -> list[str]:
+    """The names the top level of a package's ``__init__`` binds, by definition, assignment or import."""
+    tree = ast.parse(source)
+    imported = [a.asname or a.name.partition(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+    return sorted({*top_level_definitions(source), *imported})
+
+
+def test_the_package_root_binds_only_its_modules():
+    assert root_bindings(PACKAGE_INIT.read_text()) == ["__version__", *MODULE_NAMES]
+    package = importlib.import_module("yawbench")
+    assert sorted(name for name in vars(package) if not name.startswith("__")) == MODULE_NAMES
+
+
+def test_a_re_export_from_the_package_root_is_caught():
+    source = '"""Doc."""\n__version__ = "1"\nfrom . import env, ppo\nfrom .env import YawEnv\nimport numpy as np\n'
+    assert root_bindings(source) == ["YawEnv", "__version__", "env", "np", "ppo"]
+
+
+def second_hand_imports(source: str, definitions: dict[str, set[str]]) -> list[str]:
+    """The package names ``source`` reaches other than through the module defining them.
+
+    ``definitions`` maps each module of the package to its top-level
+    definitions. A ``from yawbench import x`` must name a module, a
+    ``from yawbench.m import x`` a definition of ``m``, and a ``yawbench.x``
+    read (also through ``import yawbench as yb``) a module.
+    """
+    tree = ast.parse(source)
+    roots = {a.asname or "yawbench" for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names
+             if a.name == "yawbench" or (a.asname is None and a.name.startswith("yawbench."))}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "yawbench":
+            module = node.module.partition(".")[2]
+            allowed = definitions.get(module, set()) if module else definitions
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name not in allowed]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in roots
+              and node.attr not in definitions):
+            found.append(f"yawbench.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_package_name_is_imported_from_its_module(path):
+    definitions = {p.stem: top_level_definitions(p.read_text()) for p in PACKAGE_MODULES}
+    assert second_hand_imports(path.read_text(), definitions) == []
+
+
+def test_a_second_hand_import_is_caught():
+    definitions = {
+        "env": top_level_definitions("from .power import wrap_angle\nOBS: int = 3\nclass YawEnv:\n    pass\n"),
+        "power": {"wrap_angle"},
+    }
+    assert definitions["env"] == {"OBS", "YawEnv"}
+    source = (
+        "import yawbench\nimport yawbench.env\nimport yawbench as yb\nimport yawbench.power as power_module\n"
+        "from yawbench import env, YawEnv\nfrom yawbench.env import OBS, wrap_angle\n"
+        "from yawbench.power import wrap_angle as wrap\n"
+        "def f():\n    from yawbench.env.sub import x\n"
+        "    return yawbench.env.YawEnv, yawbench.wrap_angle, yb.power, yb.OBS, power_module.wrap_angle\n"
+    )
+    assert second_hand_imports(source, definitions) == [
+        "yawbench.OBS", "yawbench.YawEnv", "yawbench.env.sub.x", "yawbench.env.wrap_angle", "yawbench.wrap_angle",
+    ]

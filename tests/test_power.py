@@ -7,11 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from yawbench import (
-    CycaConfig,
-    EnvConfig,
-    PpoConfig,
-    Standardizer,
+from yawbench.baseline import CycaConfig
+from yawbench.env import EnvConfig
+from yawbench.power import (
     TurbineParams,
     circular_mean_deg,
     power_ideal,
@@ -20,6 +18,8 @@ from yawbench import (
     wrap_to_360,
     yaw_error,
 )
+from yawbench.ppo import PpoConfig
+from yawbench.wind import Standardizer
 
 
 @pytest.fixture
@@ -251,3 +251,24 @@ class TestRealFields:
                   CycaConfig(threshold=np.int64(900)).threshold, PpoConfig(discount=np.float64(0.9)).discount)
         assert values == (1.25, 2000.0, 40.0, 8.0, 900.0, 0.9)
         assert all(type(x) is float for x in values)
+
+
+# Every whole-number config field, as (class, field); "hidden" stands for one hidden layer width.
+WHOLE_FIELDS = [
+    *((EnvConfig, name) for name in ("k", "j", "episode_len")),
+    (CycaConfig, "target_window"),
+    *((PpoConfig, name) for name in ("n_steps", "batch_size", "epochs", "total_steps", "seed", "hidden")),
+]
+
+
+class TestWholeFields:
+    @pytest.mark.parametrize("cls, field", WHOLE_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in WHOLE_FIELDS])
+    @pytest.mark.parametrize("bad", ["3", b"3", None, 3j], ids=["str", "bytes", "None", "complex"])
+    def test_text_and_complex_refused_by_name(self, cls, field, bad):
+        # each raised a bare TypeError from the range check ('<' not supported between ...)
+        given = {"standardizer": Standardizer(8.0)} if cls is EnvConfig else {}
+        name, value = ("hidden layer width", (bad,)) if field == "hidden" else (field, bad)
+        kind = "non-negative" if field == "seed" else "positive"
+        unit = " of seconds" if field == "target_window" else ""
+        with pytest.raises(ValueError, match=rf"^{name} must be a {kind} whole number{unit}, got {re.escape(str(bad))}$"):
+            cls(**given, **{field: value})

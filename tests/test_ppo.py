@@ -12,29 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from yawbench import (
-    Action,
+from yawbench.env import OBS_FEATURES_PER_ROW, Action, EnvConfig, YawEnv
+from yawbench.ppo import (
     ActorCritic,
     Adam,
-    EnvConfig,
     Mlp,
     PpoConfig,
-    Standardizer,
-    YawEnv,
     compute_gae,
     encode_observation,
     evaluate,
-    generate_synthetic,
     load_checkpoint,
+    log_softmax,
     policy_forward,
     ppo_loss_and_grads,
     ppo_update,
     sample_action,
     save_checkpoint,
-    steady_preset,
     train,
 )
-from yawbench.ppo import OBS_FEATURES_PER_ROW, log_softmax
+from yawbench.wind import Standardizer, generate_synthetic, steady_preset
 
 from ppo_reference import create_parameters, ppo_loss, softmax
 from ppo_reference import ppo_loss_and_grads as reference_loss_and_grads

@@ -18,22 +18,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppo_reference as ref
-from yawbench import (
+from yawbench.env import EnvConfig, YawEnv, encode_batch
+from yawbench.ppo import (
     ActorCritic,
     Adam,
-    EnvConfig,
     PpoConfig,
-    Standardizer,
-    YawEnv,
+    _greedy_action,
+    _policy_probs,
     compute_gae,
+    encode_observation,
     evaluate,
-    generate_synthetic,
+    log_softmax,
+    policy_forward,
     ppo_loss_and_grads,
     sample_action,
-    steady_preset,
     train,
 )
-from yawbench.ppo import _greedy_action, _policy_probs, encode_batch, encode_observation, log_softmax, policy_forward
+from yawbench.wind import Standardizer, generate_synthetic, steady_preset
 
 
 def same_bits(a, b) -> bool:

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from yawbench import (
-    CycleTrace,
+from yawbench.baseline import NacelleLog
+from yawbench.env import TRACE_COLUMNS, CycleTrace
+from yawbench.wind import (
     GeneratorSpec,
-    NacelleLog,
     Ramp,
     Standardizer,
     WindDataError,
@@ -19,9 +19,8 @@ from yawbench import (
     split_train_test,
     steady_preset,
     variable_preset,
+    write_csv_columns,
 )
-from yawbench.env import TRACE_COLUMNS
-from yawbench.wind import write_csv_columns
 from wind_reference import constant_preset
 
 
@@ -351,11 +350,13 @@ class TestGenerator:
     @pytest.mark.parametrize(
         "field, bad",
         [("dir_std_deg", float("nan")), ("speed_mean_ms", float("nan")), ("speed_std_ms", float("nan")),
-         ("speed_mean_ms", float("inf")), ("length_s", 2500.5), ("length_s", float("nan")), ("length_s", float("inf"))],
+         ("speed_mean_ms", float("inf")), ("length_s", 2500.5), ("length_s", float("nan")), ("length_s", float("inf")),
+         ("dir_mean_deg", True), ("length_s", 10**400), ("dir_mean_deg", 10**400), ("reversion_rate", "0.1")],
     )
     def test_non_finite_or_fractional_spec_named(self, field, bad):
         # each was accepted: the checks were comparisons, and nan < 0 is false;
-        # a nan only surfaced in generate_synthetic, naming no field
+        # a nan only surfaced in generate_synthetic, naming no field. True was
+        # kept as given, 10**400 raised a bare OverflowError and "0.1" a bare TypeError
         spec = {"length_s": 3000, "dir_mean_deg": 10.0, "dir_std_deg": 2.0, field: bad}
         with pytest.raises(WindDataError, match=rf"^{field} must be"):
             GeneratorSpec(**spec)
@@ -368,11 +369,15 @@ class TestGenerator:
             ({"ramps": (Ramp(100, 200, 5.0), Ramp(300, 200, 5.0))}, "ramp 1 outside the series or empty"),
             ({"dir_mean_deg": float("nan")}, "dir_mean_deg must be finite"),
             ({"dir_mean_deg": float("-inf")}, "dir_mean_deg must be finite"),
+            ({"ramps": (Ramp(100, 200, True),)}, "ramp 0 magnitude_deg must be a real number"),
+            ({"ramps": ((100, 200, 10**400),)}, "ramp 0 magnitude_deg must be finite"),
+            ({"ramps": (Ramp("100", 200, 5.0),)}, "ramp 0 start_s must be a real number"),
         ],
     )
     def test_non_finite_ramp_or_mean_direction_named(self, spec, message):
-        # both were accepted; generate_synthetic then failed with the nameless
-        # "wind direction must be finite and in [0, 360)"
+        # the non-finite ones were accepted; generate_synthetic then failed with the
+        # nameless "wind direction must be finite and in [0, 360)". A True magnitude
+        # was kept as given, 10**400 raised a bare OverflowError and "100" a bare TypeError
         with pytest.raises(WindDataError, match=rf"^{message}"):
             GeneratorSpec(**{"length_s": 3000, "dir_mean_deg": 10.0, "dir_std_deg": 2.0, **spec})
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from yawbench import GeneratorSpec
+from yawbench.wind import GeneratorSpec
 
 
 def constant_preset(length_s: int = 2000, dir_deg: float = 34.1, v_ms: float = 8.2) -> GeneratorSpec:
