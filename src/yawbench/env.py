@@ -11,23 +11,24 @@ Reward: r1 = -gamma^2 * v_tilde^3 penalizes misalignment weighted by the cubed
 standardized wind speed; r2 pays ``w`` whenever the last ``k`` issued actions
 (including the current one) were all Stay.
 
-Observations enter the networks encoded per row (``encode_batch``): the action
-code centered to {-1, 0, 1}, the misalignment scaled by 1/180, the wind
-direction as its (sin, cos) pair (raw degrees are discontinuous at the seam),
-and the standardized speed as is - five features per lagged row.
+The policy observes the j newest cycles, newest first, as one flat float32
+row of five features per cycle, the networks' input: the action code centered
+to {-1, 0, 1}, the misalignment scaled by 1/180, the wind direction as its
+(sin, cos) pair (raw degrees are discontinuous at the seam), and the
+standardized speed as is.
 
 An episode starts where the caller says: ``reset(start_cycle, theta)`` takes
 the start cycle and the nacelle heading (``None`` aligns it with that cycle's
-wind). The env draws no random numbers; a trainer picks its start windows.
+wind) and returns the first observation; the env draws no random numbers.
 
-``YawEnv`` keeps what a step needs as columns. The wind features of every
-cycle are encoded once, when the env is built. The encoded observation rows
-live in one table of ``episode_len + j`` rows, newest first, filled from the
-end, so the network input is a contiguous slice and a step writes one row.
-``step`` returns ``(reward, done)`` and records the cycle in preallocated
-trace columns, from which ``observation`` and ``trace()`` are built on demand.
-It wraps angles with the float ``%``, which rounds as ``np.mod`` does, and
-stores its row and trace values through memoryviews, not numpy indexing.
+``YawEnv`` keeps what a step needs as columns. Every cycle's wind features
+are computed once, when the env is built. The observation rows live in one
+float32 table of ``episode_len + j`` rows, newest first, filled from the end,
+so the observation is a contiguous slice and a step writes one row. ``step``
+returns ``(reward, done)`` and records the cycle in preallocated trace columns,
+from which ``trace()`` is built on demand. Angles wrap with the float ``%``,
+which rounds as ``np.mod`` does; rows and trace values are stored through
+memoryviews, where a float rounds to float32 as numpy's cast does.
 """
 
 from __future__ import annotations
@@ -108,23 +109,6 @@ def cycle_stats(series: WindSeries) -> tuple[np.ndarray, np.ndarray]:
     return phi, series.v[: count * p].reshape(count, p).mean(axis=1)
 
 
-def encode_batch(obs: np.ndarray) -> np.ndarray:
-    """(N, j, 4) observations -> (N, j*5) network inputs."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 3 or obs.shape[2] != 4:
-        raise ValueError(f"expected observations shaped (N, j, 4), got {obs.shape}")
-    if not np.isfinite(obs).all():
-        raise ValueError("observations must be finite")
-    out = np.empty(obs.shape[:2] + (OBS_FEATURES_PER_ROW,))
-    np.subtract(obs[:, :, 0], 1.0, out=out[:, :, 0])
-    np.divide(obs[:, :, 1], 180.0, out=out[:, :, 1])
-    phi_rad = np.deg2rad(obs[:, :, 2])
-    np.sin(phi_rad, out=out[:, :, 2])
-    np.cos(phi_rad, out=out[:, :, 3])
-    out[:, :, 4] = obs[:, :, 3]
-    return out.reshape(obs.shape[0], -1)
-
-
 @dataclass(frozen=True, eq=False)
 class CycleTrace:
     """Per-cycle record of a control run; the common currency of the benchmark."""
@@ -178,11 +162,9 @@ class YawEnv:
 
     ``reset(start_cycle, theta=None)`` starts an episode and draws nothing
     at random. ``step(action)`` takes 0, 1 or 2 (an ``Action``) and returns
-    ``(reward, done)``. ``observation``, which ``reset`` returns, is the j x 4
-    matrix of (action, gamma, phi, v_tilde) rows, newest first.
-    ``encoded_observation`` is the same observation as the read-only network
-    input of ``encode_batch``, bit for bit, and ``trace()`` returns the
-    ``CycleTrace`` of the steps since the last ``reset``.
+    ``(reward, done)``. ``encoded_observation``, which ``reset`` returns, is the
+    one observation, a read-only float32 view of the j newest rows, newest
+    first; ``trace()`` is the ``CycleTrace`` of the steps since the last ``reset``.
     """
 
     def __init__(self, series: WindSeries, cfg: EnvConfig):
@@ -196,23 +178,26 @@ class YawEnv:
             )
         self._phi_c, self._v_c = cycle_stats(series)
         self._vt_c = cfg.standardizer.standardize(self._v_c)
-        # Python floats index faster than numpy scalars. One encode_batch call
-        # gives sin phi, cos phi and v~ of every cycle and checks them for finiteness.
+        if not (np.abs(self._vt_c) <= np.finfo(np.float32).max).all():  # compared: a cast would warn
+            raise ValueError(f"standardizer scale {cfg.standardizer.scale!r} puts standardized wind speeds past "
+                             f"the float32 range, up to {float(np.abs(self._vt_c).max())!r}")
+        # Python floats index faster than numpy scalars. sin and cos are written into
+        # strided columns, as ppo.encode_observation writes them, so the ufunc loops match.
         self._phi, self._vt = self._phi_c.tolist(), self._vt_c.tolist()
-        cycles = np.zeros((1, self._n_cycles, 4))
-        cycles[0, :, 2], cycles[0, :, 3] = self._phi_c, self._vt_c
-        self._wind_features = encode_batch(cycles).reshape(-1, OBS_FEATURES_PER_ROW)[:, 2:].tolist()
+        features = np.empty((self._n_cycles, OBS_FEATURES_PER_ROW))
+        phi_rad = np.deg2rad(self._phi_c)
+        np.sin(phi_rad, out=features[:, 2])
+        np.cos(phi_rad, out=features[:, 3])
+        features[:, 4] = self._vt_c
+        self._wind_features = features[:, 2:].tolist()
         self._delta = [CYCLE_PERIOD_S * (a - 1) * cfg.turbine.yaw_rate_deg_s for a in range(3)]
         n, j = cfg.episode_len, cfg.j
-        self._warmup = np.zeros((j, 4))  # the observation at reset
-        self._enc = np.zeros((n + j) * OBS_FEATURES_PER_ROW)
+        self._enc = np.zeros((n + j) * OBS_FEATURES_PER_ROW, dtype=np.float32)
         self._enc_read_only = self._enc.view()
         self._enc_read_only.flags.writeable = False
         self._floats, self._actions = np.zeros((4, n)), np.zeros((2, n), dtype=np.int64)  # trace columns
-        self._gamma_col, self._issued_col = self._floats[1], self._actions[0]
         self._theta_mv, self._gamma_mv, self._r1_mv, self._r2_mv = map(memoryview, self._floats)
         self._issued_mv, self._applied_mv, self._enc_mv = map(memoryview, (*self._actions, self._enc))
-        self._start = 0
         self._row = n  # the newest observation row
         self._steps = 0
         self._done = True  # force a reset before stepping
@@ -226,7 +211,7 @@ class YawEnv:
 
     @property
     def encoded_observation(self) -> np.ndarray:
-        """The current observation as the flat j*5 network input (a read-only view)."""
+        """The current observation, the flat j*5 float32 network input: a read-only view the next reset rewrites."""
         lo = self._row * OBS_FEATURES_PER_ROW
         return self._enc_read_only[lo : lo + self.cfg.j * OBS_FEATURES_PER_ROW]
 
@@ -237,7 +222,7 @@ class YawEnv:
         direction; a real number (not a bool) is an absolute heading in
         degrees, wrapped into [0, 360).
         The j history rows are pre-filled from the wind before the start
-        (clamped at the series head) under all-Stay actions.
+        (clamped at the series head) under all-Stay actions; returns the first observation.
         """
         if not (
             isinstance(start_cycle, (int, np.integer))
@@ -259,23 +244,11 @@ class YawEnv:
         for i in range(self.cfg.j):
             c = max(start_cycle - i, 0)
             gamma = w - 360.0 if (w := (self._phi[c] - theta) % 360.0) > 180.0 else w
-            self._warmup[i] = (int(Action.STAY), gamma, self._phi[c], self._vt[c])
             self._write_row(self._row + i, int(Action.STAY), gamma, c)
-        return self.observation
-
-    @property
-    def observation(self) -> np.ndarray:
-        """The last min(steps, j) trace rows, newest first, above the warm-up rows."""
-        j, t = self.cfg.j, self._steps
-        steps = np.arange(t - 1, max(t - j, 0) - 1, -1)
-        cycles = self._start + 1 + steps
-        rows = np.column_stack(
-            (self._issued_col[steps], self._gamma_col[steps], self._phi_c[cycles], self._vt_c[cycles])
-        )
-        return np.concatenate((rows, self._warmup[: j - len(steps)]))
+        return self.encoded_observation
 
     def _write_row(self, row: int, action: int, gamma: float, c: int) -> None:
-        """Row ``row`` of the table; Python floats round as ``encode_batch``'s arrays do."""
+        """Row ``row`` of the table; each Python float rounds to float32 as numpy's cast does."""
         enc, lo = self._enc_mv, row * OBS_FEATURES_PER_ROW
         enc[lo], enc[lo + 1] = action - 1.0, gamma / 180.0
         enc[lo + 2], enc[lo + 3], enc[lo + 4] = self._wind_features[c]

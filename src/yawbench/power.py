@@ -49,7 +49,7 @@ def whole_number(name: str, x, unit: str = "") -> int:
     """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number (of ``unit``)
     that fits an int64. Only an ``is_real`` value passes; nan and inf fail the range check before ``%`` runs."""
     if not is_real(x) or not (0 < x < math.inf and x % 1 == 0 and int(x) <= _INT64_MAX):
-        raise ValueError(f"{name} must be a positive whole number{unit and ' of ' + unit}, got {x}")
+        raise ValueError(f"{name} must be a positive whole number{unit and ' of ' + unit}, got {x!r}")
     return int(x)
 
 

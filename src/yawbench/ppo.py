@@ -8,14 +8,14 @@ advantage estimation, driven by an adaptive-moment first-order optimizer.
 The networks and Adam run in float32, as the usual PPO stacks do (weights are
 drawn in float64 and rounded, so a seed consumes the same random stream); the
 env, rewards, GAE and the sampler stay float64. A fixed seed reproduces
-training bit for bit. The networks take ``env.encode_batch``'s five features
-per lagged row and are small, so a call costs numpy overhead, not arithmetic.
-The rollout and greedy evaluation pass one float32 row, 1-D, to
-``Mlp.forward``, whose ``dot`` makes the vector-matrix BLAS call of a
-``(1, k)`` row: the batched forward's row, bit for bit. Scalar work (softmax
-max and sum, sampler, greedy pick, GAE) runs on Python floats, which round as
-float64 does; the softmax keeps ``np.exp``, as ``math.exp`` differs in the
-last bit. Each fast path keeps the per-call form's operations in order, and so its bits.
+training bit for bit. The networks take the env's float32 observation as is
+and are small, so a call costs numpy overhead, not arithmetic. The rollout and
+greedy evaluation pass that row, 1-D, to ``policy_forward`` and so to
+``Mlp.forward``, whose ``dot`` makes the vector-matrix BLAS call of a ``(1, k)``
+row: the batched forward's row, bit for bit. Scalar work (softmax max and sum,
+sampler, greedy pick, GAE) runs on Python floats, which round as float64 does;
+the softmax keeps ``np.exp``, as ``math.exp`` differs in the last bit. Each
+fast path keeps the per-call form's operations in order, and so its bits.
 
 ``Mlp.forward_rows`` takes the state values GAE needs after the rollout with
 the same per-row call. Both networks' parameters live in one flat vector and
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv, encode_batch
+from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv
 from .power import from_fields, is_real, real_number, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
@@ -66,7 +66,7 @@ class PpoConfig:
         for name in ("n_steps", "batch_size", "epochs", "total_steps"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if not is_real(self.seed) or not (0 <= self.seed < math.inf and self.seed % 1 == 0):
-            raise ValueError(f"seed must be a non-negative whole number, got {self.seed}")
+            raise ValueError(f"seed must be a non-negative whole number, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if not self.hidden:
             raise ValueError("hidden layer widths must be positive, got ()")
@@ -199,8 +199,16 @@ class ActorCritic:
 
 
 def encode_observation(obs: np.ndarray) -> np.ndarray:
-    """Flatten one j x 4 observation into the network input vector."""
-    return encode_batch(obs[None])[0]
+    """The (action, gamma, phi, v_tilde) rows of one (j, 4) observation as the flat j*5 features, in float64."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.ndim != 2 or obs.shape[1] != 4 or not np.isfinite(obs).all():
+        raise ValueError(f"expected a finite observation shaped (j, 4), got shape {obs.shape}")
+    out = np.empty((len(obs), OBS_FEATURES_PER_ROW))
+    out[:, 0], out[:, 1], out[:, 4] = obs[:, 0] - 1.0, obs[:, 1] / 180.0, obs[:, 3]
+    phi_rad = np.deg2rad(obs[:, 2])
+    np.sin(phi_rad, out=out[:, 2])
+    np.cos(phi_rad, out=out[:, 3])
+    return out.reshape(-1)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -214,19 +222,13 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(_row_sums(np.exp(shifted)))[:, None]
 
 
-def _policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
+def policy_forward(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
     """Action probabilities, normalized in float64, for one float32 row ``x`` passed 1-D to ``Mlp.forward``."""
     logits = ac.policy.forward(x)
     # exp maps either zero of a +-0.0 tie for the max to 1.0, and e holds no -0.0
     e = np.exp(np.subtract(logits, max(logits.tolist()), dtype=np.float64))
     e0, e1, e2 = e.tolist()
     return e / ((e0 + e1) + e2)
-
-
-def policy_forward(ac: ActorCritic, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Action probabilities and state value for one raw j x 4 observation."""
-    x = encode_observation(np.asarray(obs, dtype=np.float64)).astype(np.float32)
-    return _policy_probs(ac, x), float(ac.value.forward(x)[0])
 
 
 _ACTIONS = tuple(Action)
@@ -459,7 +461,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
         episode_returns: list[float] = []
         for t in range(n):
             obs[t] = env.encoded_observation
-            action, logp[t] = sample_action(_policy_probs(ac, obs[t]), rng)
+            action, logp[t] = sample_action(policy_forward(ac, obs[t]), rng)
             reward, done = env.step(action)
             actions[t], rewards[t], dones[t] = action, reward, done
             ep_return += reward
@@ -468,7 +470,7 @@ def train(env: YawEnv, cfg: PpoConfig) -> tuple[ActorCritic, list[dict]]:
                 ep_return = 0.0
                 fresh_episode()
         values = ac.value.forward_rows(obs, cfg.batch_size)[:, 0]
-        bootstrap = float(ac.value.forward(env.encoded_observation.astype(np.float32))[0])
+        bootstrap = float(ac.value.forward(env.encoded_observation)[0])
         advantages, returns = compute_gae(rewards, values, dones, bootstrap, cfg.discount, cfg.gae_lambda)
         stats = ppo_update(ac, obs, actions, logp, advantages, returns, cfg, adam, rng)
         curve.append(
@@ -493,7 +495,7 @@ def evaluate(ac: ActorCritic, env: YawEnv) -> CycleTrace:
     """
     env.reset(0)
     for _ in range(env.cfg.episode_len):  # the last step ends the episode
-        env.step(_greedy_action(_policy_probs(ac, env.encoded_observation.astype(np.float32))))
+        env.step(_greedy_action(policy_forward(ac, env.encoded_observation)))
     return env.trace()
 
 

@@ -10,10 +10,12 @@ aggregates one cycle at a time, ``trace_from_records`` builds a
 ``CycleTrace`` from per-cycle dicts, and ``concat_traces`` joins traces that
 continue one another. ``play`` runs a fixed action sequence through the
 library env, and ``run_constant_action`` one action repeated.
-``RawTableYawEnv`` is the library env as it was before its ``observation``
-property: beside the encoded table it wrote a raw table, a row per step,
-and ``reset`` and ``step`` returned a copy of its newest j rows. The
-library's outputs must equal theirs bit for bit.
+``RawTableYawEnv`` is the library env with the raw table it once kept: it
+writes a raw j x 4 row per step beside its float32 encoded table, through
+numpy's cast where the library stores through a memoryview, and ``reset``
+and ``step`` return a copy of the raw table's newest j rows. The library's
+outputs must equal theirs bit for bit, its float32 observation the raw rows
+encoded and rounded to float32.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def run_actions(env: YawEnv, actions, **reset_kwargs) -> CycleTrace:
 
 
 class RawTableYawEnv(yawbench.env.YawEnv):
-    """The column env with a raw observation table beside the encoded one:
-    ``step`` returns ``(obs, reward, done)``, ``obs`` a copy of the table's newest j rows."""
+    """The column env with a raw observation table beside the float32 encoded one:
+    ``step`` returns ``(obs, reward, done)``, ``obs`` a copy of the raw table's newest j rows."""
 
     def __init__(self, series, cfg):
         super().__init__(series, cfg)

@@ -55,7 +55,7 @@ class TestConfig:
     def test_fractional_count_rejected_by_name(self, field, bad):
         # 2.5 was accepted, and YawEnv then died with a bare TypeError; True was stored
         # as 1, and 10**400 raised a bare OverflowError
-        with pytest.raises(ValueError, match=rf"^{field} must be a positive whole number, got {bad}"):
+        with pytest.raises(ValueError, match=rf"^{field} must be a positive whole number, got {re.escape(repr(bad))}$"):
             EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
 
     def test_whole_float_count_stored_as_int(self):
@@ -70,6 +70,19 @@ class TestConfig:
         match = rf"^series holds {cycles} cycles: too short for an episode of {episode_len} cycles plus"
         with pytest.raises(ValueError, match=match):
             YawEnv(flat_series(samples), cfg_for(episode_len=episode_len))
+
+    @pytest.mark.parametrize("scale", [1e-300, 8.0 / 3.5e38])
+    def test_standardized_speed_past_float32_rejected_at_construction(self, scale):
+        # the observation table is float32: scale 1e-300 built an env with v~ = 8e300, and train
+        # then died on a "degenerate action distribution" of three nans that named nothing
+        match = rf"^standardizer scale {re.escape(repr(scale))} puts standardized wind speeds past the float32 range"
+        with pytest.raises(ValueError, match=match):
+            YawEnv(flat_series(100), cfg_for(scale=scale))
+
+    def test_standardized_speed_at_the_float32_limit_accepted(self):
+        f32_max = float(np.finfo(np.float32).max)
+        env = YawEnv(flat_series(100, v=f32_max), cfg_for(scale=1.0))
+        assert env.reset(0)[4] == np.float32(f32_max)
 
 
 class TestCycleWind:
@@ -97,13 +110,13 @@ class TestReset:
     def test_align_gives_zero_gamma(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
         obs = env.reset(0)
-        assert obs[0, 1] == 0.0
-        assert obs.shape == (2, 4)
+        assert obs[1] == 0.0  # the newest row's gamma / 180
+        assert obs.shape == (2 * 5,) and obs.dtype == np.float32
 
     def test_offset_init(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
         obs = env.reset(0, 34.1 + 10.0)
-        assert obs[0, 1] == pytest.approx(-10.0, abs=1e-12)
+        assert obs[1] == pytest.approx(-10.0 / 180.0, abs=1e-7)
 
     def test_start_too_near_end(self):
         env = YawEnv(flat_series(100), cfg_for(episode_len=4))
@@ -170,10 +183,13 @@ class TestReset:
     def test_theta_none_aligns_with_the_start_cycle(self):
         phi = np.concatenate([np.full(40, 30.0), np.full(160, 70.0)])
         env = YawEnv(WindSeries(np.arange(200), phi, np.full(200, 8.0)), cfg_for(episode_len=4))
-        assert np.array_equal(env.reset(6), env.reset(6, env.cycle_direction(6)))
-        assert env.observation[0, 1] == 0.0 and env.observation[-1, 1] == 0.0  # cycles 6 and 5: 70 deg
-        assert env.reset(2)[0, 1] == 0.0 and env.reset(6, 30.0)[0, 1] == 40.0
-        assert env.reset(6, 30.0 - 720.0)[0, 1] == 40.0  # an absolute heading, wrapped
+        aligned = env.reset(6).copy()  # reset returns a view of the env's table
+        assert np.array_equal(aligned, env.reset(6, env.cycle_direction(6)))
+        rows = aligned.reshape(2, 5)
+        assert rows[0, 1] == 0.0 and rows[-1, 1] == 0.0  # cycles 6 and 5: 70 deg
+        forty = np.float32(40.0 / 180.0)
+        assert env.reset(2)[1] == 0.0 and env.reset(6, 30.0)[1] == forty
+        assert env.reset(6, 30.0 - 720.0)[1] == forty  # an absolute heading, wrapped
 
     def test_history_prefilled_from_earlier_wind(self):
         n = 200
@@ -181,12 +197,20 @@ class TestReset:
         phi[30:40] = 50.0  # cycle 3
         s = WindSeries(np.arange(n), phi, np.full(n, 8.0))
         env = YawEnv(s, cfg_for(episode_len=4, j=3))
-        obs = env.reset(4)
-        # rows newest first: cycles 4, 3, 2
-        assert obs[0, 2] == pytest.approx(30.0, abs=1e-9)
-        assert obs[1, 2] == pytest.approx(50.0, abs=1e-9)
-        assert obs[2, 2] == pytest.approx(30.0, abs=1e-9)
-        assert np.all(obs[:, 0] == float(Action.STAY))
+        rows = env.reset(4).reshape(3, 5)
+        # rows newest first: cycles 4, 3, 2, each direction as its (sin, cos) pair
+        for row, deg in zip(rows, (30.0, 50.0, 30.0)):
+            assert row[2:4] == pytest.approx([math.sin(math.radians(deg)), math.cos(math.radians(deg))], abs=1e-7)
+        assert np.all(rows[:, 0] == float(Action.STAY) - 1.0)
+
+    def test_history_clamped_at_the_series_head(self):
+        phi = np.full(200, 30.0)
+        phi[:10] = 90.0  # cycle 0
+        env = YawEnv(WindSeries(np.arange(200), phi, np.full(200, 8.0)), cfg_for(episode_len=4, j=3))
+        rows = env.reset(1, 90.0).reshape(3, 5)
+        # cycles 1, 0 and 0 again: the rows before the series head repeat its first cycle
+        assert rows[0, 1] == np.float32(-60.0 / 180.0) and rows[0, 2] == pytest.approx(0.5, abs=1e-7)
+        assert np.array_equal(rows[1], rows[2]) and rows[1, 1] == 0.0 and rows[1, 2] == 1.0
 
 
 class TestStep:
@@ -291,11 +315,11 @@ class TestStep:
 
     def test_observation_shifts_newest_first(self):
         env = YawEnv(flat_series(400), cfg_for(episode_len=4, j=3))
-        obs0 = env.reset(0)
+        obs0 = env.reset(0).copy().reshape(3, 5)
         env.step(Action.CLOCKWISE)
-        obs1 = env.observation
-        assert obs1[0, 0] == float(Action.CLOCKWISE)
-        assert obs1[0, 1] == env.trace().gamma[0]
+        obs1 = env.encoded_observation.reshape(3, 5)
+        assert obs1[0, 0] == float(Action.CLOCKWISE) - 1.0
+        assert obs1[0, 1] == np.float32(env.trace().gamma[0] / 180.0)
         assert np.array_equal(obs1[1], obs0[0])
         assert np.array_equal(obs1[2], obs0[1])
 
@@ -344,7 +368,10 @@ class TestProperties:
         o1 = e1.reset(20)
         o2 = e2.reset(20)
         assert np.array_equal(o1, o2)
-        steps = [(e1.step(Action.STAY), e1.observation, e2.step(Action.STAY), e2.observation) for _ in range(10)]
+        steps = [
+            (e1.step(Action.STAY), e1.encoded_observation.copy(), e2.step(Action.STAY), e2.encoded_observation.copy())
+            for _ in range(10)
+        ]
         for ((r1, _), o1, (r2, _), o2), cycle in zip(steps, e1.trace().cycle):
             if cycle < 50:
                 assert np.array_equal(o1, o2) and r1 == r2

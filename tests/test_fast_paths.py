@@ -1,7 +1,7 @@
 """Differential property tests: each fast path against the reference it replaced.
 
 The event-driven ``run_cyca_s``, the vectorised cycle aggregation, the column
-``YawEnv`` and its on-demand ``observation``, the inline float wrapping of
+``YawEnv`` and its float32 observation table, the inline float wrapping of
 ``YawEnv.reset`` and ``step``, the scalar angle wrapping, the power curve (on
 scalars and arrays), the bulk CSV reader, the block CSV writer and the
 Python-float AR(1) loop of the wind generator must reproduce their references
@@ -21,6 +21,7 @@ import csv_reference
 import cyca_reference as ref
 import env_reference
 import power_reference
+import ppo_reference
 import wind_reference
 from env_reference import cycle_wind
 from yawbench.baseline import (
@@ -34,7 +35,6 @@ from yawbench.baseline import (
 )
 from yawbench.env import TRACE_COLUMNS, Action, CycleTrace, EnvConfig, YawEnv, cycle_stats, eval_env_config, n_cycles
 from yawbench.power import TurbineParams, power_ideal, power_with_misalignment, wrap_angle, wrap_to_360, yaw_error
-from yawbench.ppo import encode_observation
 from yawbench.wind import (
     CSV_HEADER,
     Standardizer,
@@ -172,6 +172,11 @@ def wind_series_of(phi):
     return WindSeries(np.arange(len(phi)), np.asarray(phi, dtype=float), np.full(len(phi), 8.0))
 
 
+def encoded(raw) -> np.ndarray:
+    """A reference env's raw j x 4 rows as the library env holds them: encoded by the reference, rounded to float32."""
+    return ppo_reference.encode_observation(raw).astype(np.float32)
+
+
 @st.composite
 def env_runs(draw):
     """An env config, a series holding at least one episode, reset arguments and an action sequence.
@@ -205,50 +210,52 @@ class TestYawEnv:
         series, cfg, reset, actions = run
         env, ref_env = YawEnv(series, cfg), env_reference.YawEnv(series, cfg)
         obs, ref_obs = env.reset(**reset), ref_env.reset(**reset)
-        assert same_bits(obs, ref_obs)
-        assert same_bits(env.encoded_observation, encode_observation(obs))
+        assert same_bits(obs, encoded(ref_obs)) and same_bits(env.encoded_observation, obs)
         records = []
         for a in actions:
             reward, done = env.step(a)
-            obs = env.observation
             ref_obs, ref_reward, ref_done, info = ref_env.step(a)
             records.append(info)
-            assert same_bits(obs, ref_obs) and _same_float(reward, ref_reward) and done is ref_done
-            assert same_bits(env.encoded_observation, encode_observation(obs))
+            assert same_bits(env.encoded_observation, encoded(ref_obs))
+            assert _same_float(reward, ref_reward) and done is ref_done
             assert _trace_equal(env.trace(), env_reference.trace_from_records(records))
         assert done
 
     def test_full_span_episode_on_a_long_series(self):
-        # The wind features of 2000 cycles come from one encoder call; every
-        # step's encoded rows must still equal an encoder call on the observation.
+        # The wind features of 2000 cycles are computed at once; every step's
+        # rows must still equal the reference encoder on the reference's rows.
         rng = np.random.default_rng(21)
         series = wind_series_of(wrap_to_360(355.0 + np.cumsum(rng.uniform(-1.0, 1.0, 20000))))
         cfg = eval_env_config(series, EnvConfig(standardizer=Standardizer(8.0)))
         env, ref_env = YawEnv(series, cfg), env_reference.YawEnv(series, cfg)
         actions = rng.integers(0, 3, cfg.episode_len).tolist()
         env.reset(0, 350.0)
+        ref_env.reset(0, 350.0)
+        records = []
         for a in actions:
             env.step(a)
-            assert same_bits(env.encoded_observation, encode_observation(env.observation))
-        ref_trace = env_reference.run_actions(ref_env, actions, start_cycle=0, theta=350.0)
-        assert _trace_equal(env.trace(), ref_trace)
+            ref_obs, _, _, info = ref_env.step(a)
+            records.append(info)
+            assert same_bits(env.encoded_observation, encoded(ref_obs))
+        assert _trace_equal(env.trace(), env_reference.trace_from_records(records))
 
     @settings(max_examples=100)
     @given(run=env_runs(), data=st.data())
     def test_observation_equals_raw_table(self, run, data):
-        # right after reset, at a drawn step mid-episode and at done, the on-demand
-        # observation equals the raw table the env wrote a row of per step
+        # right after reset, at a drawn step mid-episode and at done, the observation
+        # equals the raw table the reference wrote a row of per step, encoded, and its
+        # float32 table, written by numpy's cast where the env stores through a memoryview
         series, cfg, reset, actions = run
         env, ref_env = YawEnv(series, cfg), env_reference.RawTableYawEnv(series, cfg)
         obs = env.reset(**reset)
-        assert same_bits(obs, ref_env.reset(**reset)) and same_bits(env.observation, obs)
+        assert same_bits(obs, encoded(ref_env.reset(**reset))) and same_bits(obs, ref_env.encoded_observation)
         mid = data.draw(st.integers(1, len(actions)))
         for k, a in enumerate(actions, start=1):
             reward, done = env.step(a)
             ref_obs, ref_reward, ref_done = ref_env.step(a)
             assert _same_float(reward, ref_reward) and done is ref_done
             if k == mid or done:
-                assert same_bits(env.observation, ref_obs)
+                assert same_bits(env.encoded_observation, encoded(ref_obs))
                 assert same_bits(env.encoded_observation, ref_env.encoded_observation)
         assert done and _trace_equal(env.trace(), ref_env.trace())
 
@@ -260,7 +267,7 @@ class TestYawEnv:
         for a in (0, 2, 1):
             env.step(a)
             ref_obs = ref_env.step(a)[0]
-            assert same_bits(env.observation, ref_obs) and env.observation.shape == (6, 4)
+            assert same_bits(env.encoded_observation, encoded(ref_obs)) and env.encoded_observation.shape == (6 * 5,)
 
     @given(run=env_runs())
     def test_one_cycle_delay_law(self, run):
@@ -287,12 +294,13 @@ class TestYawEnv:
         assert len(env.trace()) == 5
 
     def test_encoded_observation_is_read_only(self):
-        env = YawEnv(wind_series_of(np.full(200, 10.0)), EnvConfig(standardizer=Standardizer(8.0), episode_len=4))
+        series, cfg = wind_series_of(np.full(200, 10.0)), EnvConfig(standardizer=Standardizer(8.0), episode_len=4)
+        env = YawEnv(series, cfg)
         obs = env.reset(start_cycle=0)
-        x = env.encoded_observation
-        with pytest.raises(ValueError):
-            x[0] = 1.0
-        assert same_bits(x, encode_observation(obs))
+        for x in (obs, env.encoded_observation):
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+        assert same_bits(obs, encoded(env_reference.YawEnv(series, cfg).reset(0)))
 
     def test_trace_needs_a_step(self):
         env = YawEnv(wind_series_of(np.full(200, 10.0)), EnvConfig(standardizer=Standardizer(8.0), episode_len=4))
@@ -441,9 +449,11 @@ class TestStepWrapSeams:
                         episode_len=len(actions))
         phi_c = cycle_stats(series)[0].tolist()
         env = YawEnv(series, cfg)
-        obs = env.reset(0, init_theta + offset)
+        env.reset(0, init_theta + offset)
+        # the library's reset, through the subclass that keeps its raw rows
+        raw = env_reference.RawTableYawEnv(series, cfg).reset(0, init_theta + offset)
         theta = power_reference.wrap_to_360(init_theta + offset)
-        assert _same_float(float(obs[0, 1]), power_reference.yaw_error(phi_c[0], theta))
+        assert _same_float(float(raw[0, 1]), power_reference.yaw_error(phi_c[0], theta))
         pending = 1
         for t, a in enumerate(actions):
             env.step(a)

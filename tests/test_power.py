@@ -270,5 +270,19 @@ class TestWholeFields:
         name, value = ("hidden layer width", (bad,)) if field == "hidden" else (field, bad)
         kind = "non-negative" if field == "seed" else "positive"
         unit = " of seconds" if field == "target_window" else ""
-        with pytest.raises(ValueError, match=rf"^{name} must be a {kind} whole number{unit}, got {re.escape(str(bad))}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a {kind} whole number{unit}, got {re.escape(repr(bad))}$"):
             cls(**given, **{field: value})
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: EnvConfig(Standardizer(8.0), k="3"), "k must be a positive whole number, got '3'"),
+            (lambda: PpoConfig(n_steps="64"), "n_steps must be a positive whole number, got '64'"),
+            (lambda: PpoConfig(seed="3"), "seed must be a non-negative whole number, got '3'"),
+        ],
+        ids=["EnvConfig.k", "PpoConfig.n_steps", "PpoConfig.seed"],
+    )
+    def test_refused_text_is_quoted(self, make, message):
+        # printed with str, the string "3" read as the int 3 that would have passed
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

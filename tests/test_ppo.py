@@ -108,6 +108,11 @@ FINITE_FLOAT32S = st.one_of(
 )
 
 
+def encoded_row(obs) -> np.ndarray:
+    """A raw j x 4 observation as the env holds it: encoded, then rounded to float32."""
+    return encode_observation(obs).astype(np.float32)
+
+
 class TestPolicyForward:
     def test_zero_params_uniform(self):
         ac = tiny_ac()
@@ -119,9 +124,9 @@ class TestPolicyForward:
             w[:] = 0.0
         obs = np.zeros((2, 4))
         obs[:, 2] = 90.0
-        probs, value = policy_forward(ac, obs)
+        probs = policy_forward(ac, encoded_row(obs))
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
-        assert value == 0.0
+        assert ac.value.forward(encoded_row(obs))[0] == 0.0
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(1)
@@ -129,8 +134,8 @@ class TestPolicyForward:
         for _ in range(50):
             obs = rng.normal(size=(2, 4))
             obs[:, 2] = rng.uniform(0, 360, size=2)
-            probs, _ = policy_forward(ac, obs)
-            assert abs(probs.sum() - 1.0) < 1e-12
+            probs = policy_forward(ac, encoded_row(obs))
+            assert probs.dtype == np.float64 and abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_logit_shift_invariance(self):
@@ -145,12 +150,11 @@ class TestPolicyForward:
         assert a1 == a2
 
     def test_non_finite_obs_rejected(self):
-        ac = tiny_ac()
         for bad in (np.nan, np.inf):
             obs = np.zeros((2, 4))
             obs[0, 1] = bad
-            with pytest.raises(ValueError):
-                policy_forward(ac, obs)
+            with pytest.raises(ValueError, match="finite"):
+                encode_observation(obs)
 
     def test_encoding_shape_and_seam_continuity(self):
         obs = np.zeros((3, 4))
@@ -462,11 +466,11 @@ class TestUpdateAndTrain:
         obs = fresh_episode()
         rows = []
         for _ in range(cfg.n_steps):
-            probs, value = policy_forward(ac, obs)
-            a, logp = sample_action(probs, rng)
+            a, logp = sample_action(policy_forward(ac, obs), rng)
+            value = float(ac.value.forward(obs)[0])
             r, done = env.step(a)
-            rows.append((encode_observation(obs), int(a), logp, r, done, value))
-            obs = fresh_episode() if done else env.observation
+            rows.append((obs.copy(), int(a), logp, r, done, value))
+            obs = fresh_episode() if done else env.encoded_observation
         obs_enc, actions, logp_old, rewards, dones, values = map(np.array, zip(*rows))
         advantages, returns = compute_gae(rewards, values, dones, 0.0, cfg.discount, cfg.gae_lambda)
         adam = Adam(ac.flat_params.size, lr=cfg.learning_rate)
@@ -564,7 +568,8 @@ class TestUpdateAndTrain:
         ],
     )
     def test_fractional_or_non_finite_count_named(self, field, value, given):
-        with pytest.raises(ValueError, match=rf"^{field} must be a (positive|non-negative) whole number, got {value}"):
+        match = rf"^{field} must be a (positive|non-negative) whole number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=match):
             PpoConfig(**{field: value, **given})
 
     @pytest.mark.parametrize("seed", [2**63, 10**400])
@@ -605,6 +610,26 @@ class TestUpdateAndTrain:
         train(make_env(), cfg)
         # the rollout and each update's bootstrap value read the env's encoded observation
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("total_steps, rollout_steps", [(128, 128), (100, 128)])
+    def test_train_and_evaluate_call_policy_forward_once_per_step(self, monkeypatch, total_steps, rollout_steps):
+        # the traced benchmark counts the calls of this function: once per env step
+        import yawbench.ppo as ppo_module
+
+        calls = []
+        real = ppo_module.policy_forward
+
+        def counting(ac, x):
+            calls.append(x.dtype)
+            return real(ac, x)
+
+        monkeypatch.setattr(ppo_module, "policy_forward", counting)
+        env = make_env()
+        ac, _ = train(env, small_cfg(n_steps=64, batch_size=32, total_steps=total_steps))
+        assert calls == [np.float32] * rollout_steps  # a partial last rollout runs in full
+        calls.clear()
+        evaluate(ac, env)
+        assert calls == [np.float32] * env.cfg.episode_len
 
 
 class TestFloat32:

@@ -18,13 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppo_reference as ref
-from yawbench.env import EnvConfig, YawEnv, encode_batch
+from yawbench.env import EnvConfig, YawEnv
 from yawbench.ppo import (
     ActorCritic,
     Adam,
     PpoConfig,
     _greedy_action,
-    _policy_probs,
     compute_gae,
     encode_observation,
     evaluate,
@@ -137,15 +136,15 @@ class TestEvaluate:
             evaluate(ac, make_env(1, 2, episode_len=5))
 
     def test_policy_forward_matches_reference(self):
+        # the probabilities of a raw observation, encoded and rounded to float32 as the env holds it
         rng = np.random.default_rng(5)
         ac = ActorCritic.create(12, (64, 64), rng)
         for _ in range(500):
             obs = np.column_stack(
                 [rng.integers(0, 3, 12), rng.uniform(-180, 180, 12), rng.uniform(0, 360, 12), rng.normal(size=12)]
             )
-            probs, value = policy_forward(ac, obs)
-            probs_ref, value_ref = ref.policy_forward(ac, obs)
-            assert same_bits(probs, probs_ref) and same_bits(value, value_ref)
+            probs = policy_forward(ac, encode_observation(obs).astype(np.float32))
+            assert same_bits(probs, ref.policy_forward(ac, obs)[0])
 
 
 def grads_for(rng, shapes):
@@ -257,17 +256,18 @@ class TestInferenceForward:
             assert same_bits(rows, net.forward_rows(x, 16))
             assert same_bits(net.forward(x), net.forward_cached(x)[0])  # a 2-D batch
         for row in x:
-            assert same_bits(_policy_probs(ac, row), ref.policy_probs(ac, row))
+            assert same_bits(policy_forward(ac, row), ref.policy_probs(ac, row))
 
     def test_read_only_row_of_the_env(self):
+        # the env's float32 view, passed as is, at an offset of the table that is not 16-byte aligned
         env = make_env(3, 12)
         env.reset(start_cycle=0)
+        env.step(1)
         ac = ActorCritic.create(12, (64, 64), np.random.default_rng(3))
-        assert not env.encoded_observation.flags.writeable
-        x = env.encoded_observation.astype(np.float32)
-        x.flags.writeable = False
+        x = env.encoded_observation
+        assert not x.flags.writeable and x.dtype == np.float32
         assert same_bits(ac.value.forward(x), ac.value.forward_cached(x[None])[0][0])
-        assert same_bits(_policy_probs(ac, x), ref.policy_probs(ac, np.array(x)))
+        assert same_bits(policy_forward(ac, x), ref.policy_probs(ac, np.array(x)))
 
 
 class TestGae:
@@ -390,7 +390,6 @@ def observations(draw):
 class TestEncode:
     @given(obs=observations())
     def test_rows_across_the_seam_match_reference(self, obs):
-        assert same_bits(encode_batch(obs), ref.encode_batch(obs))
         for row in obs:
             assert same_bits(encode_observation(row), ref.encode_observation(row))
 
@@ -405,7 +404,13 @@ class TestEncode:
             ],
             axis=2,
         )
-        assert same_bits(encode_batch(obs), ref.encode_batch(obs))
+        for row in obs:
+            assert same_bits(encode_observation(row), ref.encode_observation(row))
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 3), (12, 5), (1, 12, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^expected a finite observation shaped \(j, 4\)"):
+            encode_observation(np.zeros(shape))
 
 
 class FixedDraw:
