@@ -31,7 +31,8 @@ import numpy as np
 
 from .env import CYCLE_PERIOD_S, CycleTrace, cycle_stats
 from .metrics import cycle_deltas
-from .power import TurbineParams, power_with_misalignment, real_number, whole_number, wrap_angle, wrap_to_360, yaw_error
+from .power import (TurbineParams, check_fields, in_bounds, power_with_misalignment, real_number, wrap_angle,
+                    wrap_to_360, yaw_error)
 from .wind import WindSeries, check_log, read_log_csv, set_columns, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
@@ -52,13 +53,7 @@ class CycaConfig:
     stop_deadband: float = 1.0    # deg; stop turning once within this of the target
 
     def __post_init__(self):
-        for name in ("threshold", "stop_deadband"):
-            object.__setattr__(self, name, real_number(name, getattr(self, name)))
-        object.__setattr__(self, "target_window", whole_number("target_window", self.target_window, "seconds"))
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.stop_deadband < 0:
-            raise ValueError(f"stop_deadband must be >= 0, got {self.stop_deadband}")
+        check_fields(self, threshold="(0, inf)", stop_deadband="[0, inf)")
 
 
 def run_cyca_s(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, init_theta: float,
@@ -150,14 +145,15 @@ def _resample_to_cycles(series: WindSeries, theta_sec: np.ndarray, tp: TurbinePa
     """Collapse a per-second nacelle trajectory onto the control-cycle grid.
 
     The nacelle position reported for a cycle is its end-of-cycle value; the
-    applied action is derived from the net rotation over the cycle.
+    applied action is the sign of the net rotation over the cycle, so any
+    nonzero rotation is a move, as ``metrics.cycle_deltas`` counts one.
     """
     theta = _cycle_ends(theta_sec).copy()
     count = len(theta)
     phi, v = cycle_stats(series)
     gamma = yaw_error(phi, theta)
     delta = wrap_angle(np.diff(theta, prepend=theta_prev))
-    action = np.where(delta > 1e-12, 2, np.where(delta < -1e-12, 0, 1))
+    action = np.where(delta > 0.0, 2, np.where(delta < 0.0, 0, 1))
     return CycleTrace(
         cycle=np.arange(count),
         t_s=series.t[: count * CYCLE_PERIOD_S : CYCLE_PERIOD_S],
@@ -220,13 +216,12 @@ def calibrate_threshold(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, 
 
     Returns the threshold whose usage lands closest to ``target_pct`` (ties go
     to the smaller threshold) along with the usage measured for each candidate.
-    A ``target_pct`` outside [0, 100] (NaN and inf included) raises ValueError.
+    A ``target_pct`` that is not a real number in [0, 100] raises ValueError.
 
     A usage is scored from the simulated end-of-cycle headings alone, the
     ``theta`` that ``run_cyca_s``'s trace holds; no trace is built.
     """
-    if not 0.0 <= target_pct <= 100.0:  # False for NaN too
-        raise ValueError(f"target_pct must be a finite percentage in [0, 100], got {target_pct}")
+    target_pct = in_bounds("target_pct", real_number("target_pct", target_pct), "[0, 100]")
     grid = [real_number(f"thresholds[{i}]", x) for i, x in enumerate(thresholds)]
     if not grid:
         raise ValueError("empty calibration grid")

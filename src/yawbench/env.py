@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .power import TurbineParams, from_fields, power_with_misalignment, real_number, whole_number, wrap_to_360
+from .power import TurbineParams, check_fields, from_fields, power_with_misalignment, real_number, wrap_to_360
 from .wind import Standardizer, WindSeries, read_log_csv, set_columns, write_csv_columns
 
 OBS_FEATURES_PER_ROW = 5
@@ -65,11 +65,7 @@ class EnvConfig:
     episode_len: int = 256      # cycles per episode
 
     def __post_init__(self):
-        for name in ("k", "j", "episode_len"):
-            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        object.__setattr__(self, "w", real_number("w", self.w))
-        if self.w < 0.0:
-            raise ValueError(f"w must be finite and >= 0, got {self.w}")
+        check_fields(self, w="[0, inf)")
 
     @property
     def p_samples(self) -> int:

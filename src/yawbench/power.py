@@ -9,14 +9,16 @@ The power curve is one function over scalars or arrays,
 misalignment loss, rated power, zero. Each boundary speed (cut-in, rated,
 cut-out) belongs to the region above it.
 
-``from_fields`` lives here, in the module every other one imports: it is the
-strict ``from_dict`` of every config record in the package.
+``from_fields`` and ``check_fields`` live here, in the module every other one
+imports: the strict ``from_dict`` of every config record in the package, and
+the one check of its numeric fields, whose annotations pick their type rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NewType
 
 import numpy as np
 
@@ -45,11 +47,22 @@ def is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-def whole_number(name: str, x, unit: str = "") -> int:
-    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number (of ``unit``)
-    that fits an int64. Only an ``is_real`` value passes; nan and inf fail the range check before ``%`` runs."""
+def whole_number(name: str, x) -> int:
+    """``x`` as an int; ValueError naming ``name`` unless it is a positive whole number that fits
+    an int64. Only an ``is_real`` value passes; nan and inf fail the range check before ``%`` runs."""
     if not is_real(x) or not (0 < x < math.inf and x % 1 == 0 and int(x) <= _INT64_MAX):
-        raise ValueError(f"{name} must be a positive whole number{unit and ' of ' + unit}, got {x!r}")
+        raise ValueError(f"{name} must be a positive whole number, got {x!r}")
+    return int(x)
+
+
+Seed = NewType("Seed", int)  # the annotation of a random seed field
+
+
+def seed_number(name: str, x) -> int:
+    """``x`` as an int; ValueError naming ``name`` unless it is a non-negative whole number. Unlike
+    a count, a seed may be 0 and exceed int64, as ``np.random.default_rng`` takes it."""
+    if not is_real(x) or not (0 <= x < math.inf and x % 1 == 0):
+        raise ValueError(f"{name} must be a non-negative whole number, got {x!r}")
     return int(x)
 
 
@@ -65,6 +78,30 @@ def real_number(name: str, x) -> float:
     if not math.isfinite(f):
         raise ValueError(f"{name} must be finite, got {x}")
     return f
+
+
+def in_bounds(name: str, x, bound: str):
+    """``x`` if it lies in the interval ``bound``, written like ``"(0, 1]"`` or ``"[0, inf)"``;
+    else ValueError naming ``name``, the bound and ``repr(x)``."""
+    lo, hi = (float(end) for end in bound[1:-1].split(","))
+    if not ((lo <= x if bound[0] == "[" else lo < x) and (x <= hi if bound[-1] == "]" else x < hi)):
+        raise ValueError(f"{name} must be in {bound}, got {x!r}")
+    return x
+
+
+_TYPE_RULES = {"int": whole_number, "float": real_number, "Seed": seed_number}
+
+
+def check_fields(record, **bounds: str) -> None:
+    """Pass each field of the dataclass ``record`` annotated ``int``, ``float`` or ``Seed`` through
+    ``whole_number``, ``real_number`` or ``seed_number``, storing the result, then hold each field
+    named in ``bounds`` to its interval (see ``in_bounds``). Every refusal names the field."""
+    for f in fields(record):
+        rule = _TYPE_RULES.get(getattr(f.type, "__name__", f.type))
+        if rule is not None:
+            object.__setattr__(record, f.name, rule(f.name, getattr(record, f.name)))
+    for name, bound in bounds.items():
+        in_bounds(name, getattr(record, name), bound)
 
 
 def wrap_angle(x):
@@ -126,20 +163,11 @@ class TurbineParams:
     p_yaw_drive_kw: float = 18.0  # kW drawn by the yaw drive while running
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, real_number(f.name, getattr(self, f.name)))
+        check_fields(self, rho="(0, inf)", rotor_diameter="(0, inf)", alpha=f"[{ALPHA_MIN}, {ALPHA_MAX}]",
+                     p_rated_kw="(0, inf)", yaw_rate_deg_s="(0, inf)", p_yaw_drive_kw="[0, inf)")
         if not (0.0 < self.v_cut_in < self.v_rated < self.v_cut_out):
-            raise ValueError(
-                "need 0 < v_cut_in < v_rated < v_cut_out, got "
-                f"{self.v_cut_in}, {self.v_rated}, {self.v_cut_out}"
-            )
-        if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
-            raise ValueError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {self.alpha}")
-        for name in ("rho", "rotor_diameter", "p_rated_kw", "yaw_rate_deg_s"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.p_yaw_drive_kw < 0.0:
-            raise ValueError(f"p_yaw_drive_kw must be finite and >= 0, got {self.p_yaw_drive_kw}")
+            raise ValueError("need 0 < v_cut_in < v_rated < v_cut_out, got "
+                             f"{self.v_cut_in}, {self.v_rated}, {self.v_cut_out}")
 
     @property
     def area_m2(self) -> float:

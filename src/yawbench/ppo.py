@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv
-from .power import from_fields, is_real, real_number, whole_number
+from .power import Seed, check_fields, from_fields, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
 CHECKPOINT_VERSION = 5
@@ -58,34 +58,18 @@ class PpoConfig:
     clip_eps: float = 0.2
     value_coef: float = 0.5
     entropy_coef: float = 0.0
-    seed: int = 0
+    seed: Seed = 0
     hidden: tuple[int, ...] = (64, 64)
     init_offset_deg: float = 0.0  # training episodes start misaligned by U(-x, x)
 
     def __post_init__(self):
-        for name in ("n_steps", "batch_size", "epochs", "total_steps"):
-            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if not is_real(self.seed) or not (0 <= self.seed < math.inf and self.seed % 1 == 0):
-            raise ValueError(f"seed must be a non-negative whole number, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        check_fields(self, learning_rate="(0, inf)", discount="(0, 1]", gae_lambda="[0, 1]", clip_eps="(0, inf)",
+                     value_coef="[0, inf)", entropy_coef="[0, inf)", init_offset_deg="[0, inf)")
         if not self.hidden:
             raise ValueError("hidden layer widths must be positive, got ()")
         object.__setattr__(self, "hidden", tuple(whole_number("hidden layer width", h) for h in self.hidden))
-        for name in ("learning_rate", "discount", "gae_lambda", "clip_eps", "value_coef", "entropy_coef",
-                     "init_offset_deg"):
-            object.__setattr__(self, name, real_number(name, getattr(self, name)))
-        if not (0.0 < self.discount <= 1.0):
-            raise ValueError(f"discount must be in (0, 1], got {self.discount}")
-        if not (0.0 <= self.gae_lambda <= 1.0):
-            raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        for name in ("learning_rate", "clip_eps", "value_coef", "entropy_coef", "init_offset_deg"):
-            x, positive = getattr(self, name), name in ("learning_rate", "clip_eps")
-            if x < 0 or (positive and x == 0):
-                raise ValueError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {x}")
         if self.n_steps % self.batch_size != 0:
-            raise ValueError(
-                f"n_steps ({self.n_steps}) must be divisible by batch_size ({self.batch_size})"
-            )
+            raise ValueError(f"n_steps ({self.n_steps}) must be divisible by batch_size ({self.batch_size})")
         if self.total_steps < self.n_steps:
             raise ValueError("total_steps must cover at least one rollout of n_steps")
 

@@ -28,7 +28,7 @@ from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .power import real_number, whole_number, wrap_to_360
+from .power import check_fields, real_number, seed_number, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
 _SERIES_DTYPES = {"t": np.int64, "phi": np.float64, "v": np.float64}
@@ -275,9 +275,10 @@ class Standardizer:
     scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", real_number("standardizer scale", self.scale))
-        if self.scale <= 0:
-            raise WindDataError(f"standardizer scale must be positive, got {self.scale}")
+        try:
+            check_fields(self, scale="(0, inf)")
+        except ValueError as e:
+            raise WindDataError(*e.args) from None
 
     def standardize(self, v):
         return np.asarray(v, dtype=float) / self.scale
@@ -318,18 +319,12 @@ class GeneratorSpec:
 
     def __post_init__(self):
         try:  # the field checks raise a plain ValueError
-            object.__setattr__(self, "length_s", whole_number("length_s", self.length_s))
-            for name in ("dir_mean_deg", "dir_std_deg", "reversion_rate", "speed_mean_ms", "speed_std_ms"):
-                object.__setattr__(self, name, real_number(name, getattr(self, name)))
+            check_fields(self, length_s="[2, inf)", dir_std_deg="[0, inf)", reversion_rate="(0, 1]",
+                         speed_mean_ms="[0, inf)", speed_std_ms="[0, inf)")
             ramps = tuple(Ramp._make(real_number(f"ramp {i} {f}", x) for f, x in zip(Ramp._fields, Ramp(*r)))
                           for i, r in enumerate(self.ramps))
         except ValueError as e:
             raise WindDataError(*e.args) from None
-        for name, least in (("length_s", 2), ("dir_std_deg", 0), ("speed_std_ms", 0), ("speed_mean_ms", 0)):
-            if getattr(self, name) < least:
-                raise WindDataError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not (0.0 < self.reversion_rate <= 1.0):
-            raise WindDataError(f"reversion_rate must be in (0, 1], got {self.reversion_rate}")
         for i, r in enumerate(ramps):
             if not (0 <= r.start_s < r.end_s <= self.length_s):
                 raise WindDataError(f"ramp {i} outside the series or empty: {r}")
@@ -377,7 +372,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> WindSeries:
     moves only samples across the 0/360 seam. Deterministic for a fixed
     (spec, seed): the same inputs reproduce the same series bit for bit.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_number("seed", seed))
     n = spec.length_s
     t = np.arange(n, dtype=np.int64)
 

@@ -80,9 +80,9 @@ def resample_to_cycles(series, theta_sec, tp, theta_prev):
         theta_end = float(theta_sec[hi - 1])
         gamma = yaw_error(phi_c, theta_end)
         delta = wrap_angle(theta_end - theta_prev)
-        if delta > 1e-12:
+        if delta > 0.0:
             action = 2
-        elif delta < -1e-12:
+        elif delta < 0.0:
             action = 0
         else:
             action = 1

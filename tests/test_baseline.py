@@ -57,7 +57,7 @@ class TestCycaConfig:
     @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, True, np.True_, 2**63, 10**400, math.nan, math.inf])
     def test_whole_seconds_named(self, field, bad):
         # True was kept as given, and 10**400 raised a bare OverflowError
-        with pytest.raises(ValueError, match=f"^{field} must be a positive whole number of seconds"):
+        with pytest.raises(ValueError, match=rf"^{field} must be a positive whole number, got {re.escape(repr(bad))}$"):
             CycaConfig(**{field: bad})
 
     def test_whole_float_target_window_stored_as_int(self):
@@ -185,6 +185,16 @@ class TestReplay:
         assert m.yaw_count == 1
         assert trace.action_applied[2] != 1
 
+    @pytest.mark.parametrize("step", [1e-13, -1e-13, 1e-12])
+    def test_any_nonzero_step_is_a_move(self, tp, step):
+        # a step of at most 1e-12 deg read as Stay, while the metrics counted it as a move
+        theta = np.full(30, 30.0)
+        theta[15:] += step
+        trace = replay_cyca_l(flat_series(30, phi=30.0), NacelleLog(np.arange(30), theta), tp)
+        assert trace.action_applied.tolist() == [1, 2 if step > 0 else 0, 1]
+        m = compute_metrics(trace, tp, env_cfg())
+        assert m.yaw_count == int(np.count_nonzero(trace.action_applied[1:] != 1)) == 1
+
     def test_time_range_mismatch(self, tp):
         series = flat_series(100)
         log = NacelleLog(np.arange(90), np.full(90, 50.0))
@@ -233,8 +243,14 @@ class TestCalibration:
     def test_target_pct_outside_0_to_100_rejected(self, tp, target_pct):
         # with the grid below these returned 300.0, 20000.0 and 300.0 without a word
         series = generate_synthetic(steady_preset(length_s=3000), seed=24)
-        with pytest.raises(ValueError, match="target_pct must be a finite percentage in"):
+        with pytest.raises(ValueError, match=r"^target_pct must be (finite|in \[0, 100\]), got "):
             calibrate_threshold(series, CycaConfig(), tp, 34.1, [300.0, 20000.0], target_pct=target_pct)
+
+    @pytest.mark.parametrize("target_pct", [True, np.True_, "2", None, 2j])
+    def test_target_pct_not_a_real_number_named(self, target_pct):
+        # True ran as 1%, and "2", None and 2j raised a bare TypeError from the range check
+        with pytest.raises(ValueError, match=rf"^target_pct must be a real number, got {re.escape(repr(target_pct))}$"):
+            calibrate_threshold(flat_series(300), CycaConfig(), TurbineParams(), 50.0, [300.0], target_pct=target_pct)
 
     @pytest.mark.parametrize("target_pct", [0.0, 100.0])
     def test_target_pct_bounds_accepted(self, tp, target_pct):

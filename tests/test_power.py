@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from yawbench.power import (
     yaw_error,
 )
 from yawbench.ppo import PpoConfig
-from yawbench.wind import Standardizer
+from yawbench.wind import GeneratorSpec, Standardizer
 
 
 @pytest.fixture
@@ -220,16 +220,29 @@ class TestTurbineParams:
             TurbineParams(**{field: bad})
 
 
-# Every real-valued config field, as (class, field).
-REAL_FIELDS = [
-    (EnvConfig, "w"),
-    (Standardizer, "scale"),
-    (CycaConfig, "threshold"),
-    (CycaConfig, "stop_deadband"),
-    *((TurbineParams, f.name) for f in fields(TurbineParams)),
-    *((PpoConfig, name) for name in ("learning_rate", "discount", "gae_lambda", "clip_eps", "value_coef",
-                                     "entropy_coef", "init_offset_deg")),
-]
+# Every config record, with the required fields it needs besides the one under test.
+RECORDS = {
+    TurbineParams: {},
+    EnvConfig: {"standardizer": Standardizer(8.0)},
+    PpoConfig: {},
+    CycaConfig: {},
+    GeneratorSpec: {"length_s": 3000, "dir_mean_deg": 10.0, "dir_std_deg": 2.0},
+    Standardizer: {"scale": 8.0},
+}
+
+
+def annotated(records, kinds) -> list[tuple[type, str]]:
+    """The (class, field) pairs of the records whose annotation is one of ``kinds``."""
+    return [(cls, f.name) for cls in records for f in fields(cls) if getattr(f.type, "__name__", f.type) in kinds]
+
+
+def build(cls, field, value):
+    return cls(**{**RECORDS[cls], field: value})
+
+
+REAL_FIELDS = annotated(RECORDS, {"float"})
+# "hidden" stands for one hidden layer width
+WHOLE_FIELDS = annotated(RECORDS, {"int", "Seed"}) + [(PpoConfig, "hidden")]
 
 
 class TestRealFields:
@@ -239,10 +252,20 @@ class TestRealFields:
     )
     def test_bool_and_text_refused_by_name(self, cls, field, bad):
         # a bool was stored as given (CycaConfig(threshold=True) ran at 1); "1", None and 1j raised TypeError
-        given = {"standardizer": Standardizer(8.0)} if cls is EnvConfig else {}
-        name = "standardizer scale" if cls is Standardizer else field
-        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(bad))}$"):
-            cls(**given, **{field: bad})
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {re.escape(repr(bad))}$"):
+            build(cls, field, bad)
+
+    def test_field_lists_cover_every_record(self):
+        assert {cls for cls, _ in REAL_FIELDS} == set(RECORDS)
+        assert {(PpoConfig, "seed"), (GeneratorSpec, "length_s"), (CycaConfig, "target_window")} <= set(WHOLE_FIELDS)
+
+    def test_planted_float_field_refused_with_no_further_code(self):
+        # a field added to a record is type-checked, and listed here, by its annotation alone
+        planted = make_dataclass("Planted", [("gain", float, 1.0)], bases=(CycaConfig,), frozen=True)
+        assert annotated([planted], {"float"})[-1] == (planted, "gain")
+        assert planted(gain=np.int64(2)).gain == 2.0
+        with pytest.raises(ValueError, match=r"^gain must be a real number, got True$"):
+            planted(gain=True)
 
     def test_numpy_and_int_values_stored_as_float(self):
         tp = TurbineParams(rho=np.float32(1.25), p_rated_kw=2000)
@@ -253,25 +276,15 @@ class TestRealFields:
         assert all(type(x) is float for x in values)
 
 
-# Every whole-number config field, as (class, field); "hidden" stands for one hidden layer width.
-WHOLE_FIELDS = [
-    *((EnvConfig, name) for name in ("k", "j", "episode_len")),
-    (CycaConfig, "target_window"),
-    *((PpoConfig, name) for name in ("n_steps", "batch_size", "epochs", "total_steps", "seed", "hidden")),
-]
-
-
 class TestWholeFields:
     @pytest.mark.parametrize("cls, field", WHOLE_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in WHOLE_FIELDS])
     @pytest.mark.parametrize("bad", ["3", b"3", None, 3j], ids=["str", "bytes", "None", "complex"])
     def test_text_and_complex_refused_by_name(self, cls, field, bad):
         # each raised a bare TypeError from the range check ('<' not supported between ...)
-        given = {"standardizer": Standardizer(8.0)} if cls is EnvConfig else {}
         name, value = ("hidden layer width", (bad,)) if field == "hidden" else (field, bad)
         kind = "non-negative" if field == "seed" else "positive"
-        unit = " of seconds" if field == "target_window" else ""
-        with pytest.raises(ValueError, match=rf"^{name} must be a {kind} whole number{unit}, got {re.escape(repr(bad))}$"):
-            cls(**given, **{field: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be a {kind} whole number, got {re.escape(repr(bad))}$"):
+            build(cls, field, value)
 
     @pytest.mark.parametrize(
         "make, message",

@@ -387,6 +387,18 @@ class TestGenerator:
         assert spec.length_s == 3000 and type(spec.length_s) is int
         assert len(generate_synthetic(spec, seed=0)) == 3000
 
+    @pytest.mark.parametrize("seed", [True, np.True_, 1.5, "3", -1, None, float("nan")])
+    def test_bad_seed_named(self, seed):
+        # True ran as seed 1; 1.5, "3" and None raised numpy's TypeError and -1 its unnamed ValueError
+        spec = GeneratorSpec(length_s=100, dir_mean_deg=10.0, dir_std_deg=2.0)
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative whole number, got {re.escape(repr(seed))}$"):
+            generate_synthetic(spec, seed)
+
+    @pytest.mark.parametrize("seed, same", [(3.0, 3), (np.int64(5), 5), (10**400, 10**400)])
+    def test_whole_seed_taken_as_its_int(self, seed, same):
+        spec = GeneratorSpec(length_s=100, dir_mean_deg=10.0, dir_std_deg=2.0)
+        assert generate_synthetic(spec, seed).equals(generate_synthetic(spec, same))
+
     def test_ramps_exceeding_std_rejected(self):
         spec = GeneratorSpec(
             length_s=1000, dir_mean_deg=180.0, dir_std_deg=0.5, ramps=(Ramp(100.0, 500.0, 40.0),)
