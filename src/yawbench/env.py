@@ -65,6 +65,9 @@ class EnvConfig:
     episode_len: int = 256      # cycles per episode
 
     def __post_init__(self):
+        for name, cls in (("standardizer", Standardizer), ("turbine", TurbineParams)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         check_fields(self, w="[0, inf)")
 
     @property

@@ -9,13 +9,15 @@ The networks and Adam run in float32, as the usual PPO stacks do (weights are
 drawn in float64 and rounded, so a seed consumes the same random stream); the
 env, rewards, GAE and the sampler stay float64. A fixed seed reproduces
 training bit for bit. The networks take the env's float32 observation as is
-and are small, so a call costs numpy overhead, not arithmetic. The rollout and
-greedy evaluation pass that row, 1-D, to ``policy_forward`` and so to
-``Mlp.forward``, whose ``dot`` makes the vector-matrix BLAS call of a ``(1, k)``
-row: the batched forward's row, bit for bit. Scalar work (softmax max and sum,
-sampler, greedy pick, GAE) runs on Python floats, which round as float64 does;
-the softmax keeps ``np.exp``, as ``math.exp`` differs in the last bit. Each
-fast path keeps the per-call form's operations in order, and so its bits.
+and are small, so a call costs numpy overhead, not arithmetic. The rollout
+passes that row, 1-D, to ``policy_forward`` and so to ``Mlp.forward``, whose
+``dot`` makes the vector-matrix BLAS call of a ``(1, k)`` row: the batched
+forward's row, bit for bit. Greedy evaluation passes it to ``Mlp.forward``
+directly and ranks the three float32 logits, with no softmax. Scalar work
+(softmax max and sum, sampler, greedy pick, GAE) runs on Python floats, which
+round as float64 does; the softmax keeps ``np.exp``, as ``math.exp`` differs in
+the last bit. Each fast path keeps the per-call form's operations in order, and
+so its bits.
 
 ``Mlp.forward_rows`` takes the state values GAE needs after the rollout with
 the same per-row call. Both networks' parameters live in one flat vector and
@@ -65,8 +67,8 @@ class PpoConfig:
     def __post_init__(self):
         check_fields(self, learning_rate="(0, inf)", discount="(0, 1]", gae_lambda="[0, 1]", clip_eps="(0, inf)",
                      value_coef="[0, inf)", entropy_coef="[0, inf)", init_offset_deg="[0, inf)")
-        if not self.hidden:
-            raise ValueError("hidden layer widths must be positive, got ()")
+        if not (isinstance(self.hidden, (tuple, list)) and self.hidden):
+            raise ValueError(f"hidden must be a non-empty tuple or list of layer widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(whole_number("hidden layer width", h) for h in self.hidden))
         if self.n_steps % self.batch_size != 0:
             raise ValueError(f"n_steps ({self.n_steps}) must be divisible by batch_size ({self.batch_size})")
@@ -207,7 +209,8 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def policy_forward(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
-    """Action probabilities, normalized in float64, for one float32 row ``x`` passed 1-D to ``Mlp.forward``."""
+    """Action probabilities, normalized in float64, for one float32 row ``x`` passed 1-D to ``Mlp.forward``:
+    the rollout's sampler's input."""
     logits = ac.policy.forward(x)
     # exp maps either zero of a +-0.0 tie for the max to 1.0, and e holds no -0.0
     e = np.exp(np.subtract(logits, max(logits.tolist()), dtype=np.float64))
@@ -232,12 +235,14 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[Action, 
     return _ACTIONS[idx], float(np.log(p[idx]))
 
 
-def _greedy_action(probs: np.ndarray) -> int:
-    """``np.argmax`` of three finite probabilities, ties to the lowest index."""
-    p0, p1, p2 = probs.tolist()
-    if not math.isfinite(p0 + p1 + p2):
-        raise ValueError(f"degenerate action distribution: {probs!r}")
-    return 0 if p0 >= p1 and p0 >= p2 else 1 if p1 >= p2 else 2
+def _greedy_action(logits: np.ndarray) -> int:
+    """The lowest index of the largest of three logits; ValueError on a NaN or a non-finite maximum,
+    where the softmax's probabilities would not all be finite."""
+    z0, z1, z2 = logits.tolist()
+    top = max(z0, z1, z2)
+    if not math.isfinite(top) or math.isnan(z0 + z1 + z2):  # below a finite max, only a NaN makes a NaN sum
+        raise ValueError(f"degenerate action distribution: logits {logits!r}")
+    return 0 if z0 == top else 1 if z1 == top else 2
 
 
 def compute_gae(
@@ -474,12 +479,17 @@ def evaluate(ac: ActorCritic, env: YawEnv) -> CycleTrace:
     """Roll the greedy policy over one episode of ``env`` and return its trace.
 
     The episode starts at cycle 0 with the nacelle aligned. Each step takes
-    the argmax action (ties resolve to the lowest action code; a non-finite
-    probability raises). Only the policy network runs. Never mutates the networks.
+    the action of the largest logit, the lowest action code on a tie; a NaN
+    logit or a non-finite maximum raises ValueError. That is the argmax of the
+    float64 softmax's probabilities, and raises where they are not all finite,
+    except where the top two logits differ by less than about 2e-16: the
+    softmax rounds them to one probability and takes the lower code, while
+    this takes the larger logit.
+    Only the policy network runs. Never mutates the networks.
     """
     env.reset(0)
     for _ in range(env.cfg.episode_len):  # the last step ends the episode
-        env.step(_greedy_action(policy_forward(ac, env.encoded_observation)))
+        env.step(_greedy_action(ac.policy.forward(env.encoded_observation)))
     return env.trace()
 
 

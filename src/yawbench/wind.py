@@ -132,7 +132,7 @@ def read_log_csv(
         if reader.line_num == 1:  # the bulk parse skips exactly one line of header
             try:
                 cols = _bulk_columns(path, header, nonnegative, ints)
-            except Exception:  # the row loop decides what is an error
+            except ValueError:  # loadtxt's refusal of malformed text; the row loop decides what is an error
                 pass
         if cols is None:
             cols = _row_columns(path, reader, header, nonnegative, ints)

@@ -9,7 +9,9 @@ reductions, ``cumsum`` and ``searchsorted``, a ``compute_gae`` loop over
 numpy scalars, and a ``train`` loop that encodes every observation twice and
 runs the value network at every step. ``train`` and ``evaluate`` run on the
 reference environment of ``env_reference``, built from the series and config
-of the env they are given; greedy ``evaluate`` takes ``np.argmax``.
+of the env they are given; greedy ``evaluate`` takes ``np.argmax`` of the
+probabilities. ``greedy_action`` is that softmax-then-argmax rule on three
+logits, the reference for the library's ranking of the logits themselves.
 ``policy_probs`` is the rollout's softmax on the ``(1, k)`` row that the
 library passes 1-D to its inference-only ``Mlp.forward``; ``policy_forward``
 runs ``forward_cached`` on that row too.
@@ -94,6 +96,16 @@ def policy_probs(ac: ActorCritic, x: np.ndarray) -> np.ndarray:
     e = np.exp(logits - max(logits.tolist()))
     e0, e1, e2 = e.tolist()
     return e / ((e0 + e1) + e2)
+
+
+def greedy_action(logits: np.ndarray) -> int:
+    """The greedy rule of the float64 softmax: the lowest index of the largest probability of three
+    logits; ValueError unless every probability is finite."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        probs = softmax(np.asarray(logits, dtype=np.float64))
+    if not np.isfinite(probs).all():
+        raise ValueError(f"degenerate action distribution: {probs!r}")
+    return int(np.argmax(probs))
 
 
 def sample_action(probs: np.ndarray, rng) -> tuple[Action, float]:

@@ -58,6 +58,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be a positive whole number, got {re.escape(repr(bad))}$"):
             EnvConfig(standardizer=Standardizer(8.0), **{field: bad})
 
+    @pytest.mark.parametrize(
+        "field, bad", [("standardizer", 8.0), ("standardizer", None), ("turbine", None), ("turbine", {"rho": 1.225})]
+    )
+    def test_record_field_of_another_type_rejected_by_name(self, field, bad):
+        # standardizer=8.0 and turbine=None were accepted, and YawEnv then died with a nameless AttributeError
+        given = {"standardizer": Standardizer(8.0), field: bad}
+        with pytest.raises(ValueError, match=rf"^{field} must be a \w+, got {re.escape(repr(bad))}$"):
+            EnvConfig(**given)
+
     def test_whole_float_count_stored_as_int(self):
         cfg = EnvConfig(standardizer=Standardizer(8.0), j=3.0, k=2.0, episode_len=8.0)
         assert (cfg.j, cfg.k, cfg.episode_len) == (3, 2, 8) and type(cfg.j) is int

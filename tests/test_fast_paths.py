@@ -718,6 +718,20 @@ class TestReadLogCsv:
         assert t.dtype == np.int64 and t.tolist() == [7, 8, 10] and x.tolist() == [0.5] * 3
 
 
+def test_a_fault_inside_the_bulk_parse_surfaces(tmp_path, monkeypatch):
+    # only loadtxt's ValueError hands the file to the row loop; a catch-all re-read it after any error
+    import yawbench.wind as wind_module
+
+    def faulty(*args):
+        raise IndexError("fault in the bulk parse")
+
+    monkeypatch.setattr(wind_module, "_bulk_columns", faulty)
+    p = tmp_path / "w.csv"
+    p.write_text("t,phi_deg,v_ms\n0,1.0,2.0\n")
+    with pytest.raises(IndexError, match="fault in the bulk parse"):
+        read_log_csv(p, CSV_HEADER, WIND_NONNEG)
+
+
 def _trace_rows(draw, n):
     cols = []
     for name in TRACE_COLUMNS:

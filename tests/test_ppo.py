@@ -520,6 +520,9 @@ class TestUpdateAndTrain:
             ("hidden", (True,)),  # a bool was a width of 1
             ("hidden", (8, np.True_)),
             ("hidden", (10**400,)),  # was a bare OverflowError naming no field
+            ("hidden", 5),  # was a bare TypeError naming no field
+            ("hidden", "64"),  # was read character by character
+            ("hidden", 0),  # was refused as "got ()"
             ("batch_size", True),
             ("epochs", 2**63),  # beyond int64
         ],
@@ -591,6 +594,15 @@ class TestUpdateAndTrain:
     def test_whole_float_hidden_width_stored_as_int(self):
         assert PpoConfig(hidden=(8.0, 4)).hidden == (8, 4)
 
+    @pytest.mark.parametrize("hidden", [5, "64", 0, None, np.array([64, 64])])
+    def test_hidden_not_a_non_empty_tuple_or_list_echoed(self, hidden):
+        with pytest.raises(ValueError, match=rf"^hidden must be a non-empty tuple or list of layer widths, got {re.escape(repr(hidden))}$"):
+            PpoConfig(hidden=hidden)
+
+    def test_hidden_list_stored_as_tuple(self):
+        # a checkpoint's JSON holds the widths as a list
+        assert PpoConfig(hidden=[8, 4]).hidden == (8, 4)
+
     def test_zero_coefficients_allowed(self):
         cfg = PpoConfig(value_coef=0.0, entropy_coef=0.0, init_offset_deg=0.0)
         assert (cfg.value_coef, cfg.entropy_coef) == (0.0, 0.0)
@@ -612,8 +624,9 @@ class TestUpdateAndTrain:
         assert len(calls) == 0
 
     @pytest.mark.parametrize("total_steps, rollout_steps", [(128, 128), (100, 128)])
-    def test_train_and_evaluate_call_policy_forward_once_per_step(self, monkeypatch, total_steps, rollout_steps):
-        # the traced benchmark counts the calls of this function: once per env step
+    def test_rollout_calls_policy_forward_once_per_step_and_evaluate_never(self, monkeypatch, total_steps, rollout_steps):
+        # the traced benchmark counts the calls of this function: once per rollout step; greedy
+        # evaluation ranks the policy's logits and needs no probabilities
         import yawbench.ppo as ppo_module
 
         calls = []
@@ -629,7 +642,7 @@ class TestUpdateAndTrain:
         assert calls == [np.float32] * rollout_steps  # a partial last rollout runs in full
         calls.clear()
         evaluate(ac, env)
-        assert calls == [np.float32] * env.cfg.episode_len
+        assert calls == []
 
 
 class TestFloat32:
@@ -923,7 +936,7 @@ class TestCheckpoint:
             (lambda payload: payload["env"].pop("standardizer_scale"), r"env: missing key 'standardizer_scale'"),
             (lambda payload: payload["env"].pop("turbine"), r"env: missing key 'turbine'"),
             (lambda payload: payload["ppo"].update(learning_rate=float("nan")), r"ppo: learning_rate must be finite"),
-            (lambda payload: payload["ppo"].update(hidden=[]), r"ppo: hidden layer widths must be positive"),
+            (lambda payload: payload["ppo"].update(hidden=[]), r"ppo: hidden must be a non-empty tuple or list of layer widths, got \[\]$"),
         ],
     )
     def test_bad_config_key_named(self, tmp_path, edit, match):

@@ -4,7 +4,7 @@ Training (one encode per step, values in one stacked forward after the
 rollout, Adam on one flat vector, the 1-D inference forward, the lean
 batch-of-one softmax and sampler, GAE on Python floats), the loss and its
 gradients (three-column sums, no ``np.clip``, in-place bias and tanh, ufunc
-reductions, on 1- to 3-layer networks), evaluation (greedy by Python comparisons), the
+reductions, on 1- to 3-layer networks), evaluation (greedy by Python comparisons of the logits), the
 encoder and the sampler must reproduce ``ppo_reference`` bit for bit, not
 merely to a tolerance. The networks are float32, so their inputs here are
 float32 rows, and the references run at that dtype.
@@ -79,6 +79,26 @@ class TestTrain:
         assert all(same_bits(a, b) for a, b in zip(ac.parameters, ac_ref.parameters))
 
 
+def greedy_or_error(rule, z):
+    try:
+        return rule(z)
+    except ValueError:
+        return ValueError
+
+
+tiny, huge = float(np.float32(1e-30)), float(np.float32(3e38))
+float32s = st.one_of(
+    st.floats(width=32),
+    st.floats(tiny, huge, width=32),
+    st.floats(-huge, -tiny, width=32),
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, math.inf, -math.inf, math.nan]),
+)
+# three free logits, or three picked from two values to make ties
+logit_triples = st.tuples(float32s, float32s, float32s) | st.tuples(float32s, float32s).flatmap(
+    lambda pair: st.tuples(*[st.sampled_from(pair)] * 3)
+)
+
+
 class TestEvaluate:
     @given(
         hidden=st.tuples(widths, widths),
@@ -117,17 +137,47 @@ class TestEvaluate:
         assert trace.action_issued.tolist() == [action] * 5
         assert same_traces(trace, ref.evaluate(ac, env))
 
-    @given(p=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1 / 3, 1.0])), min_size=3, max_size=3))
-    def test_greedy_action_is_argmax(self, p):
-        assert _greedy_action(np.array(p)) == int(np.argmax(p))
+    @given(z=st.lists(st.one_of(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                st.sampled_from([0.0, -0.0, 1.0])), min_size=3, max_size=3))
+    def test_greedy_action_is_argmax(self, z):
+        z = np.array(z, dtype=np.float32)
+        assert _greedy_action(z) == int(np.argmax(z))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("at", [0, 1, 2])
-    def test_greedy_rejects_a_non_finite_probability(self, bad, at):
-        p = np.array([0.2, 0.3, 0.5])
-        p[at] = bad
+    def test_greedy_rejects_a_nan_or_infinite_logit(self, bad, at):
+        z = np.array([0.2, 0.3, 0.5], dtype=np.float32)
+        z[at] = bad
         with pytest.raises(ValueError, match="degenerate action distribution"):
-            _greedy_action(p)
+            _greedy_action(z)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_greedy_takes_a_minus_infinite_logit_unless_all_are(self, at):
+        # exp(-inf) is a finite probability 0; three -inf leave the softmax 0/0
+        z = np.array([0.2, 0.5, 0.3], dtype=np.float32)
+        z[at] = -math.inf
+        assert _greedy_action(z) == ref.greedy_action(z) == (2 if at == 1 else 1)
+        with pytest.raises(ValueError, match="degenerate action distribution"):
+            _greedy_action(np.full(3, -math.inf, dtype=np.float32))
+
+    @settings(max_examples=500)
+    @given(z=logit_triples)
+    @example(z=(0.0, -1.0, 1e-45))
+    @example(z=(math.nan, math.inf, 1.0))
+    @example(z=(-0.0, 0.0, -1.0))
+    def test_greedy_action_follows_the_softmax_rule(self, z):
+        z = np.array(z, dtype=np.float32)
+        got, want = (greedy_or_error(rule, z) for rule in (_greedy_action, ref.greedy_action))
+        top_two = sorted(z.astype(np.float64).tolist())[-2:]
+        if got != want:
+            # the float64 softmax rounds two logits this close to one probability and takes the lower index
+            assert ValueError not in (got, want) and top_two[1] - top_two[0] < 1e-15
+            assert got == int(np.argmax(z)) and want < got
+
+    def test_greedy_action_of_a_near_tie_takes_the_larger_logit(self):
+        # exp(-1e-45) rounds to 1.0, so the softmax called this a tie of actions 0 and 2
+        z = np.array([0.0, -1.0, 1e-45], dtype=np.float32)
+        assert (_greedy_action(z), ref.greedy_action(z)) == (2, 0)
 
     def test_greedy_evaluation_of_nan_weights_raises(self):
         ac = ActorCritic.create(2, (4, 4), np.random.default_rng(0))
