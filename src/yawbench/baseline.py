@@ -33,7 +33,7 @@ from .env import CYCLE_PERIOD_S, CycleTrace, cycle_stats
 from .metrics import cycle_deltas
 from .power import (TurbineParams, check_fields, in_bounds, power_with_misalignment, real_number, wrap_angle,
                     wrap_to_360, yaw_error)
-from .wind import WindSeries, check_log, read_log_csv, set_columns, write_csv_columns
+from .wind import Columns, Ints, WindSeries, check_log, read_log_csv, write_csv_columns
 
 # Numerical floor under which the remaining turn is treated as reached even
 # with a zero deadband; avoids chasing float residue at the target.
@@ -170,23 +170,20 @@ def _resample_to_cycles(series: WindSeries, theta_sec: np.ndarray, tp: TurbinePa
 
 
 @dataclass(frozen=True, eq=False)
-class NacelleLog:
+class NacelleLog(Columns):
     """Recorded nacelle positions at uniform 1 s spacing."""
 
-    t: np.ndarray
+    t: Ints
     theta: np.ndarray
 
     def __post_init__(self):
-        set_columns(self, {"t": np.int64, "theta": np.float64})
+        super().__post_init__()
         check_log(self, 2, self.theta, "nacelle position")
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def load_nacelle_log(path) -> NacelleLog:
     """Read a nacelle-position CSV with header ``t,theta_deg``; positions are wrapped into [0, 360)."""
-    t, (theta,) = read_log_csv(path, NACELLE_HEADER)
+    t, theta = read_log_csv(path, NACELLE_HEADER)
     return NacelleLog(t, wrap_to_360(theta))
 
 
@@ -216,13 +213,14 @@ def calibrate_threshold(series: WindSeries, cfg: CycaConfig, tp: TurbineParams, 
 
     Returns the threshold whose usage lands closest to ``target_pct`` (ties go
     to the smaller threshold) along with the usage measured for each candidate.
-    A ``target_pct`` that is not a real number in [0, 100] raises ValueError.
+    A ``target_pct`` not a real number in [0, 100], or a threshold not one in (0, inf), raises ValueError.
 
     A usage is scored from the simulated end-of-cycle headings alone, the
     ``theta`` that ``run_cyca_s``'s trace holds; no trace is built.
     """
     target_pct = in_bounds("target_pct", real_number("target_pct", target_pct), "[0, 100]")
-    grid = [real_number(f"thresholds[{i}]", x) for i, x in enumerate(thresholds)]
+    grid = [in_bounds(f"thresholds[{i}]", real_number(f"thresholds[{i}]", x), "(0, inf)")
+            for i, x in enumerate(thresholds)]
     if not grid:
         raise ValueError("empty calibration grid")
     theta0 = wrap_to_360(real_number("init_theta", init_theta))

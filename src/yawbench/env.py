@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .power import TurbineParams, check_fields, from_fields, power_with_misalignment, real_number, wrap_to_360
-from .wind import Standardizer, WindSeries, read_log_csv, set_columns, write_csv_columns
+from .wind import Columns, Ints, Standardizer, WindSeries, read_log_csv, write_csv_columns
 
 OBS_FEATURES_PER_ROW = 5
 CYCLE_PERIOD_S = 10  # seconds per control cycle, so also its count of 1 s wind samples
@@ -109,35 +109,20 @@ def cycle_stats(series: WindSeries) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class CycleTrace:
+class CycleTrace(Columns):
     """Per-cycle record of a control run; the common currency of the benchmark."""
 
-    cycle: np.ndarray
+    cycle: Ints
     t_s: np.ndarray
     phi: np.ndarray
     v: np.ndarray
     theta: np.ndarray
     gamma: np.ndarray
-    action_issued: np.ndarray
-    action_applied: np.ndarray
+    action_issued: Ints
+    action_applied: Ints
     power_kw: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-
-    def __post_init__(self):
-        set_columns(self, _TRACE_DTYPES)
-
-    def __len__(self) -> int:
-        return len(self.cycle)
-
-    def slice(self, start: int, stop: int | None = None) -> "CycleTrace":
-        stop = len(self) if stop is None else stop
-        return CycleTrace(**{name: getattr(self, name)[start:stop].copy() for name in TRACE_COLUMNS})
-
-    def equals(self, other: "CycleTrace") -> bool:
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in TRACE_COLUMNS
-        )
 
     def to_csv(self, path) -> None:
         write_csv_columns(path, TRACE_COLUMNS, *(getattr(self, name) for name in TRACE_COLUMNS))
@@ -146,13 +131,10 @@ class CycleTrace:
     def from_csv(cls, path) -> "CycleTrace":
         """Read a ``to_csv`` file; a malformed row, including a non-finite value,
         raises WindDataError (a ValueError) naming the file and line."""
-        cycle, rest = read_log_csv(path, TRACE_COLUMNS, ints=_TRACE_INT_COLUMNS)
-        return cls(cycle, *rest)
+        return cls(*read_log_csv(path, TRACE_COLUMNS, ints=cls.int_columns()))
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(CycleTrace))
-_TRACE_INT_COLUMNS = {"cycle", "action_issued", "action_applied"}
-_TRACE_DTYPES = {name: np.int64 if name in _TRACE_INT_COLUMNS else np.float64 for name in TRACE_COLUMNS}
 
 
 class YawEnv:

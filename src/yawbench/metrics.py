@@ -19,10 +19,7 @@ from .power import TurbineParams, wrap_angle
 
 def cycle_deltas(theta: np.ndarray) -> np.ndarray:
     """|rotation| per cycle from end-of-cycle nacelle positions (first cycle 0)."""
-    if len(theta) == 0:
-        return np.zeros(0)
-    d = np.abs(wrap_angle(np.diff(np.asarray(theta, dtype=float))))
-    return np.concatenate([[0.0], d]) if len(theta) > 1 else np.zeros(1)
+    return np.abs(wrap_angle(np.diff(theta, prepend=theta[:1])))
 
 
 @dataclass(frozen=True)

@@ -485,8 +485,11 @@ def evaluate(ac: ActorCritic, env: YawEnv) -> CycleTrace:
     except where the top two logits differ by less than about 2e-16: the
     softmax rounds them to one probability and takes the lower code, while
     this takes the larger logit.
-    Only the policy network runs. Never mutates the networks.
+    Only the policy network runs, and no network is mutated. A policy whose
+    input is not as wide as the observation raises ValueError before any step.
     """
+    if ac.policy.sizes[0] != (width := env.cfg.j * OBS_FEATURES_PER_ROW):
+        raise ValueError(f"policy input width {ac.policy.sizes[0]} does not match the env's observation width {width}")
     env.reset(0)
     for _ in range(env.cfg.episode_len):  # the last step ends the episode
         env.step(_greedy_action(ac.policy.forward(env.encoded_observation)))

@@ -7,6 +7,10 @@ direction process on deterministic ramp events and matches the requested mean
 and standard deviation of the realized series exactly; its AR(1) loop runs
 on Python floats.
 
+``Columns`` is the base of the column records: ``WindSeries`` here, the
+nacelle log and the cycle trace. A field annotated ``Ints`` holds int64 and any
+other float64, and the base gives the check, length, ``slice`` and ``equals``.
+
 Logs are CSV files with one header line. ``read_log_csv`` parses a whole
 file in one ``np.loadtxt`` pass and checks the arrays; only a file that pass
 rejects is re-read row by row, which names the first bad line in a
@@ -21,51 +25,67 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Collection, NamedTuple
+from typing import Collection, NamedTuple, NewType
 
 import numpy as np
 
 from .power import check_fields, real_number, seed_number, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
-_SERIES_DTYPES = {"t": np.int64, "phi": np.float64, "v": np.float64}
 
 
 class WindDataError(ValueError):
     """Malformed, inconsistent, or degenerate wind data."""
 
 
-def set_columns(record, dtypes: dict) -> None:
-    """Store each field of the frozen dataclass ``record`` named in ``dtypes`` as
-    a read-only 1-d array of that dtype.
+Ints = NewType("Ints", np.ndarray)  # the annotation of an int64 column of a ``Columns`` record
 
-    The stored array is a read-only view, so an array of the caller's keeps
-    its own flags. A column that is not 1-d, not as long as the first, or
-    int64 but holding a value that is not a whole number in the int64 range,
-    raises WindDataError naming the record's class and the column.
-    """
-    kind, first = type(record).__name__, None
-    for name, dtype in dtypes.items():
-        col, bad = np.asarray(getattr(record, name)), None
-        if dtype is np.int64 and col.dtype == np.uint64:  # the cast would wrap values >= 2**63
-            bad = col > np.iinfo(np.int64).max
-        elif dtype is np.int64 and col.dtype.kind not in "iub":
-            x = col.astype(np.float64)
-            bad = ~((np.abs(x) < 2.0**63) & (x == np.trunc(x)))
-        if bad is not None and bad.any():
-            raise WindDataError(f"{kind} column {name!r} must hold whole numbers, got {col[bad][0]}")
-        arr = col.astype(dtype, copy=False).view()
-        if arr.ndim != 1:
-            raise WindDataError(f"{kind} column {name!r} must be 1-d, got shape {arr.shape}")
-        if first is None:
-            first, n = name, len(arr)
-        elif len(arr) != n:
-            raise WindDataError(f"{kind} column {name!r} holds {len(arr)} values but column {first!r} holds {n}")
-        arr.setflags(write=False)
-        object.__setattr__(record, name, arr)
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Base of the column records: each field becomes a read-only 1-d view, int64 if annotated
+    ``Ints`` and float64 otherwise; the caller's array keeps its flags. A column that is not 1-d, not
+    as long as the first, or int64 but holding a value not whole or out of the int64 range raises
+    WindDataError naming the class and the column. The instance holds only its columns, in order."""
+
+    def __post_init__(self):
+        kind, ints, first = type(self).__name__, self.int_columns(), None
+        for name in (f.name for f in fields(self)):
+            col, bad = np.asarray(getattr(self, name)), None
+            if name in ints and col.dtype == np.uint64:  # the cast would wrap values >= 2**63
+                bad = col > np.iinfo(np.int64).max
+            elif name in ints and col.dtype.kind not in "iub":
+                x = col.astype(np.float64)
+                bad = ~((np.abs(x) < 2.0**63) & (x == np.trunc(x)))
+            if bad is not None and bad.any():
+                raise WindDataError(f"{kind} column {name!r} must hold whole numbers, got {col[bad][0]}")
+            arr = col.astype(np.int64 if name in ints else np.float64, copy=False).view()
+            if arr.ndim != 1:
+                raise WindDataError(f"{kind} column {name!r} must be 1-d, got shape {arr.shape}")
+            if first is None:
+                first, n = name, len(arr)
+            elif len(arr) != n:
+                raise WindDataError(f"{kind} column {name!r} holds {len(arr)} values but column {first!r} holds {n}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def int_columns(cls) -> tuple[str, ...]:
+        """The fields annotated ``Ints``, read as a name with or without postponed annotations."""
+        return tuple(f.name for f in fields(cls) if getattr(f.type, "__name__", f.type) == "Ints")
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))  # the first column
+
+    def slice(self, start: int, stop: int | None = None):
+        """Rows ``start:stop`` as a record of the same class that owns copies of its columns."""
+        return type(self)(**{name: col[start:stop].copy() for name, col in vars(self).items()})
+
+    def equals(self, other) -> bool:
+        return all(np.array_equal(col, getattr(other, name)) for name, col in vars(self).items())
 
 
 def check_log(log, min_len: int, angle: np.ndarray, what: str) -> None:
@@ -81,33 +101,24 @@ def check_log(log, min_len: int, angle: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class WindSeries:
+class WindSeries(Columns):
     """Uniform 1 s wind log. Immutable after construction."""
 
-    t: np.ndarray
+    t: Ints
     phi: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        set_columns(self, _SERIES_DTYPES)
+        super().__post_init__()
         check_log(self, 1, self.phi, "wind direction")
         if not np.all(np.isfinite(self.v)) or np.any(self.v < 0.0):
             raise WindDataError("wind speed must be finite and >= 0")
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def slice_samples(self, start: int, stop: int) -> "WindSeries":
-        return replace(self, **{name: getattr(self, name)[start:stop].copy() for name in _SERIES_DTYPES})
-
-    def equals(self, other: "WindSeries") -> bool:
-        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _SERIES_DTYPES)
 
 
 def read_log_csv(
     path, header: tuple[str, ...], nonnegative: tuple[str, str] | None = None, ints: Collection[str] = ()
 ):
-    """Columns of a log CSV under ``header``: the first column and a tuple of the rest.
+    """The columns of a log CSV under ``header``, as a tuple of arrays.
 
     The first column holds whole-number timestamps and comes back as int64.
     Columns named in ``ints`` parse as ``int()`` does (``2.0`` is rejected)
@@ -136,7 +147,7 @@ def read_log_csv(
                 pass
         if cols is None:
             cols = _row_columns(path, reader, header, nonnegative, ints)
-    return cols[0], tuple(cols[1:])
+    return tuple(cols)
 
 
 def _bulk_columns(path, header, nonnegative, ints) -> list[np.ndarray] | None:
@@ -246,8 +257,7 @@ def load_series(path) -> WindSeries:
     Raises WindDataError with the offending line number on malformed rows, on
     negative speeds, and on non-uniform timestamps.
     """
-    path = Path(path)
-    t, (phi, v) = read_log_csv(path, CSV_HEADER, nonnegative=("v_ms", "wind speed v"))
+    t, phi, v = read_log_csv(path, CSV_HEADER, nonnegative=("v_ms", "wind speed v"))
     if len(t) < 2:
         raise WindDataError(f"{path}: series too short: {len(t)} samples")
     return WindSeries(t, wrap_to_360(phi), v)
@@ -263,8 +273,7 @@ def split_train_test(series: WindSeries) -> tuple[WindSeries, WindSeries]:
     n = len(series)
     if n < 2:
         raise WindDataError(f"series too short to split: {n} samples")
-    cut = n // 2
-    return series.slice_samples(0, cut), series.slice_samples(cut, n)
+    return series.slice(0, n // 2), series.slice(n // 2)
 
 
 @dataclass(frozen=True)

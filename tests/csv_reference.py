@@ -24,7 +24,7 @@ _TRACE_INT_COLUMNS = {"cycle", "action_issued", "action_applied"}
 
 
 def read_log_csv(path, header, nonnegative=None):
-    """Timestamps and float columns (one contiguous row each) of a 1 s log CSV."""
+    """Timestamps and each float column (a contiguous array) of a 1 s log CSV."""
     neg_col = header.index(nonnegative[0]) - 1 if nonnegative else None
     ts, values = array("q"), array("d")
     with open(path, newline="") as f:
@@ -49,7 +49,7 @@ def read_log_csv(path, header, nonnegative=None):
                 raise WindDataError(f"{path}: line {lineno}: negative {nonnegative[1]}={vals[neg_col]}")
             ts.append(int(t_raw))
             values.extend(vals)
-    return np.array(ts, dtype=np.int64), np.frombuffer(values).reshape(len(ts), len(header) - 1).T.copy()
+    return np.array(ts, dtype=np.int64), *np.frombuffer(values).reshape(len(ts), len(header) - 1).T.copy()
 
 
 def trace_from_csv(path) -> CycleTrace:

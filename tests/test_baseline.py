@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from yawbench import baseline
 from yawbench.baseline import (
     CycaConfig,
     NacelleLog,
@@ -280,6 +281,17 @@ class TestCalibration:
         if name == "init_theta":
             with pytest.raises(ValueError, match=match):
                 run_cyca_s(series, CycaConfig(), tp, init_theta)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([600.0, -5.0], "thresholds[1] must be in (0, inf), got -5.0"),  # was "threshold must be in (0, inf)"
+        ([0.0], "thresholds[0] must be in (0, inf), got 0.0"),
+    ])
+    def test_non_positive_threshold_named_before_any_simulation(self, tp, monkeypatch, grid, message):
+        simulated = []
+        monkeypatch.setattr(baseline, "_simulate", lambda *args: simulated.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate_threshold(flat_series(300), CycaConfig(), tp, 50.0, grid)
+        assert simulated == []
 
     def test_empty_grid_rejected(self, tp):
         series = flat_series(100)

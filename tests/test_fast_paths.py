@@ -353,7 +353,7 @@ class TestCalibrateThreshold:
 
     def test_variable_wind_grid(self):
         # the benchmark's calibration: variable wind, a grid from >= 10% yawing down to about 2%
-        series = generate_synthetic(variable_preset(21000), 1).slice_samples(0, 10500)
+        series = generate_synthetic(variable_preset(21000), 1).slice(0, 10500)
         args = (series, CycaConfig(), TurbineParams(), float(series.phi[0]), (300.0, 2500.0, 20000.0))
         assert calibrate_threshold(*args) == ref.calibrate_threshold(*args)
 
@@ -577,7 +577,7 @@ cell_formats = [repr, "{:.17g}".format, " {!r} ".format, "{:.16e}".format, "\t{!
 def _outcome(fn, path):
     """The arrays ``fn`` reads, as bytes, or the type and message of what it raises."""
     try:
-        t, cols = fn(path)
+        t, *cols = fn(path)
     except Exception as exc:  # the exception itself is what is compared
         return type(exc), str(exc)
     return t.dtype, t.tobytes(), [(c.dtype, c.tobytes()) for c in cols]
@@ -714,7 +714,7 @@ class TestReadLogCsv:
     def test_integer_column_accepts_what_int_accepts(self, tmp_path):
         p = tmp_path / "i.csv"
         p.write_text("n,x\n 7 ,0.5\n+8,0.5\n1_0,0.5\n")  # the last row is read by the row loop
-        t, (x,) = read_log_csv(p, ("n", "x"), ints=("n",))
+        t, x = read_log_csv(p, ("n", "x"), ints=("n",))
         assert t.dtype == np.int64 and t.tolist() == [7, 8, 10] and x.tolist() == [0.5] * 3
 
 

@@ -135,6 +135,18 @@ class TestComputeMetrics:
         assert compute_metrics(trace, tp, cfg).horizon_s == 4000.0
 
 
+class TestCycleDeltas:
+    def test_no_heading_gives_an_empty_float64_array(self):
+        d = cycle_deltas(np.zeros(0))
+        assert d.dtype == np.float64 and d.shape == (0,)
+
+    def test_one_heading_gives_no_rotation(self):
+        assert cycle_deltas(np.array([42.0])).tolist() == [0.0]
+
+    def test_step_across_the_seam_goes_the_short_way(self):
+        assert cycle_deltas(np.array([359.0, 1.0])).tolist() == [0.0, 2.0]
+
+
 @given(
     theta=st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=2, max_size=40),
     rate=st.floats(0.01, 10.0),

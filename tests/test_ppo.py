@@ -706,6 +706,12 @@ class TestEvaluate:
         # the first applied action is the warm-up Stay, so the nacelle is still aligned
         assert t1.action_applied[0] == Action.STAY and t1.theta[0] == env.cycle_direction(0)
 
+    def test_network_of_another_width_refused_before_the_episode(self):
+        env = make_env(j=4)
+        ac = ActorCritic.create(12, (8, 8), np.random.default_rng(3))  # was "shapes (20,) and (60,8) not aligned"
+        with pytest.raises(ValueError, match=r"^policy input width 60 does not match the env's observation width 20$"):
+            evaluate(ac, env)
+
     def test_evaluation_does_not_mutate_params(self):
         env = make_env()
         ac = ActorCritic.create(env.cfg.j, (8, 8), np.random.default_rng(2))

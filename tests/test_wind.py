@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from yawbench.baseline import NacelleLog
 from yawbench.env import TRACE_COLUMNS, CycleTrace
 from yawbench.wind import (
+    Columns,
     GeneratorSpec,
+    Ints,
     Ramp,
     Standardizer,
     WindDataError,
@@ -219,6 +222,47 @@ class TestColumnRecords:
         with pytest.raises(WindDataError, match=rf"^{record.__name__} too short: {n_min - 1} samples"):
             record(**_columns(record, n_min - 1))
         assert len(record(**_columns(record, n_min))) == n_min
+
+
+@dataclass(frozen=True, eq=False)
+class Planted(Columns):
+    """A column record with no code of its own."""
+
+    n: Ints
+    x: np.ndarray
+
+
+class TestColumnsBase:
+    """What a record gets from ``Columns`` alone: dtypes from the annotations, length, slicing and equality."""
+
+    def test_ints_field_stores_int64_and_other_field_float64(self):
+        rec = Planted([1, 2, 3], [1, 2, 3])
+        assert rec.n.dtype == np.int64 and rec.x.dtype == np.float64 and len(rec) == 3
+        assert rec.n.tolist() == rec.x.tolist() == [1, 2, 3]
+
+    def test_ints_field_refuses_a_fraction_by_name(self):
+        with pytest.raises(WindDataError, match=r"^Planted column 'n' must hold whole numbers, got 1.5$"):
+            Planted([0, 1.5], [0.0, 1.0])
+        assert Planted([0, 1], [0.0, 1.5]).x.tolist() == [0.0, 1.5]
+
+    def test_annotation_read_with_and_without_postponed_evaluation(self):
+        # this module evaluates its annotations; the package modules postpone theirs, so a field's type is a string
+        assert fields(Planted)[0].type is Ints and fields(CycleTrace)[0].type == "Ints"
+        assert Planted.int_columns() == ("n",)
+        assert CycleTrace.int_columns() == ("cycle", "action_issued", "action_applied")
+
+    def test_slice_owns_copies_of_its_rows(self):
+        rec = Planted(np.arange(5), np.linspace(0.0, 1.0, 5))
+        part = rec.slice(1, 3)
+        assert type(part) is Planted and part.n.tolist() == [1, 2] and part.x.tolist() == [0.25, 0.5]
+        assert not np.shares_memory(part.x, rec.x) and not part.x.flags.writeable
+        assert rec.slice(2).equals(Planted([2, 3, 4], rec.x[2:])) and len(rec.slice(5)) == 0
+
+    def test_equals_compares_every_column(self):
+        rec = Planted(np.arange(3), np.zeros(3))
+        assert rec.equals(Planted([0, 1, 2], [0.0, 0.0, 0.0]))
+        assert not rec.equals(Planted(np.arange(3), [0.0, 0.0, 1.0]))
+        assert not rec.equals(Planted([0, 1, 3], np.zeros(3)))
 
 
 class TestSplit:
