@@ -25,13 +25,13 @@ headings alone, without building the cycle trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .env import CYCLE_PERIOD_S, CycleTrace, cycle_stats
 from .metrics import cycle_deltas
-from .power import (TurbineParams, check_fields, in_bounds, power_with_misalignment, real_number, wrap_angle,
+from .power import (Record, TurbineParams, check_fields, in_bounds, power_with_misalignment, real_number, wrap_angle,
                     wrap_to_360, yaw_error)
 from .wind import Columns, Ints, WindSeries, check_log, read_log_csv, write_csv_columns
 
@@ -46,8 +46,10 @@ _SCAN_TICKS = 64
 NACELLE_HEADER = ("t", "theta_deg")
 
 
-@dataclass(frozen=True)
-class CycaConfig:
+class CycaConfig(Record):
+    """The threshold baseline's knobs: the accumulated-error trigger, the averaging window of its
+    target direction and the deadband that stops a turn."""
+
     threshold: float = 900.0      # deg*s of accumulated |yaw error| that triggers a turn
     target_window: int = 30       # seconds of trailing wind-direction averaging
     stop_deadband: float = 1.0    # deg; stop turning once within this of the target
@@ -169,7 +171,6 @@ def _resample_to_cycles(series: WindSeries, theta_sec: np.ndarray, tp: TurbinePa
     )
 
 
-@dataclass(frozen=True, eq=False)
 class NacelleLog(Columns):
     """Recorded nacelle positions at uniform 1 s spacing."""
 

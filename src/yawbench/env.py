@@ -36,11 +36,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, field, replace
 
 import numpy as np
 
-from .power import TurbineParams, check_fields, from_fields, power_with_misalignment, real_number, wrap_to_360
+from .power import Record, TurbineParams, check_fields, from_fields, power_with_misalignment, real_number, wrap_to_360
 from .wind import Columns, Ints, Standardizer, WindSeries, read_log_csv, write_csv_columns
 
 OBS_FEATURES_PER_ROW = 5
@@ -53,8 +53,7 @@ class Action(enum.IntEnum):
     COUNTER_CLOCKWISE = 2  # rotate for the full cycle, incrementing theta
 
 
-@dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(Record):
     """Control-loop configuration binding a turbine and a fitted standardizer."""
 
     standardizer: Standardizer
@@ -108,7 +107,6 @@ def cycle_stats(series: WindSeries) -> tuple[np.ndarray, np.ndarray]:
     return phi, series.v[: count * p].reshape(count, p).mean(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
 class CycleTrace(Columns):
     """Per-cycle record of a control run; the common currency of the benchmark."""
 
@@ -134,7 +132,7 @@ class CycleTrace(Columns):
         return cls(*read_log_csv(path, TRACE_COLUMNS, ints=cls.int_columns()))
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(CycleTrace))
+TRACE_COLUMNS = CycleTrace._names
 
 
 class YawEnv:

@@ -9,12 +9,12 @@ consecutive moving cycles.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, field
 
 import numpy as np
 
 from .env import CYCLE_PERIOD_S, CycleTrace, EnvConfig
-from .power import TurbineParams, wrap_angle
+from .power import Record, TurbineParams, wrap_angle
 
 
 def cycle_deltas(theta: np.ndarray) -> np.ndarray:
@@ -22,8 +22,9 @@ def cycle_deltas(theta: np.ndarray) -> np.ndarray:
     return np.abs(wrap_angle(np.diff(theta, prepend=theta[:1])))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
+    """The benchmark metrics of one trace (see ``compute_metrics``)."""
+
     avg_yaw_error_deg: float
     energy_kwh: float
     angle_covered_deg: float
@@ -92,8 +93,9 @@ def yaw_consumption_delta(trace_candidate: CycleTrace, trace_baseline: CycleTrac
     return delta, float(np.sum(delta))
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
+    """A candidate run's headline figures against a baseline run (see ``compare``)."""
+
     yaw_error_decrease_pct: float
     energy_gain_pct: float
     net_energy_gain_pct: float
@@ -102,7 +104,7 @@ class Comparison:
 
     def to_dict(self) -> dict:
         """The four headline figures; the per-cycle series is left out."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {name: getattr(self, name) for name in self._compare}
 
 
 def compare(report_candidate: MetricsReport, report_baseline: MetricsReport, delta_total_kwh: float,

@@ -9,15 +9,17 @@ The power curve is one function over scalars or arrays,
 misalignment loss, rated power, zero. Each boundary speed (cut-in, rated,
 cut-out) belongs to the region above it.
 
-``from_fields`` and ``check_fields`` live here, in the module every other one
-imports: the strict ``from_dict`` of every config record in the package, and
-the one check of its numeric fields, whose annotations pick their type rules.
+``Record``, ``from_fields`` and ``check_fields`` live here, in the module every
+other one imports: the base of every record in the package, the strict
+``from_dict`` of its config records, and the one check of their numeric fields,
+whose annotations pick their type rules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, asdict, dataclass, fields
+from inspect import Parameter, Signature
 from typing import NewType
 
 import numpy as np
@@ -35,7 +37,7 @@ def from_fields(cls, d: dict, **given):
     The strict half of every ``to_dict``/``from_dict`` pair: a missing field
     raises KeyError and an unknown key TypeError, each naming the key.
     """
-    names = [f.name for f in fields(cls) if f.name not in given]
+    names = [name for name in cls._names if name not in given]
     unknown = set(d).difference(names)
     if unknown:
         raise TypeError(f"unknown key(s) {sorted(unknown)}")
@@ -93,15 +95,90 @@ _TYPE_RULES = {"int": whole_number, "float": real_number, "Seed": seed_number}
 
 
 def check_fields(record, **bounds: str) -> None:
-    """Pass each field of the dataclass ``record`` annotated ``int``, ``float`` or ``Seed`` through
+    """Pass each field of the ``Record`` ``record`` annotated ``int``, ``float`` or ``Seed`` through
     ``whole_number``, ``real_number`` or ``seed_number``, storing the result, then hold each field
     named in ``bounds`` to its interval (see ``in_bounds``). Every refusal names the field."""
-    for f in fields(record):
-        rule = _TYPE_RULES.get(getattr(f.type, "__name__", f.type))
-        if rule is not None:
-            object.__setattr__(record, f.name, rule(f.name, getattr(record, f.name)))
+    values = vars(record)
+    for name, rule in record._rules:
+        values[name] = rule(name, values[name])
     for name, bound in bounds.items():
-        in_bounds(name, getattr(record, name), bound)
+        in_bounds(name, values[name], bound)
+
+
+class Record:
+    """Base of the package's frozen records. Each subclass is a dataclass (``fields``, ``asdict``,
+    ``replace`` and ``__match_args__`` work on it) whose ``__init__``, ``__repr__``, ``__eq__``,
+    ``__hash__``, ``__setattr__`` and ``__delattr__`` act as ``@dataclass(frozen=True)``'s would,
+    but come from here rather than from source text that dataclass compiles for every class. Its
+    field lists are computed once, when the class is created."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)  # generates no function, unlike frozen=True
+        fs = fields(cls)
+        cls._names, cls._compare = tuple(f.name for f in fs), tuple(f.name for f in fs if f.compare)
+        kinds = ((f.name, getattr(f.type, "__name__", f.type)) for f in fs)
+        cls._rules = tuple((name, _TYPE_RULES[kind]) for name, kind in kinds if kind in _TYPE_RULES)
+        cls._template = {f.name: f.default for f in fs}  # MISSING where a factory or the caller fills it
+        cls._unset = tuple((f.name, f.default_factory) for f in fs if f.default is MISSING)
+        params = [Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=(
+            _HAS_DEFAULT_FACTORY if f.default_factory is not MISSING else  # shown as "<factory>", as dataclass does
+            Parameter.empty if f.default is MISSING else f.default)) for f in fs]
+        cls.__signature__ = Signature(params, return_annotation=None)
+
+    def __init__(self, *args, **kwargs):
+        names, values = self._names, self._template.copy()
+        values.update(zip(names, args))
+        values.update(kwargs)  # an unknown keyword adds a key
+        if len(values) > len(names) or len(args) > len(names) or (
+                args and kwargs and not kwargs.keys().isdisjoint(names[: len(args)])):
+            raise _call_error(type(self), args, kwargs)
+        for name, factory in self._unset:
+            if values[name] is MISSING:
+                if factory is MISSING:
+                    raise _call_error(type(self), args, kwargs)
+                values[name] = factory()
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(getattr(self, n) for n in self._compare) == tuple(getattr(other, n) for n in self._compare)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self._compare))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
+    """The TypeError that Python raises for a bad call of a generated ``cls.__init__``, by its rules:
+    the first unknown or repeated keyword, then too many positional arguments, then the missing ones."""
+    where, names, n = f"{cls.__qualname__}.__init__()", cls._names, len(cls._names) + 1  # self counts
+    required = [name for name, factory in cls._unset if factory is MISSING]
+    for key in kwargs:
+        if key not in cls._template:
+            return TypeError(f"{where} got an unexpected keyword argument {key!r}")
+        if key in names[: len(args)]:
+            return TypeError(f"{where} got multiple values for argument {key!r}")
+    if len(args) >= n:
+        takes = f"from {len(required) + 1} to {n} positional arguments" if len(required) + 1 < n else (
+            f"{n} positional argument{'s' * (n != 1)}")
+        return TypeError(f"{where} takes {takes} but {len(args) + 1} were given")
+    missing = [repr(name) for name in required if name not in kwargs and name not in names[: len(args)]]
+    text = " and ".join(missing) if len(missing) < 3 else f"{', '.join(missing[:-1])}, and {missing[-1]}"
+    return TypeError(f"{where} missing {len(missing)} required positional argument{'s' * (len(missing) != 1)}: {text}")
 
 
 def wrap_angle(x):
@@ -143,8 +220,7 @@ def circular_mean_deg(angles_deg) -> float:
     return wrap_to_360(math.degrees(mean))
 
 
-@dataclass(frozen=True)
-class TurbineParams:
+class TurbineParams(Record):
     """Physical constants of the simulated turbine.
 
     Defaults describe a 2 MW machine with an 82 m rotor. The power coefficient

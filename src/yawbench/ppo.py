@@ -36,20 +36,21 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .env import OBS_FEATURES_PER_ROW, Action, CycleTrace, EnvConfig, YawEnv
-from .power import Seed, check_fields, from_fields, whole_number
+from .power import Record, Seed, check_fields, from_fields, whole_number
 
 CHECKPOINT_FORMAT = "yawbench-checkpoint"
 CHECKPOINT_VERSION = 5
 
 
-@dataclass(frozen=True)
-class PpoConfig:
+class PpoConfig(Record):
+    """PPO's hyperparameters, the policy and value networks' hidden widths and the training seed."""
+
     learning_rate: float = 0.003
     n_steps: int = 2048        # transitions collected per update
     batch_size: int = 64

@@ -25,14 +25,14 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Collection, NamedTuple, NewType
 
 import numpy as np
 
-from .power import check_fields, real_number, seed_number, wrap_to_360
+from .power import Record, check_fields, real_number, seed_number, wrap_to_360
 
 CSV_HEADER = ("t", "phi_deg", "v_ms")
 
@@ -44,16 +44,23 @@ class WindDataError(ValueError):
 Ints = NewType("Ints", np.ndarray)  # the annotation of an int64 column of a ``Columns`` record
 
 
-@dataclass(frozen=True, eq=False)
-class Columns:
+class Columns(Record):
     """Base of the column records: each field becomes a read-only 1-d view, int64 if annotated
     ``Ints`` and float64 otherwise; the caller's array keeps its flags. A column that is not 1-d, not
     as long as the first, or int64 but holding a value not whole or out of the int64 range raises
-    WindDataError naming the class and the column. The instance holds only its columns, in order."""
+    WindDataError naming the class and the column. The instance holds only its columns, in order;
+    it equals only itself, and a copy or an unpickled record goes back through these checks."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _ints = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._ints = tuple(f.name for f in fields(cls) if getattr(f.type, "__name__", f.type) == "Ints")
 
     def __post_init__(self):
-        kind, ints, first = type(self).__name__, self.int_columns(), None
-        for name in (f.name for f in fields(self)):
+        kind, ints, first = type(self).__name__, self._ints, None
+        for name in self._names:
             col, bad = np.asarray(getattr(self, name)), None
             if name in ints and col.dtype == np.uint64:  # the cast would wrap values >= 2**63
                 bad = col > np.iinfo(np.int64).max
@@ -75,7 +82,10 @@ class Columns:
     @classmethod
     def int_columns(cls) -> tuple[str, ...]:
         """The fields annotated ``Ints``, read as a name with or without postponed annotations."""
-        return tuple(f.name for f in fields(cls) if getattr(f.type, "__name__", f.type) == "Ints")
+        return cls._ints
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
     def __len__(self) -> int:
         return len(next(iter(vars(self).values())))  # the first column
@@ -100,7 +110,6 @@ def check_log(log, min_len: int, angle: np.ndarray, what: str) -> None:
         raise WindDataError(f"{what} must be finite and in [0, 360)")
 
 
-@dataclass(frozen=True, eq=False)
 class WindSeries(Columns):
     """Uniform 1 s wind log. Immutable after construction."""
 
@@ -276,8 +285,7 @@ def split_train_test(series: WindSeries) -> tuple[WindSeries, WindSeries]:
     return series.slice(0, n // 2), series.slice(n // 2)
 
 
-@dataclass(frozen=True)
-class Standardizer:
+class Standardizer(Record):
     """Scales wind speed by a positive divisor fitted on the training split,
     so the training-split mean speed maps to 1 and the result is never negative."""
 
@@ -309,8 +317,7 @@ class Ramp(NamedTuple):
     magnitude_deg: float
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Parameters of the synthetic wind generator.
 
     ``dir_std_deg`` is the target standard deviation of the realized direction

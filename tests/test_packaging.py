@@ -1,10 +1,16 @@
 """Every entry point that ``pyproject.toml`` declares must import, no
 module of the package, the tests or the bench imports a name it never uses,
-every public function and class of the package has a caller in a program,
-and each name of the package has one import path: the module defining it."""
+the package declares its records through ``power.Record`` alone and compiles
+no generated code when imported, every public function and class of the
+package has a caller in a program, and each name of the package has one
+import path: the module defining it."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +90,73 @@ def test_an_unused_import_is_caught():
         "def f(a: 'Kept') -> int:\n    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["os", "inf", "missing"]
+
+
+DATACLASS_MAKERS = {"dataclass", "make_dataclass"}
+
+
+def dataclass_uses(source: str) -> list[int]:
+    """Lines of ``source`` that read ``dataclass`` or ``make_dataclass`` outside a class ``Record``."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "Record"
+              for n in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+        (isinstance(node, ast.Name) and node.id in DATACLASS_MAKERS)
+        or (isinstance(node, ast.Attribute) and node.attr in DATACLASS_MAKERS)))
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_records_are_declared_through_record_alone(path):
+    assert dataclass_uses(path.read_text()) == []
+
+
+def test_a_dataclass_outside_record_is_caught():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass, fields\n"
+        "class Record:\n    def __init_subclass__(cls):\n        dataclass(cls, init=False)\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass\nclass B:\n    pass\n"
+        "C = dataclasses.make_dataclass('C', [])\nprint(fields(A))\n"
+    )
+    assert dataclass_uses(source) == [6, 9, 12]
+
+
+# Prints the source texts that a fresh ``import yawbench`` passes to ``exec``.
+WATCH_EXEC = """
+import builtins, json
+import numpy  # loaded first, so only the package's own import is watched
+texts, real_exec = [], builtins.exec
+def watched(source, *args, **kwargs):
+    if isinstance(source, str):
+        texts.append(source)
+    return real_exec(source, *args, **kwargs)
+builtins.exec = watched
+import yawbench
+builtins.exec = real_exec
+print(json.dumps(texts))
+"""
+
+
+def generated_functions(texts: list[str]) -> list[str]:
+    """The functions defined by source texts given to ``exec``. Dataclass wraps the methods it
+    generates for a class in one ``__create_fn__``, which Python 3.13 execs even when empty."""
+    return [node.name for text in texts for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name != "__create_fn__"]
+
+
+def test_import_compiles_no_generated_code():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", WATCH_EXEC], capture_output=True, text=True, env=env, check=True)
+    texts = json.loads(out.stdout)
+    assert generated_functions(texts) == []  # @dataclass(frozen=True) compiled 64 across the twelve records
+    if sys.version_info < (3, 13):
+        assert texts == []
+
+
+def test_generated_code_is_caught():
+    texts = ["def __create_fn__(_type_x):\n def __init__(self, x: _type_x):\n  self.x = x\n return __init__",
+             "def __create_fn__():\n\n return ()"]
+    assert generated_functions(texts) == ["__init__"]
 
 
 def unreferenced_definitions(source: str, programs: list[str], entry_points: list[str] = ()) -> list[str]:

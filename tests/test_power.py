@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields, make_dataclass
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -261,7 +261,9 @@ class TestRealFields:
 
     def test_planted_float_field_refused_with_no_further_code(self):
         # a field added to a record is type-checked, and listed here, by its annotation alone
-        planted = make_dataclass("Planted", [("gain", float, 1.0)], bases=(CycaConfig,), frozen=True)
+        class planted(CycaConfig):
+            gain: float = 1.0
+
         assert annotated([planted], {"float"})[-1] == (planted, "gain")
         assert planted(gain=np.int64(2)).gain == 2.0
         with pytest.raises(ValueError, match=r"^gain must be a real number, got True$"):

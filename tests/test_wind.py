@@ -1,6 +1,8 @@
+import copy
 import math
+import pickle
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -133,6 +135,10 @@ INT_COLUMN_CASES = [
 ]
 
 
+COPIES = [copy.copy, copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))]
+COPY_IDS = ["copy", "deepcopy", "pickle"]
+
+
 class TestColumnRecords:
     """The shared column check of ``WindSeries``, ``NacelleLog`` and ``CycleTrace``."""
 
@@ -217,6 +223,26 @@ class TestColumnRecords:
         assert given.flags.writeable
         given[0] = given[1]  # was "assignment destination is read-only"
 
+    @pytest.mark.parametrize("record, name", COLUMN_CASES)
+    @pytest.mark.parametrize("round_trip", COPIES, ids=COPY_IDS)
+    def test_copied_or_unpickled_column_read_only(self, record, name, round_trip):
+        rec = round_trip(record(**_columns(record, 4)))
+        col = getattr(rec, name)
+        assert type(rec) is record and not col.flags.writeable  # a deepcopy's or an unpickled record's was writeable
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = col[1]
+
+    @pytest.mark.parametrize("round_trip", COPIES, ids=COPY_IDS)
+    def test_copy_goes_back_through_the_checks(self, round_trip):
+        phi, t = np.full(4, 34.1), np.arange(4)
+        series = WindSeries(t, phi, np.full(4, 8.0))  # its columns are read-only views of these arrays
+        phi[1] = 400.0
+        with pytest.raises(WindDataError, match=r"^wind direction must be finite and in \[0, 360\)$"):
+            round_trip(series)  # was copied as it stood
+        phi[1], t[2] = 34.1, 5
+        with pytest.raises(WindDataError, match="^non-uniform spacing at t=5$"):
+            round_trip(series)
+
     @pytest.mark.parametrize("record, n_min", [(WindSeries, 1), (NacelleLog, 2)])
     def test_too_short_log_named(self, record, n_min):
         with pytest.raises(WindDataError, match=rf"^{record.__name__} too short: {n_min - 1} samples"):
@@ -224,7 +250,6 @@ class TestColumnRecords:
         assert len(record(**_columns(record, n_min))) == n_min
 
 
-@dataclass(frozen=True, eq=False)
 class Planted(Columns):
     """A column record with no code of its own."""
 
